@@ -368,10 +368,10 @@ struct AggPipelineFixture {
   }
 };
 
-// arg 0: the PR 2 schedule — parallel batched verification, loads inside
-//        the verify tasks, single-file store.
-// arg 1: + overlapped pipeline (io_pool, double buffering + prefetch),
-//        single-file store.
+// arg 0: depth 1 — parallel batched verification, every batch loaded when
+//        it is verified, single-file store.
+// arg 1: depth 2 — the overlapped pipeline (io_pool: the next batch loads
+//        while one is verified), single-file store.
 // arg 2: + 4-shard store with shard-parallel batch reads, one modeled
 //        device per shard — the full sharded + overlapped scale-out
 //        configuration.
@@ -384,12 +384,8 @@ void BM_MaskAggVerifyPipeline(benchmark::State& state) {
   const MaskAggQuery q = f.Query();
   EngineOptions opts;
   opts.pool = f.pool.get();
-  opts.agg_verify_batch = 4;
-  if (mode >= 1) {
-    opts.io_pool = f.io_pool.get();
-    opts.inflight_batches = 2;
-    opts.prefetch_depth = 2;
-  }
+  opts.verify_batch = 4;
+  if (mode >= 1) opts.io_pool = f.io_pool.get();
   for (auto _ : state) {
     DerivedIndexCache cache(f.Config());
     auto r = ExecuteMaskAgg(*f.store, nullptr, &cache, q, opts);

@@ -118,8 +118,7 @@ ServiceBench OpenServing(const BenchFlags& flags, int queue_depth,
   opts.io_pool = b.io_pool.get();
   // Executor slots provide the parallelism; executors run inline with
   // modest batches (frequent deadline checkpoints, docs/SERVING.md).
-  opts.filter_verify_batch = 32;
-  opts.agg_verify_batch = 16;
+  opts.verify_batch = 32;
   // Index preprocessing is charged outside the serving measurement (the
   // paper separates it too): build via the unthrottled store, cache on
   // disk, load into the session.
@@ -452,8 +451,7 @@ void Run(const BenchFlags& flags) {
     config.store.batch_max_bytes = 1;
     config.session.chi = PaperChiConfig(bench.spec);
     config.session.index_path = bench.dir + "/serving_default.chi";
-    config.session.filter_verify_batch = 32;
-    config.session.agg_verify_batch = 16;
+    config.session.verify_batch = 32;
     config.service.num_workers = 8;
     config.service.max_queue_depth = 32;
     Catalog catalog;
@@ -555,8 +553,7 @@ void Run(const BenchFlags& flags) {
       config.store.batch_max_bytes = 1;
       config.session.chi = PaperChiConfig(bench.spec);
       config.session.index_path = bench.dir + "/serving_default.chi";
-      config.session.filter_verify_batch = 32;
-      config.session.agg_verify_batch = 16;
+      config.session.verify_batch = 32;
       config.service.num_workers = 4;
       config.service.max_queue_depth = 64;
       group->Add(InProcessReplica::Open(name, bench.dir, config).ValueOrDie())
@@ -710,8 +707,7 @@ void Run(const BenchFlags& flags) {
     config.store.batch_max_bytes = 1;
     config.session.chi = PaperChiConfig(bench.spec);
     config.session.index_path = bench.dir + "/serving_default.chi";
-    config.session.filter_verify_batch = 32;
-    config.session.agg_verify_batch = 16;
+    config.session.verify_batch = 32;
     config.service.num_workers = 8;
     config.service.max_queue_depth = 64;
     Catalog catalog;

@@ -1,6 +1,5 @@
-// One-shot countdown latch + drain guard for the overlapped I/O pipelines
-// (C++17 has no std::latch). Shared by the exec-layer prefetch pipelines so
-// their waiting semantics cannot drift apart.
+// One-shot countdown latch + drain guard for the overlapped I/O of the
+// exec-layer verification pipeline (C++17 has no std::latch).
 //
 // WaitHelping is the cooperative variant used whenever the waiter may itself
 // be a pool task (service workers dispatched onto a shared pool, prefetch
@@ -95,8 +94,8 @@ inline void WaitHelping(Latch* latch, ThreadPool* pool) {
   }
 }
 
-/// \brief Waits on every registered latch at scope exit. The prefetch
-/// pipelines register one latch per launched load; draining them before any
+/// \brief Waits on every registered latch at scope exit. The verification
+/// pipeline registers one latch per batch of launched loads; draining them before any
 /// return path keeps the loads' captured locals alive even on error exits.
 /// With a pool configured (the pool the counted tasks were submitted to),
 /// the drain helps run queued tasks — required when the destructor may run

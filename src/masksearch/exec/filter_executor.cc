@@ -1,19 +1,18 @@
 #include "masksearch/exec/filter_executor.h"
 
-#include <atomic>
-#include <deque>
+#include <algorithm>
 #include <memory>
 
-#include "masksearch/common/latch.h"
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
+#include "masksearch/exec/verify_pipeline.h"
 #include "masksearch/obs/trace.h"
 
 namespace masksearch {
 
 namespace {
 
-enum class Outcome : uint8_t { kPruned, kAccepted, kVerifiedPass, kVerifiedFail, kError };
+enum class Outcome : uint8_t { kPruned, kAccepted, kVerifiedPass, kVerifiedFail };
 
 /// Classifies mask i from its CHI bounds alone (no I/O). Returns kPruned /
 /// kAccepted when the predicate is decided, kVerifiedFail as the "must
@@ -59,188 +58,55 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
   Stopwatch timer;
   const std::vector<MaskId> ids = ResolveSelection(store, query.selection);
 
+  // Filter stage: classify every mask from its bounds (pure compute).
   std::vector<Outcome> outcomes(ids.size(), Outcome::kPruned);
-  std::atomic<int64_t> loaded{0};
-  std::atomic<int64_t> bytes{0};
-  std::atomic<int64_t> built{0};
-  std::atomic<int64_t> prefetch_skips{0};
-  std::atomic<bool> failed{false};
-
-  // Pool tasks below run on threads without the request's trace installed;
-  // capture it here and reinstall inside each task (docs/OBSERVABILITY.md).
-  obs::Trace* const trace = obs::Trace::Current();
-
-  if (!opts.batch_io) {
-    // Fused per-mask path: a mask that cannot be decided from bounds is
-    // loaded immediately by the same task. One modeled disk request per
-    // verified mask — the pre-batching schedule, kept for comparison runs.
+  {
+    MS_TRACE_SPAN("filter_classify");
     ParallelFor(opts.pool, ids.size(), [&](size_t i) {
-      obs::TraceScope trace_scope(trace);
-      if (failed.load(std::memory_order_relaxed)) return;
-      const MaskId id = ids[i];
-      outcomes[i] = ClassifyFromBounds(store, index, query, opts, id);
-      if (outcomes[i] != Outcome::kVerifiedFail) return;
-
-      ExecStats local;
-      auto mask = internal::LoadForVerification(
-          store, opts.use_index ? index : nullptr, opts, id, &local);
-      loaded.fetch_add(local.masks_loaded, std::memory_order_relaxed);
-      bytes.fetch_add(local.bytes_read, std::memory_order_relaxed);
-      built.fetch_add(local.chis_built, std::memory_order_relaxed);
-      if (!mask.ok()) {
-        failed.store(true, std::memory_order_relaxed);
-        outcomes[i] = Outcome::kError;
-        return;
-      }
-      const std::vector<double> exact =
-          internal::TermExactFromMask(*mask, store.meta(id), query.terms);
-      outcomes[i] = query.predicate.EvalExact(exact) ? Outcome::kVerifiedPass
-                                                     : Outcome::kVerifiedFail;
+      outcomes[i] = ClassifyFromBounds(store, index, query, opts, ids[i]);
     });
-  } else {
-    // Staged path (default): classify every mask from bounds first (pure
-    // compute), then stream the undecided masks through
-    // MaskStore::LoadMaskBatch in batches — offset-sorted, coalesced,
-    // shard-parallel reads — and evaluate each batch across the pool. With
-    // opts.io_pool set the pipeline is double-buffered: batch k+1's reads
-    // are in flight while batch k is evaluated. Same outcomes and per-mask
-    // stats as the fused path; only the I/O request pattern differs.
-    //
-    // The orchestration (depth formula, start/finish split, bounded-deque
-    // refill, LatchDrainGuard) is the twin of ExecuteMaskAgg's pipeline in
-    // mask_agg.cc — the load unit here is a whole batch rather than a
-    // group and there is no fold/pruning interplay, but scheduling
-    // semantics changes must be mirrored there.
-    {
-      MS_TRACE_SPAN("filter_classify");
-      ParallelFor(opts.pool, ids.size(), [&](size_t i) {
-        outcomes[i] = ClassifyFromBounds(store, index, query, opts, ids[i]);
-      });
-    }
-    std::vector<size_t> verify_idx;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (outcomes[i] == Outcome::kVerifiedFail) verify_idx.push_back(i);
-    }
-
-    const size_t batch =
-        opts.filter_verify_batch > 0
-            ? opts.filter_verify_batch
-            : std::max<size_t>(
-                  64, opts.pool != nullptr ? opts.pool->num_threads() * 4 : 0);
-
-    struct BatchLoad {
-      std::vector<size_t> idxs;  ///< indices into ids/outcomes
-      Result<std::vector<Mask>> masks = Status::Internal("not loaded");
-      std::shared_ptr<Latch> done;
-      /// Cache-aware prefetch: every member was resident at Start time, so
-      /// no io_pool load was scheduled; the batch is loaded (from memory)
-      /// at Finish time instead.
-      std::vector<MaskId> deferred_ids;
-    };
-
-    LatchDrainGuard drain_on_exit(opts.io_pool);
-
-    auto StartLoad = [&](std::vector<size_t> idxs)
-        -> std::shared_ptr<BatchLoad> {
-      auto b = std::make_shared<BatchLoad>();
-      b->idxs = std::move(idxs);
-      std::vector<MaskId> batch_ids;
-      batch_ids.reserve(b->idxs.size());
-      for (size_t i : b->idxs) batch_ids.push_back(ids[i]);
-      if (opts.io_pool != nullptr) {
-        // Cache-aware prefetch (docs/CACHING.md): a batch whose members are
-        // all resident needs no physical reads, so scheduling its load as
-        // an io_pool task would only queue a no-op behind real I/O. Serve
-        // it from memory at Finish time instead. The probe is advisory — an
-        // eviction in between degrades to a synchronous miss, nothing more.
-        if (store.CountResident(batch_ids) == batch_ids.size()) {
-          prefetch_skips.fetch_add(1, std::memory_order_relaxed);
-          b->deferred_ids = std::move(batch_ids);
-          return b;
-        }
-        b->done = std::make_shared<Latch>(1);
-        drain_on_exit.Add(b->done);
-        opts.io_pool->Submit([&store, b, batch_ids, trace] {
-          obs::TraceScope trace_scope(trace);
-          MS_TRACE_SPAN("io_load_batch");
-          b->masks = store.LoadMaskBatch(batch_ids);
-          b->done->CountDown();
-        });
-      } else {
-        b->masks = store.LoadMaskBatch(batch_ids);
-      }
-      return b;
-    };
-
-    auto FinishLoad = [&](BatchLoad& b) {
-      {
-        MS_TRACE_SPAN("io_wait");
-        // Cooperative wait: a service worker running this executor may
-        // itself be a task of io_pool; helping drains queued loads instead
-        // of deadlocking the pool against its own pipeline.
-        if (b.done != nullptr) WaitHelping(b.done.get(), opts.io_pool);
-        if (!b.deferred_ids.empty()) {
-          b.masks = store.LoadMaskBatch(b.deferred_ids);
-        }
-      }
-      MS_TRACE_SPAN("filter_verify");
-      const size_t n = b.idxs.size();
-      loaded.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
-      int64_t blob_bytes = 0;
-      for (size_t i : b.idxs) {
-        blob_bytes += static_cast<int64_t>(store.BlobSize(ids[i]));
-      }
-      bytes.fetch_add(blob_bytes, std::memory_order_relaxed);
-      if (!b.masks.ok()) {
-        failed.store(true, std::memory_order_relaxed);
-        for (size_t i : b.idxs) outcomes[i] = Outcome::kError;
-        return;
-      }
-      std::vector<Mask>& masks = *b.masks;
-      ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
-        const size_t i = b.idxs[j];
-        const MaskId id = ids[i];
-        const int64_t built_now = internal::RetainChiAfterLoad(
-            opts.use_index ? index : nullptr, opts, id, masks[j]);
-        if (built_now > 0) {
-          built.fetch_add(built_now, std::memory_order_relaxed);
-        }
-        const std::vector<double> exact =
-            internal::TermExactFromMask(masks[j], store.meta(id), query.terms);
-        outcomes[i] = query.predicate.EvalExact(exact)
-                          ? Outcome::kVerifiedPass
-                          : Outcome::kVerifiedFail;
-      });
-    };
-
-    const size_t depth =
-        opts.io_pool != nullptr
-            ? std::max({size_t{1}, opts.inflight_batches,
-                        opts.prefetch_depth + 1})
-            : 1;
-    size_t next = 0;
-    std::deque<std::shared_ptr<BatchLoad>> inflight;
-    while ((next < verify_idx.size() || !inflight.empty()) && !failed.load()) {
-      // Batch boundary: the only place a deadline/cancel can take effect,
-      // so a request overruns by at most one batch. drain_on_exit waits for
-      // in-flight loads before the typed status propagates.
-      MS_RETURN_NOT_OK(CheckControl(opts.control));
-      while (inflight.size() < depth && next < verify_idx.size()) {
-        const size_t take = std::min(batch, verify_idx.size() - next);
-        inflight.push_back(StartLoad(std::vector<size_t>(
-            verify_idx.begin() + next, verify_idx.begin() + next + take)));
-        next += take;
-      }
-      FinishLoad(*inflight.front());
-      inflight.pop_front();
-    }
+  }
+  std::vector<size_t> verify_idx;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (outcomes[i] == Outcome::kVerifiedFail) verify_idx.push_back(i);
   }
 
-  if (failed.load()) {
-    return Status::IOError("mask load failed during filter execution");
-  }
-
+  // Verification stage: the undecided masks in fixed slices, one load unit
+  // per slice, each slice evaluated across the pool.
+  const size_t batch =
+      opts.verify_batch > 0
+          ? opts.verify_batch
+          : std::max<size_t>(
+                64, opts.pool != nullptr ? opts.pool->num_threads() * 4 : 0);
   FilterResult result;
+  size_t next = 0;
+  auto next_batch = [&] {
+    internal::VerifyBatch b;
+    const size_t take = std::min(batch, verify_idx.size() - next);
+    if (take == 0) return b;
+    b.items.assign(verify_idx.begin() + next, verify_idx.begin() + next + take);
+    next += take;
+    b.units.emplace_back();
+    for (size_t i : b.items) b.units[0].push_back(ids[i]);
+    return b;
+  };
+  auto verify = [&](const internal::VerifyBatch& b,
+                    const std::vector<std::vector<Mask>>& masks) {
+    const std::vector<Mask>& loaded = masks[0];
+    ParallelFor(loaded.size() > 1 ? opts.pool : nullptr, loaded.size(),
+                [&](size_t j) {
+                  const size_t i = b.items[j];
+                  const std::vector<double> exact = internal::TermExactFromMask(
+                      loaded[j], store.meta(ids[i]), query.terms);
+                  outcomes[i] = query.predicate.EvalExact(exact)
+                                    ? Outcome::kVerifiedPass
+                                    : Outcome::kVerifiedFail;
+                });
+    return Status::OK();
+  };
+  MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
+      store, index, opts, "filter_verify", next_batch, verify, &result.stats));
+
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     switch (outcomes[i]) {
@@ -258,14 +124,8 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
       case Outcome::kVerifiedFail:
         ++result.stats.candidates;
         break;
-      case Outcome::kError:
-        break;
     }
   }
-  result.stats.masks_loaded = loaded.load();
-  result.stats.bytes_read = bytes.load();
-  result.stats.chis_built = built.load();
-  result.stats.prefetch_skipped = prefetch_skips.load();
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
 }

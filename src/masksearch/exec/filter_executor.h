@@ -7,15 +7,12 @@
 // exactly the set of masks satisfying the predicate (correctness guarantee
 // of §3.2).
 //
-// Under EngineOptions::batch_io (the default) verification is staged: the
-// undecided masks stream through MaskStore::LoadMaskBatch in offset-sorted,
-// coalesced, shard-parallel batches (EngineOptions::filter_verify_batch) and
-// each batch is evaluated across the pool; with EngineOptions::io_pool set,
-// the next batch's reads are prefetched while the current one is evaluated.
-// With batch_io = false the executor falls back to the fused per-mask
-// load-and-evaluate loop (one disk request per verified mask). Both paths
-// return identical results and per-mask stats; only the request pattern to
-// the (modeled) disk differs.
+// The undecided masks go through the shared verification pipeline
+// (verify_pipeline.h) in batches of EngineOptions::verify_batch: each batch
+// is one MaskStore::LoadMaskBatch (offset-sorted, coalesced, shard-parallel
+// reads) evaluated across the pool; with EngineOptions::io_pool set, the
+// next batch's reads are in flight while the current one is evaluated.
+// Results and per-mask stats do not depend on the batch size or the pools.
 
 #ifndef MASKSEARCH_EXEC_FILTER_EXECUTOR_H_
 #define MASKSEARCH_EXEC_FILTER_EXECUTOR_H_

@@ -1,17 +1,16 @@
 #include "masksearch/exec/mask_agg.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <set>
 
-#include "masksearch/common/latch.h"
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
+#include "masksearch/exec/verify_pipeline.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/kernels/agg_kernels.h"
-#include "masksearch/obs/trace.h"
 
 namespace masksearch {
 
@@ -226,46 +225,13 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
     states.push_back(gs);
   }
 
-  // Loads a group's members — one coalesced LoadMaskBatch under batch_io,
-  // one ReadAt each otherwise — applying incremental indexing (§3.6).
-  auto LoadMembers =
-      [&](const std::vector<MaskId>& members,
-          ExecStats* stats) -> Result<std::vector<Mask>> {
-    if (opts.batch_io && members.size() > 1) {
-      MS_ASSIGN_OR_RETURN(std::vector<Mask> masks,
-                          store.LoadMaskBatch(members));
-      stats->masks_loaded += static_cast<int64_t>(members.size());
-      for (MaskId id : members) {
-        stats->bytes_read += static_cast<int64_t>(store.BlobSize(id));
-      }
-      if (opts.use_index) {
-        for (size_t i = 0; i < members.size(); ++i) {
-          stats->chis_built +=
-              internal::RetainChiAfterLoad(index, opts, members[i], masks[i]);
-        }
-      }
-      return masks;
-    }
-    std::vector<Mask> masks;
-    masks.reserve(members.size());
-    for (MaskId id : members) {
-      MS_ASSIGN_OR_RETURN(
-          Mask mask, internal::LoadForVerification(
-                         store, opts.use_index ? index : nullptr, opts, id,
-                         stats));
-      masks.push_back(std::move(mask));
-    }
-    return masks;
-  };
-
   // Compute stage of verification: CP(derived, roi, range) exactly from the
-  // already-loaded members. When the derived CHI is wanted but missing, the
-  // derived mask is materialized (it is needed for the CHI build anyway) and
+  // loaded members. When the derived CHI is wanted but missing, the derived
+  // mask is materialized (it is needed for the CHI build anyway) and
   // registered; otherwise the fused count kernel answers without
-  // materializing it. Only touches the caller-supplied stats — safe to run
-  // concurrently for distinct groups.
-  auto ComputeGroup = [&](const GroupState& gs, std::vector<Mask> masks,
-                          ExecStats* stats) -> Result<double> {
+  // materializing it. Safe to run concurrently for distinct groups.
+  auto ComputeGroup = [&](const GroupState& gs, const std::vector<Mask>& masks,
+                          std::atomic<int64_t>* built) -> Result<double> {
     MS_RETURN_NOT_OK(CheckSameShape(masks));
     const MaskMeta& first = store.meta(gs.members->front());
     const ROI roi = ResolveRoi(query.term, first);
@@ -280,7 +246,7 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
       const double value = static_cast<double>(
           CountPixels(derived, roi, query.term.range));
       derived_cache->Put(gs.key, BuildChi(derived, derived_cache->config()));
-      stats->chis_built += 1;
+      built->fetch_add(1, std::memory_order_relaxed);
       return value;
     }
     const std::vector<const float*> ptrs = MaskPointers(masks);
@@ -290,165 +256,63 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
         masks[0].height(), roi, query.term.range));
   };
 
-  // Fused load + compute (the synchronous schedule).
-  auto VerifyGroup = [&](const GroupState& gs,
-                         ExecStats* stats) -> Result<double> {
-    MS_ASSIGN_OR_RETURN(std::vector<Mask> masks,
-                        LoadMembers(*gs.members, stats));
-    return ComputeGroup(gs, std::move(masks), stats);
-  };
-
-  // Pool tasks below run on threads without the request's trace installed;
-  // capture it here and reinstall inside each task (docs/OBSERVABILITY.md).
-  obs::Trace* const trace = obs::Trace::Current();
-
-  // ---- overlapped verification pipeline ----
-  //
-  // With opts.io_pool set, a batch's member loads are issued as io_pool
-  // tasks when the batch is formed; verification of the batch at the front
-  // of the pipeline (compute on opts.pool) then overlaps the loads of the
-  // batches behind it. Without io_pool, loads happen inside the verify
-  // tasks — exactly the PR 2 schedule. The staged filter verification in
-  // filter_executor.cc runs the twin of this pipeline (per-batch loads, no
-  // fold interplay); scheduling semantics changes must be mirrored there.
-  const bool overlap = opts.io_pool != nullptr;
-  const size_t depth =
-      overlap ? std::max({size_t{1}, opts.inflight_batches,
-                          opts.prefetch_depth + 1})
-              : 1;
-
-  struct GroupLoad {
-    Result<std::vector<Mask>> masks = Status::Internal("not loaded");
-    ExecStats stats;
-    /// Cache-aware prefetch: every member was resident at Start time, so no
-    /// io_pool load was scheduled — the group loads (from memory) at verify
-    /// time.
-    bool deferred = false;
-  };
-  struct Batch {
-    std::vector<size_t> idxs;  ///< indices into `states`
-    /// Prefetched loads, one per idx (null: load at verify time). Tasks
-    /// hold their own shared_ptr, so Batch objects can move freely.
-    std::shared_ptr<std::vector<GroupLoad>> loads;
-    std::shared_ptr<Latch> done;
-  };
-
-  // Every launched load task counts down one latch; the guard waits on all
-  // of them before any return path, keeping the tasks' captured locals
-  // alive (helping-drain: the guard may run on an io_pool task itself).
-  LatchDrainGuard drain_on_exit(opts.io_pool);
-
-  auto StartBatch = [&](std::vector<size_t> idxs) -> Batch {
-    Batch b;
-    b.idxs = std::move(idxs);
-    if (overlap && !b.idxs.empty()) {
-      b.loads = std::make_shared<std::vector<GroupLoad>>(b.idxs.size());
-      // Cache-aware prefetch (docs/CACHING.md): groups whose members are
-      // all resident need no physical reads — loading them via io_pool
-      // tasks would only queue no-ops behind real I/O. They load from
-      // memory at verify time instead; the latch counts only the groups
-      // with actual (potential) misses. The probe is advisory: an eviction
-      // in between degrades to a synchronous miss, nothing more.
-      std::vector<size_t> submit;
-      for (size_t j = 0; j < b.idxs.size(); ++j) {
-        const std::vector<MaskId>& members = *states[b.idxs[j]].members;
-        if (store.CountResident(members) == members.size()) {
-          (*b.loads)[j].deferred = true;
-          ++result.stats.prefetch_skipped;  // StartBatch runs on one thread
-        } else {
-          submit.push_back(j);
-        }
-      }
-      if (!submit.empty()) {
-        b.done = std::make_shared<Latch>(submit.size());
-        drain_on_exit.Add(b.done);
-        for (size_t j : submit) {
-          const std::vector<MaskId>* members = states[b.idxs[j]].members;
-          auto loads = b.loads;
-          auto done = b.done;
-          opts.io_pool->Submit([&, loads, done, members, j, trace] {
-            obs::TraceScope trace_scope(trace);
-            MS_TRACE_SPAN("io_load_group");
-            GroupLoad& gl = (*loads)[j];
-            gl.masks = LoadMembers(*members, &gl.stats);
-            done->CountDown();
-          });
-        }
-      }
+  const Better better{query.descending};
+  std::set<ScoredGroup, Better> heap(better);
+  auto Fold = [&](int64_t key, double value) {
+    if (query.having_op.has_value() &&
+        !CompareExact(value, *query.having_op, query.having_threshold)) {
+      return;
     }
+    const ScoredGroup cand{key, value};
+    if (heap.size() < *query.k) {
+      heap.insert(cand);
+    } else if (better(cand, *heap.rbegin())) {
+      heap.erase(std::prev(heap.end()));
+      heap.insert(cand);
+    }
+  };
+
+  // Verification: one load unit per group; each batch's groups are computed
+  // across the pool, and under top-k folded into the heap in batch order.
+  std::vector<double> exact(states.size(), 0.0);
+  auto verify = [&](const internal::VerifyBatch& b,
+                    const std::vector<std::vector<Mask>>& masks) -> Status {
+    const size_t n = b.items.size();
+    std::vector<Status> statuses(n, Status::OK());
+    std::atomic<int64_t> built{0};
+    ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
+      Result<double> v = ComputeGroup(states[b.items[j]], masks[j], &built);
+      if (v.ok()) {
+        exact[b.items[j]] = *v;
+      } else {
+        statuses[j] = v.status();
+      }
+    });
+    result.stats.chis_built += built.load();
+    for (const Status& s : statuses) MS_RETURN_NOT_OK(s);
+    if (query.k.has_value()) {
+      for (size_t i : b.items) Fold(states[i].key, exact[i]);
+    }
+    return Status::OK();
+  };
+  auto MakeBatch = [&](std::vector<size_t> idxs) {
+    internal::VerifyBatch b;
+    for (size_t i : idxs) b.units.push_back(*states[i].members);
+    b.items = std::move(idxs);
     return b;
   };
 
-  // Verifies one batch across the pool (one local stats block per group,
-  // merged serially, so result.stats stays race-free) and returns its
-  // values in batch order.
-  auto FinishBatch = [&](Batch& b, std::vector<double>* values) -> Status {
-    const size_t n = b.idxs.size();
-    values->assign(n, 0.0);
-    if (n == 0) return Status::OK();
-    std::vector<ExecStats> local(n);
-    std::vector<Status> statuses(n, Status::OK());
-    if (b.loads != nullptr) {
-      {
-        MS_TRACE_SPAN("io_wait");
-        // Cooperative wait: a service worker running this executor may
-        // itself be a task of io_pool; helping drains queued loads instead
-        // of deadlocking the pool against its own pipeline.
-        if (b.done != nullptr) WaitHelping(b.done.get(), opts.io_pool);
-      }
-      MS_TRACE_SPAN("agg_verify");
-      ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
-        obs::TraceScope trace_scope(trace);
-        GroupLoad& gl = (*b.loads)[j];
-        if (gl.deferred) {
-          gl.masks = LoadMembers(*states[b.idxs[j]].members, &gl.stats);
-        }
-        local[j] = gl.stats;
-        if (!gl.masks.ok()) {
-          statuses[j] = gl.masks.status();
-          return;
-        }
-        Result<double> v =
-            ComputeGroup(states[b.idxs[j]], std::move(*gl.masks), &local[j]);
-        if (v.ok()) {
-          (*values)[j] = *v;
-        } else {
-          statuses[j] = v.status();
-        }
-      });
-    } else {
-      MS_TRACE_SPAN("agg_verify");
-      ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
-        obs::TraceScope trace_scope(trace);
-        Result<double> v = VerifyGroup(states[b.idxs[j]], &local[j]);
-        if (v.ok()) {
-          (*values)[j] = *v;
-        } else {
-          statuses[j] = v.status();
-        }
-      });
-    }
-    for (const ExecStats& l : local) {
-      result.stats.masks_loaded += l.masks_loaded;
-      result.stats.bytes_read += l.bytes_read;
-      result.stats.chis_built += l.chis_built;
-    }
-    for (const Status& s : statuses) MS_RETURN_NOT_OK(s);
-    return Status::OK();
-  };
-
-  // Verification batch size (shared by both query shapes): bound-ordered
-  // batches of this many groups flow through the pipeline.
+  // Verification batch size (shared by both query shapes).
   const size_t batch =
-      opts.agg_verify_batch > 0
-          ? opts.agg_verify_batch
+      opts.verify_batch > 0
+          ? opts.verify_batch
           : (opts.pool != nullptr
                  ? std::max<size_t>(1, opts.pool->num_threads() * 2)
                  : 1);
 
   if (!query.k.has_value()) {
     // HAVING-only: per-group decisions are independent, so classify every
-    // group first, verify the undecidable ones in parallel, and fold in
+    // group first, verify the undecidable ones in fixed slices, and emit in
     // group-key order — byte-identical to the serial schedule.
     enum class Kind : uint8_t { kPruned, kAccepted, kVerify };
     std::vector<Kind> kind(states.size(), Kind::kPruned);
@@ -467,58 +331,29 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
         verify_idx.push_back(i);
       }
     }
-    // Verify the undecidable groups. Without overlap, one full-width batch
-    // maximizes pool utilization; with overlap, fixed-size batches flow
-    // through the pipeline so batch k+1's reads hide behind batch k's
-    // compute. Values land in classification order either way.
-    std::vector<double> values(verify_idx.size(), 0.0);
-    if (!overlap) {
-      Batch all;
-      all.idxs = verify_idx;
-      std::vector<double> vals;
-      MS_RETURN_NOT_OK(FinishBatch(all, &vals));
-      values = std::move(vals);
-    } else {
-      size_t next = 0;
-      size_t consumed = 0;
-      std::deque<Batch> inflight;
-      while (next < verify_idx.size() || !inflight.empty()) {
-        // Batch boundary: deadline/cancel checks live here (one batch of
-        // overrun at most); drain_on_exit settles in-flight loads first.
-        MS_RETURN_NOT_OK(CheckControl(opts.control));
-        while (inflight.size() < depth && next < verify_idx.size()) {
-          const size_t take = std::min(batch, verify_idx.size() - next);
-          inflight.push_back(StartBatch(std::vector<size_t>(
-              verify_idx.begin() + next, verify_idx.begin() + next + take)));
-          next += take;
-        }
-        Batch b = std::move(inflight.front());
-        inflight.pop_front();
-        std::vector<double> vals;
-        MS_RETURN_NOT_OK(FinishBatch(b, &vals));
-        std::copy(vals.begin(), vals.end(), values.begin() + consumed);
-        consumed += vals.size();
-      }
-    }
-    size_t vi = 0;
+    size_t next = 0;
+    auto next_batch = [&] {
+      const size_t take = std::min(batch, verify_idx.size() - next);
+      next += take;
+      return MakeBatch(std::vector<size_t>(verify_idx.begin() + next - take,
+                                           verify_idx.begin() + next));
+    };
+    MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
+        store, index, opts, "agg_verify", next_batch, verify, &result.stats));
     for (size_t i = 0; i < states.size(); ++i) {
       if (kind[i] == Kind::kAccepted) {
         result.groups.push_back(ScoredGroup{
             states[i].key, states[i].bounds.Tight() ? states[i].bounds.lo
                                                     : kNaN});
-      } else if (kind[i] == Kind::kVerify) {
-        const double v = values[vi++];
-        if (CompareExact(v, *query.having_op, query.having_threshold)) {
-          result.groups.push_back(ScoredGroup{states[i].key, v});
-        }
+      } else if (kind[i] == Kind::kVerify &&
+                 CompareExact(exact[i], *query.having_op,
+                              query.having_threshold)) {
+        result.groups.push_back(ScoredGroup{states[i].key, exact[i]});
       }
     }
     result.stats.seconds = timer.ElapsedSeconds();
     return result;
   }
-
-  const Better better{query.descending};
-  std::set<ScoredGroup, Better> heap(better);
 
   std::vector<size_t> order(states.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -532,32 +367,19 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
   }
 
   // Top-k: walk groups in bound order, pruning against the running top-k,
-  // and verify survivors in batches across the pool — with overlap, batches
-  // behind the verify cursor already have their loads in flight. The top-k
-  // set is order-independent under the Better total order, and exact values
+  // and verify survivors in batches across the pool — with io_pool, the
+  // next batch's loads are in flight while one is verified. The top-k set
+  // is order-independent under the Better total order, and exact values
   // never exceed their bounds, so batching and prefetch-ahead only relax
   // pruning conservatively (decisions are made against the heap as of batch
   // formation): results are byte-identical to the serial schedule (batch 1,
-  // depth 1, no pools), which this loop degenerates to exactly.
-  auto Fold = [&](int64_t key, double value) {
-    if (query.having_op.has_value() &&
-        !CompareExact(value, *query.having_op, query.having_threshold)) {
-      return;
-    }
-    const ScoredGroup cand{key, value};
-    if (heap.size() < *query.k) {
-      heap.insert(cand);
-    } else if (better(cand, *heap.rbegin())) {
-      heap.erase(std::prev(heap.end()));
-      heap.insert(cand);
-    }
-  };
-
-  // Forms the next verification batch: advances the cursor through the
-  // bound order, folding bound-decided groups and pruning against the
-  // current heap, until `batch` undecidable groups are collected.
+  // no pools), which this loop degenerates to exactly.
+  //
+  // FormNextBatch advances the cursor through the bound order, folding
+  // bound-decided groups and pruning against the current heap, until
+  // `batch` undecidable groups are collected.
   size_t cursor = 0;
-  auto FormNextBatch = [&]() -> std::vector<size_t> {
+  auto FormNextBatch = [&] {
     std::vector<size_t> pending;
     while (cursor < order.size() && pending.size() < batch) {
       const size_t oi = order[cursor++];
@@ -582,28 +404,10 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
       ++result.stats.candidates;
       pending.push_back(oi);
     }
-    return pending;
+    return MakeBatch(std::move(pending));
   };
-
-  std::deque<Batch> inflight;
-  for (;;) {
-    // Batch boundary: deadline/cancel checks live here (one batch of
-    // overrun at most); drain_on_exit settles in-flight loads first.
-    MS_RETURN_NOT_OK(CheckControl(opts.control));
-    while (inflight.size() < depth) {
-      std::vector<size_t> idxs = FormNextBatch();
-      if (idxs.empty()) break;
-      inflight.push_back(StartBatch(std::move(idxs)));
-    }
-    if (inflight.empty()) break;
-    Batch b = std::move(inflight.front());
-    inflight.pop_front();
-    std::vector<double> values;
-    MS_RETURN_NOT_OK(FinishBatch(b, &values));
-    for (size_t j = 0; j < b.idxs.size(); ++j) {
-      Fold(states[b.idxs[j]].key, values[j]);
-    }
-  }
+  MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
+      store, index, opts, "agg_verify", FormNextBatch, verify, &result.stats));
 
   result.groups.assign(heap.begin(), heap.end());
   result.stats.seconds = timer.ElapsedSeconds();

@@ -77,19 +77,17 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
 /// loading its members). `index` supplies individual-mask CHIs for the
 /// monotone-aggregation bounds.
 ///
-/// Verification is batched, parallel, and (optionally) overlapped:
+/// Verification runs through the shared pipeline (verify_pipeline.h):
 /// undecidable groups are verified across opts.pool in bound-ordered batches
-/// (EngineOptions::agg_verify_batch) with member masks loaded through
-/// MaskStore::LoadMaskBatch when EngineOptions::batch_io is set. With
-/// EngineOptions::io_pool set the pipeline is double-buffered: while batch k
-/// is being verified, the member loads of up to
-/// max(inflight_batches - 1, prefetch_depth) following batches are
-/// already in flight, so the modeled disk and the verification kernels work
-/// concurrently. Results are byte-identical to the serial schedule; batching
-/// and prefetch-ahead only relax heap-based pruning conservatively (each
-/// decision uses the heap as of batch formation), so a pipelined run may
-/// verify a few extra groups (candidates up, pruned down by the same
-/// amount) — never fewer, and never different values. When only the count is
+/// of EngineOptions::verify_batch, each group's members loaded with one
+/// MaskStore::LoadMaskBatch. With EngineOptions::io_pool set, the member
+/// loads of the next batch are in flight while one batch is verified, so
+/// the modeled disk and the verification kernels work concurrently. Results
+/// are byte-identical to the serial schedule; batching and prefetch-ahead
+/// only relax heap-based pruning conservatively (each decision uses the
+/// heap as of batch formation), so a pipelined run may verify a few extra
+/// groups (candidates up, pruned down by the same amount) — never fewer,
+/// and never different values. When only the count is
 /// needed (derived CHI already cached or no cache supplied), the fused
 /// derived-CP kernel answers without materializing the derived mask.
 Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,

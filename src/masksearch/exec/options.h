@@ -15,9 +15,9 @@ class ChiCache;
 
 /// \brief Per-request cancellation + deadline state (docs/SERVING.md).
 ///
-/// Executors poll Check() at batch boundaries — between verification
-/// batches of the staged filter / mask-agg pipelines, between groups or
-/// heap updates of the scalar executors — and abort with a typed
+/// Executors poll Check() at batch boundaries — between batches of the
+/// filter / mask-agg verification pipeline, between groups or heap updates
+/// of the scalar executors — and abort with a typed
 /// DeadlineExceeded / Cancelled status. Polling at batch granularity keeps
 /// the hot per-pixel loops branch-free: a request overruns its deadline by
 /// at most one batch of work. One QueryControl belongs to one request; it
@@ -72,51 +72,20 @@ struct EngineOptions {
   /// order. The ablation bench quantifies the difference.
   bool sort_by_bound = true;
 
-  /// Batched verification I/O: load mask batches (a mask-agg group's
-  /// members; the filter's undecided set) through MaskStore::LoadMaskBatch
-  /// — offset-sorted, coalesced, shard-parallel reads — instead of one
-  /// ReadAt per mask.
-  bool batch_io = true;
+  /// Verification batch size of the filter and mask-agg executors: the
+  /// undecided masks (filter) or groups (mask-agg) are loaded and verified
+  /// in batches of this many, and QueryControl is polled between batches.
+  /// 0 = auto: filter max(64, 4 × pool threads); mask-agg 2 × pool threads,
+  /// or 1 (the exact serial schedule) without a pool. Results do not depend
+  /// on it; a mask-agg top-k may verify a few extra groups with larger
+  /// batches, because pruning uses the heap as of batch formation.
+  size_t verify_batch = 0;
 
-  /// Group-verification batch size for ExecuteMaskAgg: undecidable groups
-  /// are verified across `pool` in bound-ordered batches of this size.
-  /// 0 = auto (2 × pool threads; 1 — the exact serial schedule — when pool
-  /// is null). Batching only relaxes pruning conservatively: results are
-  /// identical to the serial schedule, a few extra groups may be verified.
-  size_t agg_verify_batch = 0;
-
-  /// Mask batch size for the staged filter-verification path (bounds
-  /// classification first, then undecided masks loaded through
-  /// MaskStore::LoadMaskBatch in batches of this size and evaluated across
-  /// `pool`). 0 = auto (64, or 4 × pool threads if larger). Only used when
-  /// batch_io is set; with batch_io = false the filter falls back to the
-  /// fused per-mask load-and-evaluate loop.
-  size_t filter_verify_batch = 0;
-
-  /// I/O pool for the overlapped verification pipelines (both
-  /// ExecuteMaskAgg group verification and the staged filter verification):
-  /// while batch k is being verified on `pool`, batch k+1's loads are
-  /// already in flight on this pool (double buffering). Null = loads run
-  /// synchronously inside the verify stage (the PR 2 schedule). May alias
-  /// `pool`; ParallelFor's caller participation keeps nested use
-  /// deadlock-free. Results stay byte-identical: prefetching only makes
-  /// pruning decisions on a slightly staler top-k heap, which is strictly
-  /// conservative.
+  /// I/O pool of the verification pipeline: while one batch is verified on
+  /// `pool`, the next batch's loads are in flight here (double buffering).
+  /// Null = every batch loads when it is verified. May alias `pool`;
+  /// ParallelFor's caller participation keeps nested use deadlock-free.
   ThreadPool* io_pool = nullptr;
-
-  /// Number of batches allowed in an overlapped pipeline at once (the one
-  /// being verified + those loading ahead); applies to every executor that
-  /// uses io_pool. 2 = classic double buffering. Only meaningful with
-  /// io_pool set; values < 2 disable overlap.
-  size_t inflight_batches = 2;
-
-  /// Extra batches formed (and their loads issued) ahead of the verify
-  /// cursor beyond the double buffer; the pipeline depth is
-  /// max(inflight_batches, prefetch_depth + 1), for every executor that
-  /// uses io_pool. Deeper prefetch hides longer I/O stalls at the cost of
-  /// staler pruning decisions and more memory in flight. 0 = no extra
-  /// depth.
-  size_t prefetch_depth = 0;
 
   /// Capacity-bounded individual-mask CHI cache (docs/CACHING.md). When
   /// set, the filter stages of ExecuteFilter / ExecuteTopK / ExecuteMaskAgg

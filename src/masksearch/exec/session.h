@@ -49,14 +49,12 @@ struct SessionOptions {
   /// `pool`.
   ThreadPool* io_pool = nullptr;
   bool sort_by_bound = true;
-  /// Verification batch sizes (EngineOptions::filter_verify_batch /
-  /// agg_verify_batch; 0 = auto). Results are batch-size independent;
-  /// serving deployments pick smaller batches for finer-grained
-  /// deadline/cancel checks — executors poll QueryControl at batch
-  /// boundaries, so a request can overrun its deadline by at most one
-  /// batch of work (docs/SERVING.md).
-  size_t filter_verify_batch = 0;
-  size_t agg_verify_batch = 0;
+  /// Verification batch size (EngineOptions::verify_batch; 0 = auto).
+  /// Results are batch-size independent; serving deployments pick smaller
+  /// batches for finer-grained deadline/cancel checks — executors poll
+  /// QueryControl at batch boundaries, so a request can overrun its
+  /// deadline by at most one batch of work (docs/SERVING.md).
+  size_t verify_batch = 0;
   /// Optional CHI persistence file. If it exists it is loaded at open;
   /// Save() writes it.
   std::string index_path;
@@ -148,8 +146,7 @@ class Session {
     e.use_index = options_.use_index;
     e.build_missing = options_.use_index && options_.incremental;
     e.sort_by_bound = options_.sort_by_bound;
-    e.filter_verify_batch = options_.filter_verify_batch;
-    e.agg_verify_batch = options_.agg_verify_batch;
+    e.verify_batch = options_.verify_batch;
     e.chi_cache = chi_cache();
     e.control = control;
     return e;

@@ -292,8 +292,7 @@ TEST(CachePinStressTest, ConcurrentMaskAggAndBatchLoads) {
       EngineOptions opts;
       opts.pool = &compute;
       opts.io_pool = &io_pool;
-      opts.agg_verify_batch = 3;
-      opts.prefetch_depth = 2;
+      opts.verify_batch = 3;
       for (int rep = 0; rep < 4; ++rep) {
         DerivedIndexCache cache(TestConfig(), pool);
         auto got = ExecuteMaskAgg(*store, &index, &cache, q, opts);
@@ -346,8 +345,7 @@ TEST(CachePrefetchTest, WarmCacheSkipsPrefetchBatchLoads) {
   EngineOptions opts;
   opts.use_index = false;  // every mask verifies: maximal batch traffic
   opts.io_pool = &io;
-  opts.filter_verify_batch = 8;
-  opts.agg_verify_batch = 4;
+  opts.verify_batch = 4;
 
   const FilterQuery fq = MakeFilter();
   const FilterResult cold = ExecuteFilter(*cached, nullptr, fq, opts).ValueOrDie();

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "masksearch/baselines/full_scan.h"
+#include "masksearch/cache/buffer_pool.h"
 #include "masksearch/exec/filter_executor.h"
 #include "masksearch/storage/sharded_mask_store.h"
 #include "masksearch/workload/query_gen.h"
@@ -212,38 +216,70 @@ TEST_F(FilterExecutorTest, RandomizedQueriesMatchReference) {
   }
 }
 
-TEST_F(FilterExecutorTest, StagedBatchedVerificationMatchesFused) {
-  // The staged path (batch_io, the default) and the fused per-mask path
-  // must agree on results and per-mask stats; only the I/O request pattern
-  // may differ. Also exercised with overlap (io_pool) and a small batch so
-  // several pipeline refills happen.
+// Every pipeline configuration — pools {none, pool, pool + io_pool, io_pool
+// aliased to pool} x store {cold, warm buffer pool} x verify_batch {1, 5,
+// auto} — returns the reference answer with identical per-mask stats. Only
+// io_pool configurations may skip prefetches, and on the warm store every
+// batch is resident, so every one of them is skipped and nothing is read.
+TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
+  BufferPool::Options popts;
+  popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
+  MaskStore::Options copts;
+  copts.cache = std::make_shared<BufferPool>(popts);
+  auto warm = MaskStore::Open(dir_->path(), copts).ValueOrDie();
+  std::vector<MaskId> all;
+  for (MaskId id = 0; id < warm->num_masks(); ++id) all.push_back(id);
+  MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
+
   ThreadPool pool(4);
+  ThreadPool io_pool(2);
+  struct Pools {
+    ThreadPool* pool;
+    ThreadPool* io_pool;
+  };
+  const Pools pool_sets[] = {
+      {nullptr, nullptr}, {&pool, nullptr}, {&pool, &io_pool}, {&pool, &pool}};
+  FullScanBaseline reference(store_.get());
   for (double threshold : {0.0, 100.0, 500.0}) {
     const FilterQuery q = ObjectQuery(0.55, 1.0, threshold);
-    EngineOptions fused;
-    fused.batch_io = false;
-    fused.pool = &pool;
-    auto want = ExecuteFilter(*store_, index_.get(), q, fused);
-    ASSERT_TRUE(want.ok()) << want.status();
-
-    EngineOptions staged;
-    staged.pool = &pool;
-    staged.filter_verify_batch = 5;
-    auto got = ExecuteFilter(*store_, index_.get(), q, staged);
-    ASSERT_TRUE(got.ok()) << got.status();
-
-    EngineOptions overlapped = staged;
-    overlapped.io_pool = &pool;
-    auto got_overlap = ExecuteFilter(*store_, index_.get(), q, overlapped);
-    ASSERT_TRUE(got_overlap.ok()) << got_overlap.status();
-
-    for (const auto* r : {&*got, &*got_overlap}) {
-      EXPECT_EQ(r->mask_ids, want->mask_ids) << "threshold " << threshold;
-      EXPECT_EQ(r->stats.masks_loaded, want->stats.masks_loaded);
-      EXPECT_EQ(r->stats.pruned, want->stats.pruned);
-      EXPECT_EQ(r->stats.accepted_by_bounds, want->stats.accepted_by_bounds);
-      EXPECT_EQ(r->stats.candidates, want->stats.candidates);
-      EXPECT_EQ(r->stats.bytes_read, want->stats.bytes_read);
+    auto want = reference.Filter(q);
+    ASSERT_TRUE(want.ok());
+    std::optional<ExecStats> first;
+    for (const MaskStore* store : {store_.get(), warm.get()}) {
+      for (const Pools& p : pool_sets) {
+        for (size_t batch : {size_t{1}, size_t{5}, size_t{0}}) {
+          EngineOptions opts;
+          opts.pool = p.pool;
+          opts.io_pool = p.io_pool;
+          opts.verify_batch = batch;
+          const uint64_t physical_before = store->masks_loaded();
+          auto got = ExecuteFilter(*store, index_.get(), q, opts);
+          ASSERT_TRUE(got.ok()) << got.status();
+          SCOPED_TRACE("threshold " + std::to_string(threshold) + " warm " +
+                       std::to_string(store == warm.get()) + " pools " +
+                       std::to_string(p.pool != nullptr) +
+                       std::to_string(p.io_pool != nullptr) + " batch " +
+                       std::to_string(batch));
+          EXPECT_EQ(got->mask_ids, want->mask_ids);
+          const ExecStats& s = got->stats;
+          if (!first) first = s;
+          EXPECT_EQ(s.masks_loaded, first->masks_loaded);
+          EXPECT_EQ(s.bytes_read, first->bytes_read);
+          EXPECT_EQ(s.pruned, first->pruned);
+          EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
+          EXPECT_EQ(s.candidates, first->candidates);
+          if (p.io_pool == nullptr || store != warm.get()) {
+            EXPECT_EQ(s.prefetch_skipped, 0);
+          } else {
+            const int64_t b =
+                batch > 0 ? static_cast<int64_t>(batch) : int64_t{64};
+            EXPECT_EQ(s.prefetch_skipped, (s.candidates + b - 1) / b);
+          }
+          if (store == warm.get()) {
+            EXPECT_EQ(store->masks_loaded(), physical_before);
+          }
+        }
+      }
     }
   }
 }
@@ -261,7 +297,7 @@ TEST_F(FilterExecutorTest, StagedPathOnShardedStoreMatchesReference) {
   EngineOptions opts;
   opts.pool = &pool;
   opts.io_pool = &io_pool;
-  opts.filter_verify_batch = 7;
+  opts.verify_batch = 7;
   for (double threshold : {50.0, 400.0}) {
     const FilterQuery q = ObjectQuery(0.6, 1.0, threshold);
     auto got = ExecuteFilter(*sharded, index_.get(), q, opts);

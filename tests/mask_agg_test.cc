@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "masksearch/baselines/full_scan.h"
+#include "masksearch/cache/buffer_pool.h"
 #include "masksearch/exec/mask_agg.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/storage/sharded_mask_store.h"
@@ -282,13 +284,13 @@ class MaskAggParallelTest : public MaskAggExecTest {
     ThreadPool pool(4);
     EngineOptions parallel;
     parallel.pool = &pool;
-    parallel.agg_verify_batch = 8;
+    parallel.verify_batch = 8;
     ExpectMatchesSerial(*store_, q, parallel);
   }
 
-  /// The overlapped pipeline (io_pool + prefetch-ahead) over a sharded copy
-  /// of the store, with shard-parallel batch reads — the full PR 3
-  /// configuration — must still match the serial schedule byte for byte.
+  /// The overlapped pipeline (io_pool, depth 2) over a sharded copy of the
+  /// store, with shard-parallel batch reads, must still match the serial
+  /// schedule byte for byte.
   void ExpectOverlappedShardedMatchesSerial(const MaskAggQuery& q) {
     TempDir sharded_dir("maskagg_sharded");
     MS_ASSERT_OK(ReshardMaskStore(*store_, sharded_dir.path(), 4));
@@ -301,9 +303,7 @@ class MaskAggParallelTest : public MaskAggExecTest {
     EngineOptions overlapped;
     overlapped.pool = &pool;
     overlapped.io_pool = &io_pool;
-    overlapped.agg_verify_batch = 4;
-    overlapped.inflight_batches = 2;
-    overlapped.prefetch_depth = 2;
+    overlapped.verify_batch = 4;
     ExpectMatchesSerial(*sharded, q, overlapped);
 
     // io_pool aliasing the compute pool must also be safe (ParallelFor
@@ -398,22 +398,120 @@ TEST_F(MaskAggExecTest, RepeatedQueryDoesNotRebuildDerivedChis) {
   EXPECT_EQ(cache.size(), cached);
 }
 
-TEST_F(MaskAggExecTest, UnbatchedIoMatchesBatched) {
-  MaskAggQuery q = IntersectQuery(6);
-  EngineOptions batched;
-  EngineOptions unbatched;
-  unbatched.batch_io = false;
-  DerivedIndexCache c1(TestConfig()), c2(TestConfig());
-  auto a = ExecuteMaskAgg(*store_, index_.get(), &c1, q, batched);
-  auto b = ExecuteMaskAgg(*store_, index_.get(), &c2, q, unbatched);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->groups.size(), b->groups.size());
-  for (size_t i = 0; i < a->groups.size(); ++i) {
-    EXPECT_EQ(a->groups[i].group, b->groups[i].group);
-    EXPECT_DOUBLE_EQ(a->groups[i].value, b->groups[i].value);
+// Every pipeline configuration — pools {none, pool, pool + io_pool, io_pool
+// aliased to pool} x store {cold, warm buffer pool} x verify_batch {1, 5,
+// auto} — matches the serial schedule byte for byte. Only io_pool
+// configurations may skip prefetches; on the warm store every verified
+// group is resident, so each one is skipped and nothing is read.
+TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
+  BufferPool::Options popts;
+  popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
+  MaskStore::Options copts;
+  copts.cache = std::make_shared<BufferPool>(popts);
+  auto warm = MaskStore::Open(dir_->path(), copts).ValueOrDie();
+  std::vector<MaskId> all;
+  for (MaskId id = 0; id < warm->num_masks(); ++id) all.push_back(id);
+  MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
+
+  MaskAggQuery topk = IntersectQuery(5);
+  MaskAggQuery having = IntersectQuery(0);
+  having.k.reset();
+  having.having_op = CompareOp::kGt;
+  having.having_threshold = 50.0;
+
+  ThreadPool pool(4);
+  ThreadPool io_pool(2);
+  struct Pools {
+    ThreadPool* pool;
+    ThreadPool* io_pool;
+  };
+  const Pools pool_sets[] = {
+      {nullptr, nullptr}, {&pool, nullptr}, {&pool, &io_pool}, {&pool, &pool}};
+  for (const MaskAggQuery& q : {topk, having}) {
+    for (const MaskStore* store : {store_.get(), warm.get()}) {
+      for (const Pools& p : pool_sets) {
+        for (size_t batch : {size_t{1}, size_t{5}, size_t{0}}) {
+          SCOPED_TRACE(std::string(q.k ? "top-k" : "having") + " warm " +
+                       std::to_string(store == warm.get()) + " pools " +
+                       std::to_string(p.pool != nullptr) +
+                       std::to_string(p.io_pool != nullptr) + " batch " +
+                       std::to_string(batch));
+          EngineOptions opts;
+          opts.pool = p.pool;
+          opts.io_pool = p.io_pool;
+          opts.verify_batch = batch;
+          ExpectMatchesSerial(*store, q, opts);
+
+          const uint64_t physical_before = store->masks_loaded();
+          DerivedIndexCache cache(TestConfig());
+          auto got = ExecuteMaskAgg(*store, index_.get(), &cache, q, opts);
+          ASSERT_TRUE(got.ok()) << got.status();
+          if (p.io_pool == nullptr || store != warm.get()) {
+            EXPECT_EQ(got->stats.prefetch_skipped, 0);
+          } else {
+            EXPECT_EQ(got->stats.prefetch_skipped, got->stats.candidates);
+            EXPECT_EQ(store->masks_loaded(), physical_before);
+          }
+        }
+      }
+    }
   }
-  EXPECT_EQ(a->stats.masks_loaded, b->stats.masks_loaded);
+}
+
+/// Forwards to a wrapped store, cancelling `control` whenever a batch is
+/// loaded — from inside the first verification batch on.
+class CancellingStore final : public MaskStore {
+ public:
+  CancellingStore(const MaskStore& inner, QueryControl* control)
+      : MaskStore(inner.dir(), inner.options(), inner.kind(), inner.metas(),
+                  Sizes(inner)),
+        inner_(inner),
+        control_(control) {}
+
+  int32_t num_shards() const override { return inner_.num_shards(); }
+  Result<Mask> LoadMask(MaskId id) const override {
+    return inner_.LoadMask(id);
+  }
+  Result<std::vector<Mask>> LoadMaskBatch(
+      const std::vector<MaskId>& ids) const override {
+    control_->Cancel();
+    return inner_.LoadMaskBatch(ids);
+  }
+  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override {
+    return inner_.LoadMaskRows(id, y0, y1);
+  }
+  Status ReadBlob(MaskId id, std::string* out) const override {
+    return inner_.ReadBlob(id, out);
+  }
+
+ private:
+  static std::vector<uint64_t> Sizes(const MaskStore& store) {
+    std::vector<uint64_t> sizes;
+    for (MaskId id = 0; id < store.num_masks(); ++id) {
+      sizes.push_back(store.BlobSize(id));
+    }
+    return sizes;
+  }
+
+  const MaskStore& inner_;
+  QueryControl* control_;
+};
+
+// A HAVING-only query without io_pool polls QueryControl between
+// verification batches like every other shape: a cancel that arrives while
+// the first batch loads ends the query with kCancelled at the next boundary.
+TEST_F(MaskAggExecTest, HavingOnlyCancelMidQueryStopsAtBatchBoundary) {
+  QueryControl control;
+  const CancellingStore store(*store_, &control);
+  MaskAggQuery q = IntersectQuery(0);
+  q.k.reset();
+  q.having_op = CompareOp::kGt;
+  q.having_threshold = 50.0;
+  EngineOptions opts;
+  opts.use_index = false;  // every group is a candidate: several batches
+  opts.control = &control;
+  auto r = ExecuteMaskAgg(store, nullptr, nullptr, q, opts);
+  EXPECT_TRUE(r.status().IsCancelled()) << r.status();
 }
 
 }  // namespace

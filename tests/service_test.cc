@@ -172,8 +172,7 @@ struct Harness {
     opts.cache = pool;
     // Small verification batches: fine-grained deadline/cancel checkpoints
     // (results are batch-size independent).
-    opts.filter_verify_batch = 8;
-    opts.agg_verify_batch = 4;
+    opts.verify_batch = 4;
     if (overlapped) {
       h.io_pool = std::make_unique<ThreadPool>(3);
       opts.io_pool = h.io_pool.get();

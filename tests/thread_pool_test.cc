@@ -241,7 +241,7 @@ TEST(ThreadPoolTest, QueriesAsPoolTasksSharingEnginePoolsTerminate) {
   EngineOptions opts;
   opts.pool = &pool;
   opts.io_pool = &pool;  // aliased: loads and compute share the two workers
-  opts.filter_verify_batch = 4;
+  opts.verify_batch = 4;
 
   const int kQueries = 6;
   std::vector<Result<FilterResult>> results(kQueries,

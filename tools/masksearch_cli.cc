@@ -558,9 +558,8 @@ int RunServeNetwork(const Args& args) {
   config.session.chi.num_bins = static_cast<int32_t>(args.GetInt("bins", 16));
   config.session.incremental = args.Has("incremental");
   config.session.use_index = !args.Has("no-index");
-  config.session.filter_verify_batch =
+  config.session.verify_batch =
       static_cast<size_t>(args.GetInt("verify-batch", 32));
-  config.session.agg_verify_batch = config.session.filter_verify_batch;
   config.service.num_workers = static_cast<size_t>(args.GetInt("workers", 4));
   config.service.max_queue_depth =
       static_cast<size_t>(args.GetInt("queue-depth", 256));
@@ -905,9 +904,7 @@ int RunServe(const Args& args) {
   SessionOptions sopts = SessionOptionsFromArgs(args, **store, pool);
   // Serving default: modest verification batches give the executors
   // frequent deadline/cancel checkpoints (results are batch-independent).
-  sopts.filter_verify_batch =
-      static_cast<size_t>(args.GetInt("verify-batch", 32));
-  sopts.agg_verify_batch = sopts.filter_verify_batch;
+  sopts.verify_batch = static_cast<size_t>(args.GetInt("verify-batch", 32));
   auto session = Session::Open(store->get(), sopts);
   if (!session.ok()) {
     std::fprintf(stderr, "session failed: %s\n",
