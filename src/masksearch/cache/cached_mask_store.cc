@@ -16,34 +16,10 @@ uint64_t ChargeFor(const Mask& mask) {
   return mask.ByteSize() + kCacheEntryOverheadBytes;
 }
 
-/// Process-wide mirrors of the per-store hit/miss counters
-/// (docs/OBSERVABILITY.md). Registry pointers are stable for the process
-/// lifetime, so caching them in a static is safe across ResetForTest.
-struct CacheMetrics {
-  obs::Counter* hits;
-  obs::Counter* misses;
-  CacheMetrics() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    hits = reg.GetCounter("ms_cache_mask_hits_total");
-    misses = reg.GetCounter("ms_cache_mask_misses_total");
-  }
-};
-
-CacheMetrics& Metrics() {
-  static CacheMetrics m;
-  return m;
-}
-
-void CountHit(std::atomic<uint64_t>& local) {
-  local.fetch_add(1, std::memory_order_relaxed);
-  Metrics().hits->Inc();
-  obs::Trace::CurrentAddCount("cache_hits", 1);
-}
-
-void CountMiss(std::atomic<uint64_t>& local) {
-  local.fetch_add(1, std::memory_order_relaxed);
-  Metrics().misses->Inc();
-  obs::Trace::CurrentAddCount("cache_misses", 1);
+/// Counts one cache access on the store and on the current trace.
+void Count(std::atomic<uint64_t>& counter, const char* trace_count) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+  obs::Trace::CurrentAddCount(trace_count, 1);
 }
 
 }  // namespace
@@ -55,9 +31,19 @@ CachedMaskStore::CachedMaskStore(std::unique_ptr<MaskStore> inner,
     : MaskStore(inner->dir(), inner->options(), inner->kind(), {}, {}),
       inner_(std::move(inner)),
       pool_(std::move(pool)),
-      owner_(BufferPool::NewOwnerId()) {}
+      owner_(BufferPool::NewOwnerId()) {
+  // Only the cache traffic: the storage counters are the wrapped store's.
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        sink.Counter("ms_cache_mask_hits_total", cache_hits());
+        sink.Counter("ms_cache_mask_misses_total", cache_misses());
+      });
+}
 
-CachedMaskStore::~CachedMaskStore() { pool_->EraseOwner(owner_); }
+CachedMaskStore::~CachedMaskStore() {
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
+  pool_->EraseOwner(owner_);
+}
 
 std::unique_ptr<MaskStore> CachedMaskStore::Wrap(
     std::unique_ptr<MaskStore> inner, std::shared_ptr<BufferPool> pool) {
@@ -81,10 +67,10 @@ size_t CachedMaskStore::CountResident(const std::vector<MaskId>& ids) const {
 Result<BufferPool::Pin> CachedMaskStore::PinMask(MaskId id) const {
   BufferPool::Pin pin = pool_->Lookup(KeyFor(id));
   if (pin) {
-    CountHit(hits_);
+    Count(hits_, "cache_hits");
     return pin;
   }
-  CountMiss(misses_);
+  Count(misses_, "cache_misses");
   MS_TRACE_SPAN("cache_miss_load");
   MS_ASSIGN_OR_RETURN(Mask mask, inner_->LoadMask(id));
   auto value = std::make_shared<const Mask>(std::move(mask));
@@ -127,9 +113,9 @@ Result<std::vector<Mask>> CachedMaskStore::LoadMaskBatch(
   for (size_t u = 0; u < uniq.size(); ++u) {
     pins[u] = pool_->Lookup(KeyFor(uniq[u]));
     if (pins[u]) {
-      CountHit(hits_);
+      Count(hits_, "cache_hits");
     } else {
-      CountMiss(misses_);
+      Count(misses_, "cache_misses");
       missing.push_back(uniq[u]);
       missing_slot.push_back(u);
     }
@@ -170,10 +156,10 @@ Result<Mask> CachedMaskStore::LoadMaskRows(MaskId id, int32_t y0,
   }
   BufferPool::Pin pin = pool_->Lookup(KeyFor(id));
   if (!pin) {
-    CountMiss(misses_);
+    Count(misses_, "cache_misses");
     return inner_->LoadMaskRows(id, y0, y1);
   }
-  CountHit(hits_);
+  Count(hits_, "cache_hits");
   const Mask& full = *static_cast<const Mask*>(pin.get());
   std::vector<float> values(static_cast<size_t>(m.width) * (y1 - y0));
   std::memcpy(values.data(), full.row(y0), values.size() * sizeof(float));

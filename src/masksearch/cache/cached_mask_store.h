@@ -101,6 +101,7 @@ class CachedMaskStore final : public MaskStore {
   uint64_t owner_;
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
+  size_t metrics_collector_ = 0;  ///< emits ms_cache_mask_{hits,misses}_total
 };
 
 }  // namespace masksearch

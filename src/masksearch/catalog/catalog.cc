@@ -3,15 +3,14 @@
 #include <utility>
 
 #include "masksearch/common/io.h"
+#include "masksearch/obs/metrics.h"
 
 namespace masksearch {
 
 Dataset::~Dataset() {
   // The collector reads the session / pool / ingestor below — detach it
   // before anything it scrapes is torn down.
-  if (metrics_collector_ != 0) {
-    obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
-  }
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
   // Stop background maintenance first so no compaction swap lands while
   // the service drains its in-flight (snapshot-pinning) queries.
   if (scheduler_ != nullptr) (void)scheduler_->Stop();
@@ -59,7 +58,40 @@ Status Dataset::Compact() {
 Result<Dataset*> Catalog::Register(const std::string& name,
                                    const std::string& dir,
                                    const DatasetConfig& config) {
+  MS_RETURN_NOT_OK(ClaimName(name));
+  return Install(name, OpenDataset(name, dir, config));
+}
+
+Result<Dataset*> Catalog::RegisterLive(const std::string& name,
+                                       const std::string& dir,
+                                       const LiveDatasetConfig& config) {
+  // Claimed before Ingestor::Open runs recovery: a second registration of
+  // a live dataset's directory would truncate its unpublished appends.
+  MS_RETURN_NOT_OK(ClaimName(name));
+  return Install(name, OpenLiveDataset(name, dir, config));
+}
+
+Status Catalog::ClaimName(const std::string& name) {
   if (name.empty()) return Status::InvalidArgument("empty dataset name");
+  std::lock_guard<std::mutex> lock(mu_);
+  if (datasets_.count(name) != 0 || !claimed_.insert(name).second) {
+    return Status::AlreadyExists("dataset '" + name +
+                                 "' is already registered");
+  }
+  return Status::OK();
+}
+
+Result<Dataset*> Catalog::Install(const std::string& name,
+                                  Result<std::unique_ptr<Dataset>> opened) {
+  std::lock_guard<std::mutex> lock(mu_);
+  claimed_.erase(name);
+  if (!opened.ok()) return opened.status();
+  return datasets_.emplace(name, std::move(*opened)).first->second.get();
+}
+
+Result<std::unique_ptr<Dataset>> Catalog::OpenDataset(
+    const std::string& name, const std::string& dir,
+    const DatasetConfig& config) {
   auto dataset = std::unique_ptr<Dataset>(new Dataset());
   dataset->name_ = name;
   dataset->dir_ = dir;
@@ -81,44 +113,27 @@ Result<Dataset*> Catalog::Register(const std::string& name,
       dataset->service_,
       QueryService::Start(dataset->session_.get(), service_opts));
 
-  // Cache gauges whose truth lives in the pool / session, refreshed at
-  // scrape time (docs/OBSERVABILITY.md). Labeled per dataset so a catalog
-  // serving several stores stays distinguishable.
-  {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    const std::string label = "{dataset=\"" + name + "\"}";
-    std::shared_ptr<BufferPool> pool = config.store.cache;
-    ChiCache* chi = dataset->session_->chi_cache();
-    obs::Gauge* hit_ratio =
-        reg.GetGauge("ms_cache_buffer_pool_hit_ratio" + label);
-    obs::Gauge* resident =
-        reg.GetGauge("ms_cache_buffer_pool_resident_bytes" + label);
-    obs::Gauge* chi_resident = reg.GetGauge("ms_cache_chi_resident" + label);
-    dataset->metrics_collector_ =
-        reg.AddCollector([pool, chi, hit_ratio, resident, chi_resident] {
-          if (pool != nullptr) {
-            const CacheStats s = pool->Stats();
-            hit_ratio->Set(s.HitRatio());
-            resident->Set(static_cast<double>(s.resident_bytes));
-          }
-          if (chi != nullptr) {
-            chi_resident->Set(static_cast<double>(chi->size()));
-          }
-        });
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = datasets_.emplace(name, std::move(dataset));
-  if (!inserted) {
-    return Status::AlreadyExists("dataset '" + name + "' is already registered");
-  }
-  return it->second.get();
+  // Cache gauges whose truth lives in the pool / session, read at scrape
+  // time (docs/OBSERVABILITY.md). Labeled per dataset so a catalog serving
+  // several stores stays distinguishable.
+  const std::string label = obs::Label("dataset", name);
+  std::shared_ptr<BufferPool> pool = config.store.cache;
+  ChiCache* chi = dataset->session_->chi_cache();
+  dataset->metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [label, pool, chi](obs::MetricSink& sink) {
+        const CacheStats s = pool != nullptr ? pool->Stats() : CacheStats{};
+        sink.Gauge("ms_cache_buffer_pool_hit_ratio" + label, s.HitRatio());
+        sink.Gauge("ms_cache_buffer_pool_resident_bytes" + label,
+                   static_cast<double>(s.resident_bytes));
+        sink.Gauge("ms_cache_chi_resident" + label,
+                   chi != nullptr ? static_cast<double>(chi->size()) : 0.0);
+      });
+  return dataset;
 }
 
-Result<Dataset*> Catalog::RegisterLive(const std::string& name,
-                                       const std::string& dir,
-                                       const LiveDatasetConfig& config) {
-  if (name.empty()) return Status::InvalidArgument("empty dataset name");
+Result<std::unique_ptr<Dataset>> Catalog::OpenLiveDataset(
+    const std::string& name, const std::string& dir,
+    const LiveDatasetConfig& config) {
   auto dataset = std::unique_ptr<Dataset>(new Dataset());
   dataset->name_ = name;
   dataset->dir_ = dir;
@@ -159,30 +174,20 @@ Result<Dataset*> Catalog::RegisterLive(const std::string& name,
 
   // Live-dataset gauges: the published epoch and the shared ingest CHI
   // cache's residency, read through the current snapshot at scrape time.
-  {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    const std::string label = "{dataset=\"" + name + "\"}";
-    Ingestor* ingestor = dataset->ingestor_.get();
-    obs::Gauge* epoch = reg.GetGauge("ms_live_epoch" + label);
-    obs::Gauge* chi_resident = reg.GetGauge("ms_cache_chi_resident" + label);
-    dataset->metrics_collector_ =
-        reg.AddCollector([ingestor, epoch, chi_resident] {
-          epoch->Set(static_cast<double>(ingestor->epoch()));
-          std::shared_ptr<const Snapshot> snap = ingestor->snapshot();
-          if (snap != nullptr && snap->session() != nullptr &&
-              snap->session()->chi_cache() != nullptr) {
-            chi_resident->Set(
-                static_cast<double>(snap->session()->chi_cache()->size()));
-          }
-        });
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = datasets_.emplace(name, std::move(dataset));
-  if (!inserted) {
-    return Status::AlreadyExists("dataset '" + name + "' is already registered");
-  }
-  return it->second.get();
+  const std::string label = obs::Label("dataset", name);
+  Ingestor* ingestor = dataset->ingestor_.get();
+  dataset->metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [label, ingestor](obs::MetricSink& sink) {
+        sink.Gauge("ms_live_epoch" + label,
+                   static_cast<double>(ingestor->epoch()));
+        std::shared_ptr<const Snapshot> snap = ingestor->snapshot();
+        const ChiCache* chi = snap != nullptr && snap->session() != nullptr
+                                  ? snap->session()->chi_cache()
+                                  : nullptr;
+        sink.Gauge("ms_cache_chi_resident" + label,
+                   chi != nullptr ? static_cast<double>(chi->size()) : 0.0);
+      });
+  return dataset;
 }
 
 Dataset* Catalog::Find(const std::string& name) const {

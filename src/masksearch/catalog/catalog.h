@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "masksearch/exec/session.h"
 #include "masksearch/ingest/ingestor.h"
 #include "masksearch/maintain/scheduler.h"
-#include "masksearch/obs/metrics.h"
 #include "masksearch/service/query_service.h"
 #include "masksearch/storage/mask_store.h"
 
@@ -135,10 +135,9 @@ class Dataset {
   std::unique_ptr<MaintenanceScheduler> scheduler_;
   std::unique_ptr<QueryService> service_;
   Submitter submitter_;
-  /// Scrape-time collector refreshing this dataset's cache gauges
-  /// (buffer-pool hit ratio / residency, CHI-cache residency, live epoch)
-  /// in the default MetricsRegistry; removed first in ~Dataset, before the
-  /// components the callback reads die. 0 = none registered.
+  /// Collector emitting this dataset's gauges (buffer-pool hit ratio and
+  /// residency, CHI-cache residency, live epoch); removed first in
+  /// ~Dataset, before the components it reads die.
   size_t metrics_collector_ = 0;
 };
 
@@ -151,8 +150,8 @@ class Catalog {
   ~Catalog() { ShutdownAll(); }
 
   /// \brief Opens the store at `dir`, starts its session + service, and
-  /// registers the bundle under `name`. Fails on duplicate names and on
-  /// any open error (nothing is registered then).
+  /// registers the bundle under `name`. Fails on duplicate names — before
+  /// opening anything — and on any open error (nothing is registered then).
   Result<Dataset*> Register(const std::string& name, const std::string& dir,
                             const DatasetConfig& config);
 
@@ -176,8 +175,22 @@ class Catalog {
   void ShutdownAll();
 
  private:
+  /// Reserves `name` for an in-flight registration; AlreadyExists when it
+  /// is registered or being registered.
+  Status ClaimName(const std::string& name);
+  /// Releases the claim on `name` and registers the opened dataset.
+  Result<Dataset*> Install(const std::string& name,
+                           Result<std::unique_ptr<Dataset>> opened);
+  static Result<std::unique_ptr<Dataset>> OpenDataset(
+      const std::string& name, const std::string& dir,
+      const DatasetConfig& config);
+  static Result<std::unique_ptr<Dataset>> OpenLiveDataset(
+      const std::string& name, const std::string& dir,
+      const LiveDatasetConfig& config);
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Dataset>> datasets_;
+  std::set<std::string> claimed_;  ///< registrations in progress
 };
 
 }  // namespace masksearch

@@ -18,28 +18,6 @@ namespace masksearch {
 namespace {
 constexpr int32_t kMaxIngestShards = 4096;  // mirrors the manifest limit
 
-/// Process-wide ingest counters (docs/OBSERVABILITY.md), aggregated over
-/// every live Ingestor. Pointer caching is safe: registry instruments are
-/// stable for the process lifetime.
-struct IngestMetricsT {
-  obs::Counter* masks_appended;
-  obs::Counter* bytes_appended;
-  obs::Counter* epochs_published;
-  obs::Gauge* visible_masks;
-  IngestMetricsT() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    masks_appended = reg.GetCounter("ms_ingest_masks_appended_total");
-    bytes_appended = reg.GetCounter("ms_ingest_bytes_appended_total");
-    epochs_published = reg.GetCounter("ms_ingest_epochs_published_total");
-    visible_masks = reg.GetGauge("ms_ingest_visible_masks");
-  }
-};
-
-IngestMetricsT& IngestMetrics() {
-  static IngestMetricsT m;
-  return m;
-}
-
 /// Removes every `gen-<g>` subdirectory of `dir` except the one named by
 /// `keep_gen` (when > 0). Crashed compactions leave a half-built next
 /// generation, and a process killed before GC leaves a retired one; both
@@ -151,9 +129,21 @@ std::string IngestStats::ToString() const {
 }
 
 Ingestor::Ingestor(std::string dir, IngestorOptions opts)
-    : dir_(std::move(dir)), opts_(std::move(opts)), kind_(opts_.kind) {}
+    : dir_(std::move(dir)), opts_(std::move(opts)), kind_(opts_.kind) {
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        sink.Counter("ms_ingest_masks_appended_total", masks_appended_.load());
+        sink.Counter("ms_ingest_bytes_appended_total", bytes_appended_.load());
+        sink.Counter("ms_ingest_epochs_published_total",
+                     epochs_published_.load());
+        sink.Gauge("ms_ingest_visible_masks",
+                   static_cast<double>(watermark()));
+      });
+}
 
-Ingestor::~Ingestor() = default;
+Ingestor::~Ingestor() {
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
+}
 
 Result<std::unique_ptr<Ingestor>> Ingestor::Create(const std::string& dir,
                                                    const IngestorOptions& opts) {
@@ -331,8 +321,8 @@ Result<MaskId> Ingestor::AppendEncoded(MaskMeta meta,
   FileWriter* data = shards_[meta.mask_id % num_shards()].get();
   const uint64_t offset = data->bytes_written();
   MS_RETURN_NOT_OK(data->Append(payload));
-  IngestMetrics().masks_appended->Inc();
-  IngestMetrics().bytes_appended->Inc(payload.size());
+  masks_appended_.fetch_add(1, std::memory_order_relaxed);
+  bytes_appended_.fetch_add(payload.size(), std::memory_order_relaxed);
   offsets_.push_back(offset);
   sizes_.push_back(payload.size());
   metas_.push_back(meta);
@@ -536,9 +526,7 @@ Status Ingestor::PublishLocked(int64_t next_epoch) {
   watermark_.store(
       static_cast<int64_t>(metas_.size() - tombstones_.size()),
       std::memory_order_release);
-  IngestMetrics().epochs_published->Inc();
-  IngestMetrics().visible_masks->Set(
-      static_cast<double>(metas_.size() - tombstones_.size()));
+  epochs_published_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

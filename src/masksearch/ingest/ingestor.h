@@ -368,6 +368,12 @@ class Ingestor {
   std::atomic<int64_t> tombstone_count_{0};
   std::atomic<uint64_t> dead_bytes_{0};
   uint64_t torn_bytes_recovered_ = 0;
+  // Process-lifetime ingest traffic of this ingestor (the tables above
+  // restart at every Open and generation swap).
+  std::atomic<uint64_t> masks_appended_{0};
+  std::atomic<uint64_t> bytes_appended_{0};
+  std::atomic<uint64_t> epochs_published_{0};
+  size_t metrics_collector_ = 0;  ///< emits ms_ingest_*
 };
 
 }  // namespace masksearch

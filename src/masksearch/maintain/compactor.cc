@@ -1,5 +1,6 @@
 #include "masksearch/maintain/compactor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -107,54 +108,62 @@ Compactor::Compactor(Ingestor* ingestor, CompactorOptions opts)
   Result<MaintenanceCounters> persisted =
       ReadMaintenanceCounters(ingestor_->dir());
   if (persisted.ok()) counters_ = *persisted;
+  loaded_ = counters_;
+  // The ms_maintain_* counters are per process: the persisted history
+  // loaded above is subtracted out.
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        std::lock_guard<std::mutex> lock(mu_);
+        const MaintenanceCounters& c = counters_;
+        const MaintenanceCounters& at_load = loaded_;
+        sink.Counter("ms_maintain_compactions_total",
+                     c.compactions_completed - at_load.compactions_completed);
+        sink.Counter("ms_maintain_compactions_failed_total",
+                     c.compactions_failed - at_load.compactions_failed);
+        sink.Counter("ms_maintain_bytes_copied_total",
+                     c.bytes_copied_total - at_load.bytes_copied_total);
+        sink.Counter("ms_maintain_dead_bytes_reclaimed_total",
+                     c.dead_bytes_reclaimed_total -
+                         at_load.dead_bytes_reclaimed_total);
+        sink.Histogram("ms_maintain_swap_pause_seconds", swap_pauses_);
+      });
 }
 
-void Compactor::Persist() {
-  std::string body = "maintenance v1\n";
-  body += "compactions_completed=" +
-          std::to_string(counters_.compactions_completed) + "\n";
-  body += "compactions_failed=" + std::to_string(counters_.compactions_failed) +
-          "\n";
-  body +=
-      "bytes_copied_total=" + std::to_string(counters_.bytes_copied_total) +
-      "\n";
-  body += "dead_bytes_reclaimed_total=" +
-          std::to_string(counters_.dead_bytes_reclaimed_total) + "\n";
-  body += "masks_dropped_total=" +
-          std::to_string(counters_.masks_dropped_total) + "\n";
-  body += "last_compaction_ms=" + FmtMs(counters_.last_compaction_ms) + "\n";
-  body += "last_swap_pause_ms=" + FmtMs(counters_.last_swap_pause_ms) + "\n";
-  body += "last_generation=" + std::to_string(counters_.last_generation) +
-          "\n";
+Compactor::~Compactor() {
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
+}
+
+void Compactor::Persist(const MaintenanceCounters& counters) {
+  // The sidecar holds ToString()'s key=value fields, one per line.
+  std::string fields = counters.ToString();
+  std::replace(fields.begin(), fields.end(), ' ', '\n');
   // Best-effort: a failed stats write must not fail the compaction that
   // already swapped in durably.
-  (void)WriteFileAtomic(IngestMaintenancePath(ingestor_->dir()), body);
+  (void)WriteFileAtomic(IngestMaintenancePath(ingestor_->dir()),
+                        "maintenance v1\n" + fields + "\n");
 }
 
 Result<CompactionStats> Compactor::Compact() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> run_lock(run_mu_);
   Result<CompactionStats> result = CompactLocked();
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  if (result.ok()) {
-    counters_.compactions_completed += 1;
-    counters_.bytes_copied_total += result->bytes_copied;
-    counters_.dead_bytes_reclaimed_total += result->dead_bytes_reclaimed;
-    counters_.masks_dropped_total += result->masks_dropped;
-    counters_.last_compaction_ms = result->total_ms;
-    counters_.last_swap_pause_ms = result->swap_pause_ms;
-    counters_.last_generation = result->generation;
-    reg.GetCounter("ms_maintain_compactions_total")->Inc();
-    reg.GetCounter("ms_maintain_bytes_copied_total")
-        ->Inc(result->bytes_copied);
-    reg.GetCounter("ms_maintain_dead_bytes_reclaimed_total")
-        ->Inc(result->dead_bytes_reclaimed);
-    reg.GetHistogram("ms_maintain_swap_pause_seconds")
-        ->Observe(result->swap_pause_ms * 1e-3);
-  } else {
-    counters_.compactions_failed += 1;
-    reg.GetCounter("ms_maintain_compactions_failed_total")->Inc();
+  MaintenanceCounters counters;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (result.ok()) {
+      counters_.compactions_completed += 1;
+      counters_.bytes_copied_total += result->bytes_copied;
+      counters_.dead_bytes_reclaimed_total += result->dead_bytes_reclaimed;
+      counters_.masks_dropped_total += result->masks_dropped;
+      counters_.last_compaction_ms = result->total_ms;
+      counters_.last_swap_pause_ms = result->swap_pause_ms;
+      counters_.last_generation = result->generation;
+      swap_pauses_.Record(result->swap_pause_ms * 1e-3);
+    } else {
+      counters_.compactions_failed += 1;
+    }
+    counters = counters_;
   }
-  Persist();
+  Persist(counters);
   return result;
 }
 

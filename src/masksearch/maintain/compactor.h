@@ -36,6 +36,7 @@
 
 #include "masksearch/common/result.h"
 #include "masksearch/ingest/ingestor.h"
+#include "masksearch/obs/histogram.h"
 #include "masksearch/storage/disk_throttle.h"
 
 namespace masksearch {
@@ -94,6 +95,8 @@ class Compactor {
   /// are loaded so cumulative totals survive restarts.
   explicit Compactor(Ingestor* ingestor, CompactorOptions opts = {});
 
+  ~Compactor();
+
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
@@ -109,14 +112,21 @@ class Compactor {
   DiskThrottle* throttle() { return &throttle_; }
 
  private:
-  Result<CompactionStats> CompactLocked();
-  void Persist();  ///< best-effort sidecar write; caller holds mu_
+  Result<CompactionStats> CompactLocked();  ///< caller holds run_mu_
+  /// Best-effort sidecar write; caller holds run_mu_.
+  void Persist(const MaintenanceCounters& counters);
 
   Ingestor* ingestor_;
   CompactorOptions opts_;
   DiskThrottle throttle_;
+  std::mutex run_mu_;  ///< serializes Compact() runs
+  /// Guards the counters only, so Counters() and metrics scrapes never
+  /// wait out a running compaction.
   mutable std::mutex mu_;
   MaintenanceCounters counters_;
+  MaintenanceCounters loaded_;  ///< persisted history at construction
+  obs::LogHistogram swap_pauses_;  ///< seconds, this process's runs
+  size_t metrics_collector_ = 0;   ///< emits ms_maintain_*
 };
 
 }  // namespace masksearch

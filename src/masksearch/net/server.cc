@@ -77,7 +77,12 @@ void NetServer::Core::Push(const std::shared_ptr<Connection>& conn,
 NetServer::NetServer(Catalog* catalog, const NetServerOptions& options)
     : catalog_(catalog),
       options_(options),
-      core_(std::make_shared<Core>()) {}
+      core_(std::make_shared<Core>()) {
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        sink.Counter("ms_net_requests_total", core_->requests.load());
+      });
+}
 
 Result<std::unique_ptr<NetServer>> NetServer::Start(
     Catalog* catalog, const NetServerOptions& options) {
@@ -123,7 +128,10 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
   return server;
 }
 
-NetServer::~NetServer() { Stop(); }
+NetServer::~NetServer() {
+  Stop();
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
+}
 
 void NetServer::Stop() {
   std::call_once(stop_once_, [&] {
@@ -278,9 +286,6 @@ void NetServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
 
 void NetServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                               const Request& request) {
-  static obs::Counter* requests_total =
-      obs::MetricsRegistry::Default().GetCounter("ms_net_requests_total");
-  requests_total->Inc();
   const uint64_t id = request.request_id;
   switch (request.type) {
     case MsgType::kPing: {

@@ -133,6 +133,7 @@ class NetServer {
   std::once_flag stop_once_;
   std::map<int, std::shared_ptr<Connection>> connections_;  ///< loop thread only
   std::thread io_thread_;
+  size_t metrics_collector_ = 0;  ///< emits ms_net_requests_total
 };
 
 }  // namespace net

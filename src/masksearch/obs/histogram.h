@@ -5,10 +5,12 @@
 // sampling reservoir, two histograms merge exactly — the property that lets
 // ServiceStats compute its all-classes percentiles from the per-class
 // populations instead of double-recording, and lets the metrics registry
-// shard hot-path updates per thread and merge at scrape time.
+// merge the histograms several components emit under one name at scrape
+// time.
 //
-// Not thread-safe: callers either own a histogram under their own lock
-// (ServiceStatsRecorder) or shard per thread (obs::Histogram in metrics.h).
+// Not thread-safe: the owning component keeps its histograms under its own
+// lock (ServiceStatsRecorder, Compactor) and copies them out when its
+// metrics collector runs.
 
 #ifndef MASKSEARCH_OBS_HISTOGRAM_H_
 #define MASKSEARCH_OBS_HISTOGRAM_H_

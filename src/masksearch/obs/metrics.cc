@@ -2,35 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace masksearch {
 namespace obs {
 
 namespace {
-
-/// Splits "base{labels}" into its base name and the "{labels}" suffix
-/// (empty when the name carries none).
-void SplitLabels(const std::string& name, std::string* base,
-                 std::string* labels) {
-  const size_t brace = name.find('{');
-  if (brace == std::string::npos) {
-    *base = name;
-    labels->clear();
-  } else {
-    *base = name.substr(0, brace);
-    *labels = name.substr(brace);
-  }
-}
-
-/// "base{a="b"}" + (quantile, 0.95) -> base{a="b",quantile="0.95"}.
-std::string WithQuantile(const std::string& base, const std::string& labels,
-                         const char* q) {
-  if (labels.empty()) {
-    return base + "{quantile=\"" + q + "\"}";
-  }
-  return base + labels.substr(0, labels.size() - 1) + ",quantile=\"" + q +
-         "\"}";
-}
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -40,34 +17,23 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-size_t Counter::ShardIndex() {
-  // Threads stripe across the cells round-robin by creation order; any
-  // distribution works, this one is allocation-free and deterministic.
-  static std::atomic<size_t> next{0};
-  thread_local size_t idx = next.fetch_add(1, std::memory_order_relaxed);
-  return idx % kShards;
-}
-
-void Histogram::Observe(double v) {
-  Shard& s = shards_[Counter::ShardIndex() % kShards];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.h.Record(v);
-}
-
-LogHistogram Histogram::Snapshot() const {
-  LogHistogram out;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out.Merge(s.h);
+std::string Label(const std::string& key, const std::string& value) {
+  std::string out = "{" + key + "=\"";
+  for (char c : value) {
+    if (c == '\n') {
+      out += "\\n";
+      continue;
+    }
+    if (c == '\\' || c == '"') out += '\\';
+    out += c;
   }
-  return out;
+  return out + "\"}";
 }
 
-void Histogram::Reset() {
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.h.Reset();
-  }
+void MetricSink::Merge(const MetricSink& other) {
+  for (const auto& [name, v] : other.counters_) counters_[name] += v;
+  for (const auto& [name, v] : other.gauges_) gauges_[name] += v;
+  for (const auto& [name, h] : other.histograms_) histograms_[name].Merge(h);
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
@@ -75,73 +41,85 @@ MetricsRegistry& MetricsRegistry::Default() {
   return *r;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+size_t MetricsRegistry::AddCollector(Collector fn) {
+  auto entry = std::make_shared<Entry>();
+  entry->fn = std::move(fn);
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return slot.get();
-}
-
-size_t MetricsRegistry::AddCollector(std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t handle = next_collector_++;
-  collectors_.emplace_back(handle, std::move(fn));
-  return handle;
+  collectors_.emplace(next_handle_, std::move(entry));
+  return next_handle_++;
 }
 
 void MetricsRegistry::RemoveCollector(size_t handle) {
+  std::shared_ptr<Entry> entry;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = collectors_.find(handle);
+    if (it == collectors_.end() || it->second->removing) return;
+    entry = it->second;
+    entry->removing = true;  // scrapes arriving from now on wait for `last`
+    cv_.wait(lock, [&] { return entry->running == 0; });
+  }
+  // The final run happens without the registry lock: a collector may take
+  // its component's locks, whose holders may be registering collectors.
+  MetricSink last;
+  entry->fn(last);
+  last.gauges_.clear();
   std::lock_guard<std::mutex> lock(mu_);
-  collectors_.erase(
-      std::remove_if(collectors_.begin(), collectors_.end(),
-                     [&](const auto& c) { return c.first == handle; }),
-      collectors_.end());
+  // Retained and unregistered in one step: a scrape sees the series either
+  // live or retained, never both and never neither.
+  retained_.Merge(last);
+  entry->last = std::move(last);
+  entry->removed = true;
+  collectors_.erase(handle);
+  cv_.notify_all();
 }
 
-void MetricsRegistry::RunCollectors() {
-  // Copied out: collectors call GetGauge, which takes the registry lock.
-  std::vector<std::function<void()>> fns;
+MetricSink MetricsRegistry::Scrape() {
+  MetricSink out;
+  std::vector<std::shared_ptr<Entry>> entries;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fns.reserve(collectors_.size());
-    for (const auto& c : collectors_) fns.push_back(c.second);
+    out = retained_;
+    entries.reserve(collectors_.size());
+    for (const auto& [handle, entry] : collectors_) entries.push_back(entry);
   }
-  for (const auto& fn : fns) fn();
+  // Collectors run without the registry lock (see RemoveCollector); the
+  // running count is what RemoveCollector waits on.
+  for (const std::shared_ptr<Entry>& entry : entries) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return !entry->removing || entry->removed; });
+      if (entry->removed) {
+        // Removed after `out` copied retained_: its final emission is
+        // not in `out` yet.
+        out.Merge(entry->last);
+        continue;
+      }
+      ++entry->running;
+    }
+    entry->fn(out);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--entry->running == 0) cv_.notify_all();
+  }
+  return out;
 }
 
 std::vector<MetricsRegistry::Sample> MetricsRegistry::Samples() {
-  RunCollectors();
+  const MetricSink scrape = Scrape();
   std::vector<Sample> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    out.push_back({name, static_cast<double>(c->Value())});
+  for (const auto& [name, v] : scrape.counters_) {
+    out.push_back({name, static_cast<double>(v)});
   }
-  for (const auto& [name, g] : gauges_) {
-    out.push_back({name, g->Value()});
-  }
-  for (const auto& [name, h] : histograms_) {
-    const LogHistogram snap = h->Snapshot();
-    out.push_back({name + ".count", static_cast<double>(snap.count())});
-    out.push_back({name + ".sum", snap.sum()});
-    out.push_back({name + ".mean", snap.Mean()});
-    out.push_back({name + ".min", snap.min()});
-    out.push_back({name + ".max", snap.max()});
-    out.push_back({name + ".p50", snap.Percentile(0.50)});
-    out.push_back({name + ".p95", snap.Percentile(0.95)});
-    out.push_back({name + ".p99", snap.Percentile(0.99)});
+  for (const auto& [name, v] : scrape.gauges_) out.push_back({name, v});
+  for (const auto& [name, h] : scrape.histograms_) {
+    out.push_back({name + ".count", static_cast<double>(h.count())});
+    out.push_back({name + ".sum", h.sum()});
+    out.push_back({name + ".mean", h.Mean()});
+    out.push_back({name + ".min", h.min()});
+    out.push_back({name + ".max", h.max()});
+    out.push_back({name + ".p50", h.Percentile(0.50)});
+    out.push_back({name + ".p95", h.Percentile(0.95)});
+    out.push_back({name + ".p99", h.Percentile(0.99)});
   }
   std::sort(out.begin(), out.end(),
             [](const Sample& a, const Sample& b) { return a.name < b.name; });
@@ -149,45 +127,42 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Samples() {
 }
 
 std::string MetricsRegistry::PrometheusText() {
-  RunCollectors();
-  std::string out;
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string base, labels, last_base;
-
-  for (const auto& [name, c] : counters_) {
-    SplitLabels(name, &base, &labels);
-    if (base != last_base) {
-      out += "# TYPE " + base + " counter\n";
-      last_base = base;
+  const MetricSink scrape = Scrape();
+  std::string out, last_base;
+  // Splits "base{labels}" into base and "{labels}" (empty without labels),
+  // writing the family's TYPE line before its first series.
+  auto family = [&](const std::string& name, const char* type) {
+    const size_t brace = std::min(name.find('{'), name.size());
+    std::pair<std::string, std::string> parts(name.substr(0, brace),
+                                              name.substr(brace));
+    if (parts.first != last_base) {
+      out += "# TYPE " + parts.first + " " + type + "\n";
+      last_base = parts.first;
     }
-    out += name + " " + std::to_string(c->Value()) + "\n";
+    return parts;
+  };
+  for (const auto& [name, v] : scrape.counters_) {
+    family(name, "counter");
+    out += name + " " + std::to_string(v) + "\n";
   }
-  last_base.clear();
-  for (const auto& [name, g] : gauges_) {
-    SplitLabels(name, &base, &labels);
-    if (base != last_base) {
-      out += "# TYPE " + base + " gauge\n";
-      last_base = base;
-    }
-    out += name + " " + FormatDouble(g->Value()) + "\n";
+  for (const auto& [name, v] : scrape.gauges_) {
+    family(name, "gauge");
+    out += name + " " + FormatDouble(v) + "\n";
   }
-  last_base.clear();
-  for (const auto& [name, h] : histograms_) {
-    SplitLabels(name, &base, &labels);
-    if (base != last_base) {
-      out += "# TYPE " + base + " summary\n";
-      last_base = base;
+  for (const auto& [name, h] : scrape.histograms_) {
+    const auto [base, labels] = family(name, "summary");
+    // base{labels,quantile="q"}
+    const std::string open =
+        labels.empty() ? base + "{"
+                       : base + labels.substr(0, labels.size() - 1) + ",";
+    for (const auto& [text, q] : {std::pair<const char*, double>{"0.5", 0.50},
+                                  {"0.95", 0.95},
+                                  {"0.99", 0.99}}) {
+      out += open + "quantile=\"" + text + "\"} " +
+             FormatDouble(h.Percentile(q)) + "\n";
     }
-    const LogHistogram snap = h->Snapshot();
-    out += WithQuantile(base, labels, "0.5") + " " +
-           FormatDouble(snap.Percentile(0.50)) + "\n";
-    out += WithQuantile(base, labels, "0.95") + " " +
-           FormatDouble(snap.Percentile(0.95)) + "\n";
-    out += WithQuantile(base, labels, "0.99") + " " +
-           FormatDouble(snap.Percentile(0.99)) + "\n";
-    out += base + "_sum" + labels + " " + FormatDouble(snap.sum()) + "\n";
-    out += base + "_count" + labels + " " + std::to_string(snap.count()) +
-           "\n";
+    out += base + "_sum" + labels + " " + FormatDouble(h.sum()) + "\n";
+    out += base + "_count" + labels + " " + std::to_string(h.count()) + "\n";
   }
   return out;
 }
@@ -201,13 +176,6 @@ std::string MetricsRegistry::Json() {
   }
   out += samples.empty() ? "}\n" : "\n}\n";
   return out;
-}
-
-void MetricsRegistry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 }  // namespace obs

@@ -1,34 +1,27 @@
-// MetricsRegistry: process-wide named counters, gauges, and histograms
-// (docs/OBSERVABILITY.md). The hot path is near-free: Counter::Inc is one
-// relaxed fetch_add on a per-thread-sharded cache line; Histogram::Observe
-// locks one thread-sharded uncontended mutex around a LogHistogram record.
-// Snapshots (Prometheus text / JSON exposition) merge the shards at scrape
-// time — scraping pays, recording does not.
+// MetricsRegistry: the process-wide scrape point (docs/OBSERVABILITY.md).
+// It owns no instruments: each component counts every fact once, in its
+// own stats, and registers a collector that emits them into a MetricSink
+// when a scrape happens — recording costs nothing extra; scraping pays.
+// Same-named samples from several collectors are added (counters, gauges)
+// or merged exactly (histograms). Names embed their labels, built with
+// Label(), e.g. ms_service_completed_total{class="interactive"}.
 //
-// Naming: metric names may embed Prometheus-style labels directly, e.g.
-//   ms_service_completed_total{class="interactive"}
-// Each distinct name is one independent instrument; the renderers group
-// series sharing a base name under one # TYPE line. Instrument pointers
-// returned by Get* are stable for the registry's lifetime (the process,
-// for Default()), so callers cache them at construction and never look up
-// on the hot path.
-//
-// Collectors: scrape-time callbacks that refresh gauges whose truth lives
-// elsewhere (buffer-pool residency, queue depth). Registered by the serving
-// wiring, removed on teardown (AddCollector returns the removal handle).
+// Collector lifetime: the owner registers in its constructor and calls
+// RemoveCollector in its destructor, while what the collector reads is
+// alive. Removal waits for an in-flight run, runs the collector a last
+// time and retains its counters and histograms (totals are
+// process-lifetime); its gauges disappear.
 
 #ifndef MASKSEARCH_OBS_METRICS_H_
 #define MASKSEARCH_OBS_METRICS_H_
 
-#include <array>
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "masksearch/obs/histogram.h"
@@ -36,89 +29,42 @@
 namespace masksearch {
 namespace obs {
 
-/// \brief Monotonic counter with per-thread-sharded cells: concurrent Inc
-/// calls from different threads touch different cache lines.
-class Counter {
+/// \brief `{key="value"}`, with `value` escaped per the Prometheus text
+/// format: backslash, double quote, and newline become `\\`, `\"`, `\n`.
+std::string Label(const std::string& key, const std::string& value);
+
+/// \brief One scrape's series, keyed by full name (labels included). What a
+/// collector emits into; same-named emissions accumulate.
+class MetricSink {
  public:
-  static constexpr size_t kShards = 16;
-
-  void Inc(uint64_t n = 1) {
-    cells_[ShardIndex()].v.fetch_add(n, std::memory_order_relaxed);
+  void Counter(const std::string& name, uint64_t value) {
+    counters_[name] += value;
   }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
+  void Gauge(const std::string& name, double value) { gauges_[name] += value; }
+  void Histogram(const std::string& name, const LogHistogram& h) {
+    histograms_[name].Merge(h);
   }
-
-  void Reset() {
-    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
-
-  /// \brief The calling thread's stable stripe (shared by Histogram).
-  static size_t ShardIndex();
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> v{0};
-  };
-  std::array<Cell, kShards> cells_;
-};
+  friend class MetricsRegistry;
+  void Merge(const MetricSink& other);
 
-/// \brief Last-writer-wins point-in-time value.
-class Gauge {
- public:
-  void Set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(double d) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  double Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
-
- private:
-  std::atomic<double> v_{0};
-};
-
-/// \brief Thread-safe LogHistogram: observations go to a thread-sharded
-/// sub-histogram under its own (uncontended) mutex; Snapshot merges the
-/// shards exactly.
-class Histogram {
- public:
-  static constexpr size_t kShards = 8;
-
-  void Observe(double v);
-  LogHistogram Snapshot() const;
-  void Reset();
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    LogHistogram h;
-  };
-  std::array<Shard, kShards> shards_;
+  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, double> gauges_;
+  std::map<std::string, LogHistogram> histograms_;
 };
 
 class MetricsRegistry {
  public:
-  /// \brief The process-wide registry every instrumented layer records to.
+  /// \brief The process-wide registry every component's collector joins.
   static MetricsRegistry& Default();
 
-  /// \brief Instrument lookup, creating on first use. Returned pointers are
-  /// stable for the registry's lifetime; cache them, don't re-lookup on hot
-  /// paths.
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
+  using Collector = std::function<void(MetricSink&)>;
 
-  /// \brief Registers a scrape-time callback (typically: read some
-  /// component's stats and Set gauges). Returns a handle for
-  /// RemoveCollector — call it before the component the callback reads is
-  /// destroyed.
-  size_t AddCollector(std::function<void()> fn);
+  /// \brief Registers a scrape-time emitter; returns its handle.
+  size_t AddCollector(Collector fn);
+  /// \brief See the collector lifetime above. Unknown or already removed
+  /// handles are a no-op.
   void RemoveCollector(size_t handle);
 
   /// \brief One flattened scalar of the current state (counters and gauges
@@ -127,27 +73,31 @@ class MetricsRegistry {
     std::string name;
     double value = 0;
   };
-  /// \brief Runs collectors, then samples every instrument.
   std::vector<Sample> Samples();
 
-  /// \brief Prometheus text exposition (runs collectors first).
+  /// \brief Prometheus text exposition.
   std::string PrometheusText();
-  /// \brief Flat JSON object {"name": value, ...} (runs collectors first).
+  /// \brief Flat JSON object {"name": value, ...}.
   std::string Json();
 
-  /// \brief Zeroes every instrument's value (pointers stay valid — the
-  /// instruments themselves are never destroyed). Test isolation only.
-  void ResetForTest();
-
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::vector<std::pair<size_t, std::function<void()>>> collectors_;
-  size_t next_collector_ = 1;
+  struct Entry {
+    Collector fn;
+    int running = 0;        ///< in-flight scrape runs
+    bool removing = false;  ///< RemoveCollector is waiting or finishing
+    bool removed = false;   ///< `last` holds the final emission
+    MetricSink last;
+  };
 
-  void RunCollectors();
+  /// Runs every collector into one merged sink, on top of the retained
+  /// series of removed collectors.
+  MetricSink Scrape();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<size_t, std::shared_ptr<Entry>> collectors_;
+  MetricSink retained_;  ///< removed collectors' counters and histograms
+  size_t next_handle_ = 1;
 };
 
 }  // namespace obs

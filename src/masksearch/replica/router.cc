@@ -11,33 +11,6 @@ namespace masksearch {
 
 namespace {
 
-/// Process-wide mirrors of the router counters (docs/OBSERVABILITY.md);
-/// aggregated over every Router in the process.
-struct RouterMetrics {
-  obs::Counter* routed;
-  obs::Counter* succeeded;
-  obs::Counter* retries;
-  obs::Counter* failovers;
-  obs::Counter* shed;
-  obs::Counter* injected;
-  obs::Counter* transitions;
-  RouterMetrics() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    routed = reg.GetCounter("ms_replica_routed_total");
-    succeeded = reg.GetCounter("ms_replica_succeeded_total");
-    retries = reg.GetCounter("ms_replica_retries_total");
-    failovers = reg.GetCounter("ms_replica_failovers_total");
-    shed = reg.GetCounter("ms_replica_shed_total");
-    injected = reg.GetCounter("ms_replica_faults_injected_total");
-    transitions = reg.GetCounter("ms_replica_health_transitions_total");
-  }
-};
-
-RouterMetrics& Metrics() {
-  static RouterMetrics m;
-  return m;
-}
-
 uint64_t Fnv1a(const void* data, size_t n, uint64_t h = 0xcbf29ce484222325ull) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; ++i) {
@@ -91,6 +64,17 @@ Router::Router(ReplicaGroup* group, RouterOptions options)
   options_.failure_threshold = std::max(1, options_.failure_threshold);
   options_.max_attempts = std::max(1, options_.max_attempts);
   options_.num_workers = std::max<size_t>(1, options_.num_workers);
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        std::lock_guard<std::mutex> lock(mu_);
+        sink.Counter("ms_replica_routed_total", routed_);
+        sink.Counter("ms_replica_succeeded_total", succeeded_);
+        sink.Counter("ms_replica_retries_total", retries_);
+        sink.Counter("ms_replica_failovers_total", failovers_);
+        sink.Counter("ms_replica_shed_total", shed_);
+        sink.Counter("ms_replica_faults_injected_total", injected_);
+        sink.Counter("ms_replica_health_transitions_total", transitions_);
+      });
   prober_ = std::thread([this] { ProbeLoop(); });
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
@@ -98,7 +82,10 @@ Router::Router(ReplicaGroup* group, RouterOptions options)
   }
 }
 
-Router::~Router() { Shutdown(); }
+Router::~Router() {
+  Shutdown();
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
+}
 
 void Router::RefreshLocked() {
   const uint64_t version = group_->version();
@@ -153,15 +140,19 @@ std::shared_ptr<Replica> Router::PickLocked(
   return nullptr;
 }
 
+void Router::SetHealthLocked(Member* m, ReplicaHealth health) {
+  m->health = health;
+  ++m->transitions;
+  ++transitions_;
+}
+
 void Router::RecordSuccess(size_t member_index) {
   std::lock_guard<std::mutex> lock(mu_);
   if (member_index >= members_.size()) return;
   Member& m = members_[member_index];
   m.consecutive_failures = 0;
   if (m.health != ReplicaHealth::kHealthy) {
-    m.health = ReplicaHealth::kHealthy;
-    ++m.transitions;
-    Metrics().transitions->Inc();
+    SetHealthLocked(&m, ReplicaHealth::kHealthy);
     ring_dirty_ = true;
   }
 }
@@ -174,15 +165,11 @@ void Router::RecordFailure(size_t member_index) {
   ++m.consecutive_failures;
   if (m.health == ReplicaHealth::kHealthy &&
       m.consecutive_failures >= options_.failure_threshold) {
-    m.health = ReplicaHealth::kUnhealthy;
-    ++m.transitions;
-    Metrics().transitions->Inc();
+    SetHealthLocked(&m, ReplicaHealth::kUnhealthy);
     ring_dirty_ = true;
   } else if (m.health == ReplicaHealth::kHalfOpen) {
     // Failed its recovery trial: back to unhealthy until the next probe.
-    m.health = ReplicaHealth::kUnhealthy;
-    ++m.transitions;
-    Metrics().transitions->Inc();
+    SetHealthLocked(&m, ReplicaHealth::kUnhealthy);
   }
 }
 
@@ -192,7 +179,6 @@ Result<QueryResponse> Router::Execute(const RoutedRequest& request) {
     std::lock_guard<std::mutex> lock(mu_);
     ++routed_;
   }
-  Metrics().routed->Inc();
   std::vector<std::string> tried;
   std::string prev_name;
   Status last = Status::Unavailable("no healthy replicas");
@@ -224,11 +210,9 @@ Result<QueryResponse> Router::Execute(const RoutedRequest& request) {
         ++members_[member_index].routed;
         if (attempt > 0) {
           ++retries_;
-          Metrics().retries->Inc();
         }
         if (!prev_name.empty() && prev_name != replica->name()) {
           ++failovers_;
-          Metrics().failovers->Inc();
         }
       }
     }
@@ -243,13 +227,11 @@ Result<QueryResponse> Router::Execute(const RoutedRequest& request) {
         injected.ok() ? replica->Execute(request) : injected;
     if (result.ok()) {
       RecordSuccess(member_index);
-      Metrics().succeeded->Inc();
       std::lock_guard<std::mutex> lock(mu_);
       ++succeeded_;
       return result;
     }
     if (!injected.ok()) {
-      Metrics().injected->Inc();
       std::lock_guard<std::mutex> lock(mu_);
       ++injected_;
     }
@@ -261,7 +243,6 @@ Result<QueryResponse> Router::Execute(const RoutedRequest& request) {
     last = result.status();
     tried.push_back(replica->name());
   }
-  Metrics().shed->Inc();
   std::lock_guard<std::mutex> lock(mu_);
   ++shed_;
   return Status::Unavailable("request shed after failover: " +
@@ -278,8 +259,7 @@ Result<std::shared_ptr<PendingQuery>> Router::Submit(RoutedRequest request) {
       return Status::Unavailable("router is shut down");
     }
     if (queue_.size() >= options_.max_queue_depth) {
-      Metrics().shed->Inc();
-      std::lock_guard<std::mutex> stats_lock(mu_);
+          std::lock_guard<std::mutex> stats_lock(mu_);
       ++shed_;
       return Status::Unavailable("router queue is full (" +
                                  std::to_string(options_.max_queue_depth) +
@@ -310,9 +290,7 @@ void Router::ProbeLoop() {
       for (size_t i = 0; i < members_.size(); ++i) {
         Member& m = members_[i];
         if (m.health == ReplicaHealth::kUnhealthy) {
-          m.health = ReplicaHealth::kHalfOpen;
-          ++m.transitions;
-          Metrics().transitions->Inc();
+          SetHealthLocked(&m, ReplicaHealth::kHalfOpen);
         }
         to_probe.emplace_back(i, m.replica);
       }

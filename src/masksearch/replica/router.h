@@ -148,6 +148,8 @@ class Router {
   std::shared_ptr<Replica> PickLocked(uint64_t key,
                                       const std::vector<std::string>& tried,
                                       size_t* member_index);
+  /// Moves `m` to `health`, counting the transition (mu_ held).
+  void SetHealthLocked(Member* m, ReplicaHealth health);
   void RecordSuccess(size_t member_index);
   void RecordFailure(size_t member_index);
   void ProbeLoop();
@@ -167,6 +169,10 @@ class Router {
   uint64_t failovers_ = 0;
   uint64_t shed_ = 0;
   uint64_t injected_ = 0;
+  /// Health-state changes of every replica the router has tracked (the
+  /// per-member counts go with a member that leaves the group).
+  uint64_t transitions_ = 0;
+  size_t metrics_collector_ = 0;  ///< emits ms_replica_* (under mu_)
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "masksearch/obs/metrics.h"
+
 namespace masksearch {
 
 LatencySummary LatencySummary::FromHistogram(const obs::LogHistogram& h) {
@@ -62,31 +64,41 @@ std::string ServiceStats::ToString() const {
 }
 
 ServiceStatsRecorder::ServiceStatsRecorder() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  for (size_t c = 0; c < kNumPriorityClasses; ++c) {
-    const std::string label = std::string("{class=\"") +
-                              PriorityClassToString(static_cast<PriorityClass>(c)) +
-                              "\"}";
-    ClassMetrics& m = metrics_[c];
-    m.submitted = reg.GetCounter("ms_service_submitted_total" + label);
-    m.rejected = reg.GetCounter("ms_service_rejected_total" + label);
-    m.completed = reg.GetCounter("ms_service_completed_total" + label);
-    m.deadline_missed =
-        reg.GetCounter("ms_service_deadline_missed_total" + label);
-    m.cancelled = reg.GetCounter("ms_service_cancelled_total" + label);
-    m.failed = reg.GetCounter("ms_service_failed_total" + label);
-    m.queue_wait = reg.GetHistogram("ms_service_queue_wait_seconds" + label);
-    m.latency = reg.GetHistogram("ms_service_latency_seconds" + label);
-  }
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+          const std::string label = obs::Label(
+              "class", PriorityClassToString(static_cast<PriorityClass>(c)));
+          const ClassSamples& s = classes_[c];
+          // Shutdown refusals are not load shedding: only overload rejects
+          // count as ms_service_rejected_total.
+          sink.Counter("ms_service_submitted_total" + label,
+                       s.counters.submitted);
+          sink.Counter("ms_service_rejected_total" + label,
+                       s.counters.rejected);
+          sink.Counter("ms_service_completed_total" + label,
+                       s.counters.completed);
+          sink.Counter("ms_service_deadline_missed_total" + label,
+                       s.counters.deadline_missed);
+          sink.Counter("ms_service_cancelled_total" + label,
+                       s.counters.cancelled);
+          sink.Counter("ms_service_failed_total" + label, s.counters.failed);
+          sink.Histogram("ms_service_queue_wait_seconds" + label,
+                         s.queue_waits);
+          sink.Histogram("ms_service_latency_seconds" + label, s.latencies);
+        }
+      });
+}
+
+ServiceStatsRecorder::~ServiceStatsRecorder() {
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
 }
 
 void ServiceStatsRecorder::RecordRejected(PriorityClass c,
                                           RejectReason reason) {
-  const size_t i = static_cast<size_t>(c);
-  metrics_[i].submitted->Inc();
-  if (reason == RejectReason::kOverload) metrics_[i].rejected->Inc();
   std::lock_guard<std::mutex> lock(mu_);
-  ClassSamples& s = classes_[i];
+  ClassSamples& s = classes_[static_cast<size_t>(c)];
   ++s.counters.submitted;
   if (reason == RejectReason::kShutdown) {
     ++s.counters.rejected_shutdown;
@@ -96,10 +108,8 @@ void ServiceStatsRecorder::RecordRejected(PriorityClass c,
 }
 
 void ServiceStatsRecorder::RecordAdmitted(PriorityClass c) {
-  const size_t i = static_cast<size_t>(c);
-  metrics_[i].submitted->Inc();
   std::lock_guard<std::mutex> lock(mu_);
-  ClassSamples& s = classes_[i];
+  ClassSamples& s = classes_[static_cast<size_t>(c)];
   ++s.counters.submitted;
   ++s.counters.admitted;
 }
@@ -107,26 +117,8 @@ void ServiceStatsRecorder::RecordAdmitted(PriorityClass c) {
 void ServiceStatsRecorder::RecordOutcome(PriorityClass c, Outcome outcome,
                                          double queue_seconds,
                                          double total_seconds) {
-  const size_t i = static_cast<size_t>(c);
-  const ClassMetrics& m = metrics_[i];
-  m.queue_wait->Observe(queue_seconds);
-  switch (outcome) {
-    case Outcome::kCompleted:
-      m.completed->Inc();
-      m.latency->Observe(total_seconds);
-      break;
-    case Outcome::kDeadlineMissed:
-      m.deadline_missed->Inc();
-      break;
-    case Outcome::kCancelled:
-      m.cancelled->Inc();
-      break;
-    case Outcome::kFailed:
-      m.failed->Inc();
-      break;
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  ClassSamples& s = classes_[i];
+  ClassSamples& s = classes_[static_cast<size_t>(c)];
   s.queue_waits.Record(queue_seconds);
   switch (outcome) {
     case Outcome::kCompleted:

@@ -5,10 +5,10 @@
 //
 // The latency populations live in obs::LogHistogram (docs/OBSERVABILITY.md)
 // — the shared log-bucketed histogram type — so per-class populations merge
-// *exactly* into the all-classes aggregate at snapshot time, and the same
-// numbers surface through the process metrics registry
-// (ms_service_latency_seconds{class=...} et al), which the recorder also
-// feeds.
+// *exactly* into the all-classes aggregate at snapshot time. The recorder's
+// metrics collector emits the same counters and histograms to the process
+// metrics registry (ms_service_latency_seconds{class=...} et al) at scrape
+// time.
 
 #ifndef MASKSEARCH_SERVICE_SERVICE_STATS_H_
 #define MASKSEARCH_SERVICE_SERVICE_STATS_H_
@@ -19,7 +19,6 @@
 #include <string>
 
 #include "masksearch/obs/histogram.h"
-#include "masksearch/obs/metrics.h"
 #include "masksearch/service/request.h"
 
 namespace masksearch {
@@ -77,11 +76,12 @@ struct ServiceStats {
 /// \brief Thread-safe recorder behind ServiceStats. The service records
 /// admission decisions and request outcomes; Snapshot computes percentiles
 /// from the per-class histograms (O(1) memory over the service lifetime)
-/// and merges them exactly into the aggregate. Every event is mirrored to
-/// the process metrics registry.
+/// and merges them exactly into the aggregate. A metrics collector emits
+/// the per-class counters and histograms at scrape time.
 class ServiceStatsRecorder {
  public:
   ServiceStatsRecorder();
+  ~ServiceStatsRecorder();
 
   /// Why admission refused a request: overload shedding (the retryable
   /// signal bench overload sweeps count) vs. shutdown refusal (the service
@@ -111,22 +111,9 @@ class ServiceStatsRecorder {
     obs::LogHistogram latencies;
   };
 
-  /// Process-registry mirrors of one class's counters (cached pointers —
-  /// no registry lookup on the record path).
-  struct ClassMetrics {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* deadline_missed = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Histogram* queue_wait = nullptr;
-    obs::Histogram* latency = nullptr;
-  };
-
   mutable std::mutex mu_;
   std::array<ClassSamples, kNumPriorityClasses> classes_;
-  std::array<ClassMetrics, kNumPriorityClasses> metrics_;
+  size_t metrics_collector_ = 0;  ///< emits ms_service_* (under mu_)
 };
 
 }  // namespace masksearch

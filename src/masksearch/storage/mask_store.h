@@ -232,9 +232,12 @@ class MaskStore {
   virtual uint64_t masks_loaded() const { return masks_loaded_.load(); }
   /// \brief Cumulative bytes read from the data file(s).
   virtual uint64_t bytes_read() const { return bytes_read_.load(); }
+  /// \brief Zeroes the counters — and with them the ms_storage_* series
+  /// this store contributes to the metrics registry. Tests only.
   virtual void ResetCounters() {
     masks_loaded_.store(0);
     bytes_read_.store(0);
+    read_ops_.store(0);
   }
 
   DiskThrottle* throttle() const { return opts_.throttle.get(); }
@@ -254,6 +257,7 @@ class MaskStore {
   uint64_t total_data_bytes_ = 0;
   mutable std::atomic<uint64_t> masks_loaded_{0};
   mutable std::atomic<uint64_t> bytes_read_{0};
+  mutable std::atomic<uint64_t> read_ops_{0};  ///< physical read calls
 };
 
 /// \brief Manifest and data file names inside a store directory.

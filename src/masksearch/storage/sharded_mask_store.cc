@@ -9,30 +9,6 @@
 
 namespace masksearch {
 
-namespace {
-
-/// Process-wide read counters (docs/OBSERVABILITY.md), on top of the
-/// per-store masks_loaded_/bytes_read_ atomics. Registry pointers are
-/// stable, so the static cache is safe across ResetForTest.
-struct StorageMetrics {
-  obs::Counter* read_ops;      ///< physical read calls (one per run/blob)
-  obs::Counter* masks_loaded;  ///< masks materialized from disk
-  obs::Counter* bytes_read;
-  StorageMetrics() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    read_ops = reg.GetCounter("ms_storage_read_ops_total");
-    masks_loaded = reg.GetCounter("ms_storage_masks_loaded_total");
-    bytes_read = reg.GetCounter("ms_storage_read_bytes_total");
-  }
-};
-
-StorageMetrics& Metrics() {
-  static StorageMetrics m;
-  return m;
-}
-
-}  // namespace
-
 ShardedMaskStore::ShardedMaskStore(
     std::string dir, Options opts, StorageKind kind,
     std::vector<MaskMeta> metas, std::vector<uint64_t> offsets,
@@ -41,7 +17,20 @@ ShardedMaskStore::ShardedMaskStore(
     : MaskStore(std::move(dir), std::move(opts), kind, std::move(metas),
                 std::move(sizes)),
       offsets_(std::move(offsets)),
-      shards_(std::move(shards)) {}
+      shards_(std::move(shards)) {
+  // The one place physical reads are counted: decorators above this store
+  // (cache, tombstone filter) forward their counters here and emit none.
+  metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
+      [this](obs::MetricSink& sink) {
+        sink.Counter("ms_storage_read_ops_total", read_ops_.load());
+        sink.Counter("ms_storage_masks_loaded_total", masks_loaded());
+        sink.Counter("ms_storage_read_bytes_total", bytes_read());
+      });
+}
+
+ShardedMaskStore::~ShardedMaskStore() {
+  obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
+}
 
 Result<std::unique_ptr<MaskStore>> ShardedMaskStore::Create(
     const std::string& dir, const Options& opts, StorageKind kind,
@@ -99,9 +88,7 @@ Result<Mask> ShardedMaskStore::LoadMask(MaskId id) const {
   if (DiskThrottle* throttle = ThrottleFor(shard)) throttle->Acquire(nbytes);
   masks_loaded_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(nbytes, std::memory_order_relaxed);
-  Metrics().read_ops->Inc();
-  Metrics().masks_loaded->Inc();
-  Metrics().bytes_read->Inc(nbytes);
+  read_ops_.fetch_add(1, std::memory_order_relaxed);
   obs::Trace::CurrentAddCount("storage_bytes_read", nbytes);
 
   if (kind_ == StorageKind::kRawFloat32) {
@@ -213,8 +200,7 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     const uint64_t span = run_end - run_start;
     if (DiskThrottle* throttle = ThrottleFor(shard)) throttle->Acquire(span);
     bytes_read_.fetch_add(span, std::memory_order_relaxed);
-    Metrics().read_ops->Inc();
-    Metrics().bytes_read->Inc(span);
+    read_ops_.fetch_add(1, std::memory_order_relaxed);
     obs::Trace::CurrentAddCount("storage_bytes_read", span);
     MS_RETURN_NOT_OK(file.ReadVAt(run_start, std::move(slices)));
 
@@ -257,7 +243,6 @@ Result<std::vector<Mask>> ShardedMaskStore::LoadMaskBatch(
   });
 
   masks_loaded_.fetch_add(ids.size(), std::memory_order_relaxed);
-  Metrics().masks_loaded->Inc(ids.size());
 
   // Contiguous per-shard slices of `order`.
   struct ShardSlice {
@@ -312,9 +297,7 @@ Result<Mask> ShardedMaskStore::LoadMaskRows(MaskId id, int32_t y0,
   if (DiskThrottle* throttle = ThrottleFor(shard)) throttle->Acquire(nbytes);
   masks_loaded_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(nbytes, std::memory_order_relaxed);
-  Metrics().read_ops->Inc();
-  Metrics().masks_loaded->Inc();
-  Metrics().bytes_read->Inc(nbytes);
+  read_ops_.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<float> values(static_cast<size_t>(m.width) * (y1 - y0));
   MS_RETURN_NOT_OK(
@@ -328,8 +311,7 @@ Status ShardedMaskStore::ReadBlob(MaskId id, std::string* out) const {
   const int32_t shard = ShardOf(id);
   if (DiskThrottle* throttle = ThrottleFor(shard)) throttle->Acquire(nbytes);
   bytes_read_.fetch_add(nbytes, std::memory_order_relaxed);
-  Metrics().read_ops->Inc();
-  Metrics().bytes_read->Inc(nbytes);
+  read_ops_.fetch_add(1, std::memory_order_relaxed);
   out->resize(nbytes);
   return shards_[shard]->ReadAt(offsets_[id], nbytes, out->data());
 }

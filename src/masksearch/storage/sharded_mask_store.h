@@ -32,6 +32,8 @@ class ShardedMaskStore final : public MaskStore {
       int32_t num_shards, std::vector<MaskMeta> metas,
       std::vector<uint64_t> offsets, std::vector<uint64_t> sizes);
 
+  ~ShardedMaskStore() override;
+
   int32_t num_shards() const override {
     return static_cast<int32_t>(shards_.size());
   }
@@ -72,6 +74,8 @@ class ShardedMaskStore final : public MaskStore {
   /// One modeled device per shard (Options::throttle_per_shard); empty when
   /// all shards share Options::throttle.
   std::vector<std::shared_ptr<DiskThrottle>> shard_throttles_;
+  /// Emits the ms_storage_* read counters (docs/OBSERVABILITY.md).
+  size_t metrics_collector_ = 0;
 };
 
 /// \brief Rewrites the store at `src` into `dst_dir` with `num_shards` data

@@ -1,16 +1,21 @@
-// Catalog-layer tests: named datasets, the TTL'd metadata cache, and
-// prepared statements (docs/NETWORK.md).
+// Catalog-layer tests: named datasets (duplicate names, escaped metric
+// labels), the TTL'd metadata cache, and prepared statements
+// (docs/NETWORK.md).
 
 #include "masksearch/catalog/catalog.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "masksearch/catalog/metadata_cache.h"
 #include "masksearch/catalog/prepared.h"
 #include "masksearch/exec/session.h"
+#include "masksearch/obs/metrics.h"
 #include "masksearch/sql/binder.h"
 #include "masksearch/sql/parser.h"
 #include "tests/test_util.h"
@@ -280,6 +285,108 @@ TEST(CatalogTest, DuplicateNameIsAlreadyExists) {
                   .status()
                   .IsAlreadyExists());
   EXPECT_EQ(catalog.size(), 1u);
+}
+
+TEST(CatalogTest, DuplicateLiveNameFailsBeforeRecoveryTouchesTheStore) {
+  TempDir dir("cat_live_dup");
+  Catalog catalog;
+  LiveDatasetConfig config;
+  config.ingest.chi = SmallSession().chi;
+  config.ingest.num_shards = 2;
+  config.service.num_workers = 1;
+  Dataset* ds = catalog.RegisterLive("x", dir.path(), config).ValueOrDie();
+
+  // 64x64 float32 masks (16 KiB each) bypass the shard writers' stdio
+  // buffers: the unpublished appends sit in the shard files past the
+  // manifest — exactly the tail Ingestor::Open's recovery truncates.
+  Rng rng(17);
+  std::vector<Mask> masks;
+  for (int i = 0; i < 6; ++i) {
+    masks.push_back(testing_util::RandomMask(&rng, 64, 64));
+    MaskMeta meta;
+    meta.image_id = i;
+    meta.mask_type = MaskType::kSaliencyMap;
+    MS_ASSERT_OK(ds->Ingest(meta, masks.back()).status());
+  }
+  EXPECT_TRUE(catalog.RegisterLive("x", dir.path(), config)
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(catalog.size(), 1u);
+
+  MS_ASSERT_OK(ds->Publish());
+  std::shared_ptr<const Snapshot> snap = ds->snapshot();
+  ASSERT_EQ(snap->watermark(), 6);
+  for (int i = 0; i < 6; ++i) {
+    Result<Mask> got = snap->store().LoadMask(i);
+    MS_ASSERT_OK(got.status());
+    ASSERT_EQ(got->data().size(), masks[i].data().size());
+    EXPECT_EQ(std::memcmp(got->data().data(), masks[i].data().data(),
+                          masks[i].ByteSize()),
+              0)
+        << "mask " << i << " changed on disk";
+  }
+  catalog.ShutdownAll();
+}
+
+/// Decodes the label value starting right after an opening quote at
+/// `line[pos]` per the Prometheus text format; false when malformed.
+bool ParseLabelValue(const std::string& line, size_t pos, std::string* value,
+                     size_t* end) {
+  value->clear();
+  for (; pos < line.size(); ++pos) {
+    const char c = line[pos];
+    if (c == '"') {
+      *end = pos + 1;
+      return true;
+    }
+    if (c != '\\') {
+      *value += c;
+      continue;
+    }
+    if (++pos == line.size()) return false;
+    switch (line[pos]) {
+      case '\\':
+        *value += '\\';
+        break;
+      case '"':
+        *value += '"';
+        break;
+      case 'n':
+        *value += '\n';
+        break;
+      default:
+        return false;
+    }
+  }
+  return false;
+}
+
+TEST(CatalogTest, DatasetLabelIsEscapedInTheExposition) {
+  TempDir dir("cat_label");
+  { auto s = MakeStore(dir.path(), 4, 1, 16, 16); }
+  const std::string name = "a\"b\\c\nd";
+  Catalog catalog;
+  MS_ASSERT_OK(catalog.Register(name, dir.path(), SmallConfig()).status());
+
+  const std::string text = obs::MetricsRegistry::Default().PrometheusText();
+  const std::string prefix = "ms_cache_chi_resident{dataset=\"";
+  std::vector<std::string> decoded;
+  size_t line_start = 0;
+  while (line_start < text.size()) {
+    size_t eol = text.find('\n', line_start);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string line = text.substr(line_start, eol - line_start);
+    line_start = eol + 1;
+    if (line.rfind(prefix, 0) != 0) continue;
+    std::string value;
+    size_t end = 0;
+    ASSERT_TRUE(ParseLabelValue(line, prefix.size(), &value, &end)) << line;
+    ASSERT_EQ(line.substr(end, 2), "} ") << line;
+    decoded.push_back(value);
+  }
+  EXPECT_NE(std::find(decoded.begin(), decoded.end(), name), decoded.end())
+      << text;
+  catalog.ShutdownAll();
 }
 
 TEST(CatalogTest, OpenFailureRegistersNothing) {

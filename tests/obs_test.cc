@@ -1,13 +1,17 @@
 // Unit tests for obs/: LogHistogram percentile math against a sorted
-// reference, the sharded metrics registry and its expositions, trace span
-// aggregation + deterministic sampling, the slow-query log ring, and the
-// trace recorder's line format round-trip.
+// reference, the metrics registry's collector merging, retention, removal
+// protocol, and expositions, trace span aggregation + deterministic
+// sampling, the slow-query log ring, and the trace recorder's line format
+// round-trip.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -118,58 +122,41 @@ TEST(LogHistogramTest, BucketIndexRespectsBounds) {
   }
 }
 
-// --- metrics instruments ---------------------------------------------------
+// --- metrics registry ------------------------------------------------------
 
-TEST(MetricsTest, CounterSumsAcrossThreads) {
-  Counter c;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < 10000; ++i) c.Inc();
-    });
+/// Value of the sample named `name`, or -1 (with a test failure) if absent.
+double SampleValue(const std::vector<MetricsRegistry::Sample>& samples,
+                   const std::string& name) {
+  for (const auto& s : samples) {
+    if (s.name == name) return s.value;
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c.Value(), 80000u);
+  ADD_FAILURE() << "no sample named " << name;
+  return -1;
 }
 
-TEST(MetricsTest, GaugeSetAddValue) {
-  Gauge g;
-  g.Set(2.5);
-  g.Add(1.5);
-  EXPECT_DOUBLE_EQ(g.Value(), 4.0);
-}
-
-TEST(MetricsTest, HistogramShardsMergeAtSnapshot) {
-  Histogram h;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&h] {
-      for (int i = 0; i < 1000; ++i) h.Observe(0.001 * (1 + i % 100));
-    });
+bool HasSample(const std::vector<MetricsRegistry::Sample>& samples,
+               const std::string& name) {
+  for (const auto& s : samples) {
+    if (s.name == name) return true;
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(h.Snapshot().count(), 8000u);
+  return false;
 }
 
-TEST(MetricsRegistryTest, StablePointersAndSamples) {
+TEST(MetricsRegistryTest, SamplesFlattenCollectorEmissions) {
   MetricsRegistry reg;
-  Counter* c = reg.GetCounter("ms_test_total");
-  EXPECT_EQ(c, reg.GetCounter("ms_test_total"));
-  c->Inc(3);
-  reg.GetGauge("ms_test_gauge")->Set(1.5);
-  reg.GetHistogram("ms_test_seconds")->Observe(0.25);
+  LogHistogram h;
+  h.Record(0.25);
+  reg.AddCollector([&](MetricSink& sink) {
+    sink.Counter("ms_test_total", 3);
+    sink.Gauge("ms_test_gauge", 1.5);
+    sink.Histogram("ms_test_seconds", h);
+  });
 
   const auto samples = reg.Samples();
-  auto value_of = [&](const std::string& name) -> double {
-    for (const auto& s : samples) {
-      if (s.name == name) return s.value;
-    }
-    ADD_FAILURE() << "no sample named " << name;
-    return -1;
-  };
-  EXPECT_DOUBLE_EQ(value_of("ms_test_total"), 3.0);
-  EXPECT_DOUBLE_EQ(value_of("ms_test_gauge"), 1.5);
-  EXPECT_DOUBLE_EQ(value_of("ms_test_seconds.count"), 1.0);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_test_total"), 3.0);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_test_gauge"), 1.5);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_test_seconds.count"), 1.0);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_test_seconds.p50"), 0.25);
   EXPECT_TRUE(std::is_sorted(
       samples.begin(), samples.end(),
       [](const auto& a, const auto& b) { return a.name < b.name; }));
@@ -177,8 +164,10 @@ TEST(MetricsRegistryTest, StablePointersAndSamples) {
 
 TEST(MetricsRegistryTest, PrometheusTextGroupsLabeledSeries) {
   MetricsRegistry reg;
-  reg.GetCounter("ms_req_total{class=\"interactive\"}")->Inc(2);
-  reg.GetCounter("ms_req_total{class=\"batch\"}")->Inc(5);
+  reg.AddCollector([](MetricSink& sink) {
+    sink.Counter("ms_req_total" + Label("class", "interactive"), 2);
+    sink.Counter("ms_req_total" + Label("class", "batch"), 5);
+  });
   const std::string text = reg.PrometheusText();
   // One TYPE line for the base name; both labeled series present.
   EXPECT_EQ(text.find("# TYPE ms_req_total counter"),
@@ -190,8 +179,10 @@ TEST(MetricsRegistryTest, PrometheusTextGroupsLabeledSeries) {
 
 TEST(MetricsRegistryTest, JsonExpositionIsFlat) {
   MetricsRegistry reg;
-  reg.GetCounter("ms_a_total")->Inc(7);
-  reg.GetGauge("ms_b")->Set(0.5);
+  reg.AddCollector([](MetricSink& sink) {
+    sink.Counter("ms_a_total", 7);
+    sink.Gauge("ms_b", 0.5);
+  });
   const std::string json = reg.Json();
   EXPECT_NE(json.find("\"ms_a_total\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"ms_b\": 0.5"), std::string::npos);
@@ -199,21 +190,133 @@ TEST(MetricsRegistryTest, JsonExpositionIsFlat) {
   EXPECT_EQ(json.back(), '\n');
 }
 
-TEST(MetricsRegistryTest, CollectorsRunAtScrapeAndRemoveCleanly) {
+TEST(MetricsRegistryTest, SameNamedSamplesAddAndHistogramsMergeExactly) {
   MetricsRegistry reg;
-  Gauge* g = reg.GetGauge("ms_collected");
-  int scrapes = 0;
-  const size_t handle = reg.AddCollector([&] {
-    ++scrapes;
-    g->Set(static_cast<double>(scrapes));
+  LogHistogram a, b, both;
+  for (int i = 1; i <= 50; ++i) {
+    a.Record(0.001 * i);
+    both.Record(0.001 * i);
+  }
+  for (int i = 1; i <= 30; ++i) {
+    b.Record(0.1 * i);
+    both.Record(0.1 * i);
+  }
+  reg.AddCollector([&](MetricSink& sink) {
+    sink.Counter("ms_x_total", 4);
+    sink.Gauge("ms_x_resident", 1.0);
+    sink.Histogram("ms_x_seconds", a);
   });
+  reg.AddCollector([&](MetricSink& sink) {
+    sink.Counter("ms_x_total", 6);
+    sink.Gauge("ms_x_resident", 2.5);
+    sink.Histogram("ms_x_seconds", b);
+  });
+  const auto samples = reg.Samples();
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_x_total"), 10.0);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_x_resident"), 3.5);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_x_seconds.count"), 80.0);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_x_seconds.p95"),
+                   both.Percentile(0.95));
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_x_seconds.max"), both.max());
+}
+
+TEST(MetricsRegistryTest, RemovedCollectorKeepsCountersAndDropsGauges) {
+  MetricsRegistry reg;
+  int runs = 0;
+  uint64_t count = 0;
+  LogHistogram h;
+  const size_t handle = reg.AddCollector([&](MetricSink& sink) {
+    ++runs;
+    sink.Counter("ms_gone_total", count);
+    sink.Gauge("ms_gone_resident", 9.0);
+    sink.Histogram("ms_gone_seconds", h);
+  });
+  count = 5;
+  h.Record(0.5);
   (void)reg.Samples();
   (void)reg.PrometheusText();
-  EXPECT_EQ(scrapes, 2);
-  EXPECT_DOUBLE_EQ(g->Value(), 2.0);
+  EXPECT_EQ(runs, 2);
+
+  // The last values are read at removal, after any activity since the
+  // previous scrape.
+  count = 7;
+  h.Record(1.5);
   reg.RemoveCollector(handle);
-  (void)reg.Samples();
-  EXPECT_EQ(scrapes, 2);
+  EXPECT_EQ(runs, 3);
+  const auto samples = reg.Samples();
+  EXPECT_EQ(runs, 3);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_gone_total"), 7.0);
+  EXPECT_DOUBLE_EQ(SampleValue(samples, "ms_gone_seconds.count"), 2.0);
+  EXPECT_FALSE(HasSample(samples, "ms_gone_resident"));
+
+  // A successor under the same name adds to the retained total.
+  reg.AddCollector(
+      [](MetricSink& sink) { sink.Counter("ms_gone_total", 1); });
+  EXPECT_DOUBLE_EQ(SampleValue(reg.Samples(), "ms_gone_total"), 8.0);
+  reg.RemoveCollector(handle);  // unknown handle: no-op
+}
+
+TEST(MetricsRegistryTest, RemoveCollectorWaitsForInFlightRun) {
+  MetricsRegistry reg;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> runs{0};
+  std::atomic<bool> finished{false};
+  const size_t handle = reg.AddCollector([&](MetricSink& sink) {
+    if (runs.fetch_add(1) == 0) {
+      entered.set_value();
+      released.wait();  // the scrape blocks inside the collector
+    }
+    sink.Counter("ms_blocked_total", 1);
+    finished.store(true);
+  });
+
+  std::thread scraper([&] { (void)reg.Samples(); });
+  entered.get_future().wait();
+  std::atomic<bool> removed{false};
+  bool finished_at_return = false;
+  std::thread remover([&] {
+    reg.RemoveCollector(handle);
+    finished_at_return = finished.load();
+    removed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(removed.load())
+      << "RemoveCollector returned while its collector was still running";
+  release.set_value();
+  remover.join();
+  scraper.join();
+  EXPECT_TRUE(finished_at_return);
+}
+
+TEST(MetricsRegistryTest, CountersNeverDropWhileCollectorsComeAndGo) {
+  MetricsRegistry reg;
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    while (!stop.load()) {
+      const size_t h = reg.AddCollector(
+          [](MetricSink& sink) { sink.Counter("ms_churn_total", 1); });
+      reg.RemoveCollector(h);
+    }
+  });
+  double last = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const auto samples = reg.Samples();
+    double now = 0;
+    for (const auto& s : samples) {
+      if (s.name == "ms_churn_total") now = s.value;
+    }
+    ASSERT_GE(now, last) << "a counter moved backwards at scrape " << i;
+    last = now;
+  }
+  stop.store(true);
+  churn.join();
+}
+
+TEST(MetricsRegistryTest, LabelEscapesPerTextFormat) {
+  EXPECT_EQ(Label("dataset", "plain"), "{dataset=\"plain\"}");
+  EXPECT_EQ(Label("dataset", "a\"b\\c\nd"), "{dataset=\"a\\\"b\\\\c\\nd\"}");
 }
 
 // --- tracing ---------------------------------------------------------------

@@ -1,22 +1,29 @@
 // Cross-layer observability integration tests (docs/OBSERVABILITY.md):
 // trace-id propagation over real sockets into the server's slow-query log,
 // span accounting (queue + exec partition the request's life), metrics
-// exposure over the wire, and the record -> replay round trip reproducing
-// a live session's request count and per-class mix exactly.
+// exposure over the wire, scrape parity (every layer's series family is
+// exposed; destroyed components keep their counts), and the record ->
+// replay round trip reproducing a live session's request count and
+// per-class mix exactly.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "masksearch/catalog/catalog.h"
+#include "masksearch/catalog/prepared.h"
 #include "masksearch/catalog/trace_replay.h"
 #include "masksearch/net/client.h"
 #include "masksearch/net/server.h"
 #include "masksearch/obs/metrics.h"
 #include "masksearch/obs/recorder.h"
 #include "masksearch/obs/slow_query_log.h"
+#include "masksearch/replica/replica_group.h"
+#include "masksearch/replica/router.h"
+#include "masksearch/sql/binder.h"
 #include "tests/test_util.h"
 
 namespace masksearch {
@@ -229,6 +236,169 @@ TEST_F(TraceReplayTest, ReplayCountsUnparseableLinesAsFailed) {
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 1u);
+}
+
+// --- scrape parity ---------------------------------------------------------
+// Components keep their own stats and the registry reads them at scrape
+// time (docs/OBSERVABILITY.md). These pin the exposed series set and the
+// process-lifetime totals across component teardown.
+
+/// Value of sample `name` in the default registry (0 when absent).
+double ScrapeValue(const std::string& name) {
+  for (const auto& s : obs::MetricsRegistry::Default().Samples()) {
+    if (s.name == name) return s.value;
+  }
+  return 0;
+}
+
+RoutedRequest RoutedFilter(const std::string& sql) {
+  RoutedRequest routed;
+  routed.sqltext = sql;
+  routed.service.query = RequestFromBound(sql::ParseAndBind(sql).ValueOrDie());
+  return routed;
+}
+
+TEST_F(TraceReplayTest, ScrapeExposesEverySeriesFamily) {
+  // Net + service + storage + cache: wire queries against the cached
+  // dataset, plus one direct load so the storage layer is read for sure.
+  auto client = Connect();
+  for (int i = 0; i < 3; ++i) {
+    MS_ASSERT_OK(client->Query("main", kFilterSql).status());
+  }
+  MS_ASSERT_OK(dataset_->store().LoadMask(1).status());
+
+  // Ingest + maintain + live epoch: a live dataset with a delete and a
+  // compaction.
+  LiveDatasetConfig live_config;
+  live_config.ingest.chi.cell_width = live_config.ingest.chi.cell_height = 8;
+  live_config.ingest.chi.num_bins = 8;
+  live_config.ingest.cache_budget_bytes = 4u << 20;
+  live_config.service.num_workers = 1;
+  Dataset* live =
+      catalog_.RegisterLive("live", dir_->file("live"), live_config)
+          .ValueOrDie();
+  Rng rng(3);
+  for (int i = 0; i < 6; ++i) {
+    MaskMeta meta;
+    meta.image_id = i;
+    MS_ASSERT_OK(
+        live->Ingest(meta, testing_util::BlobMask(&rng, 16, 16)).status());
+  }
+  MS_ASSERT_OK(live->Publish());
+  MS_ASSERT_OK(live->Delete(0));
+  MS_ASSERT_OK(live->Publish());
+  MS_ASSERT_OK(live->Compact());
+
+  // Replica: one routed request through a one-replica group.
+  ReplicaGroup group;
+  ReplicaConfig replica_config;
+  replica_config.service.num_workers = 1;
+  MS_ASSERT_OK(group.AddInProcess("r", dir_->path(), replica_config, 1));
+  Router router(&group);
+  MS_ASSERT_OK(router.Execute(RoutedFilter(kFilterSql)).status());
+
+  // Leading newline: every TYPE line, the first included, is "\n# TYPE".
+  const std::string text =
+      "\n" + obs::MetricsRegistry::Default().PrometheusText();
+  const std::vector<std::pair<std::string, std::string>> families = {
+      {"ms_storage_read_ops_total", "counter"},
+      {"ms_storage_masks_loaded_total", "counter"},
+      {"ms_storage_read_bytes_total", "counter"},
+      {"ms_cache_mask_hits_total", "counter"},
+      {"ms_cache_mask_misses_total", "counter"},
+      {"ms_cache_buffer_pool_hit_ratio", "gauge"},
+      {"ms_cache_buffer_pool_resident_bytes", "gauge"},
+      {"ms_cache_chi_resident", "gauge"},
+      {"ms_service_submitted_total", "counter"},
+      {"ms_service_rejected_total", "counter"},
+      {"ms_service_completed_total", "counter"},
+      {"ms_service_deadline_missed_total", "counter"},
+      {"ms_service_cancelled_total", "counter"},
+      {"ms_service_failed_total", "counter"},
+      {"ms_service_queue_wait_seconds", "summary"},
+      {"ms_service_latency_seconds", "summary"},
+      {"ms_replica_routed_total", "counter"},
+      {"ms_replica_succeeded_total", "counter"},
+      {"ms_replica_retries_total", "counter"},
+      {"ms_replica_failovers_total", "counter"},
+      {"ms_replica_shed_total", "counter"},
+      {"ms_replica_faults_injected_total", "counter"},
+      {"ms_replica_health_transitions_total", "counter"},
+      {"ms_ingest_masks_appended_total", "counter"},
+      {"ms_ingest_bytes_appended_total", "counter"},
+      {"ms_ingest_epochs_published_total", "counter"},
+      {"ms_ingest_visible_masks", "gauge"},
+      {"ms_maintain_compactions_total", "counter"},
+      {"ms_maintain_compactions_failed_total", "counter"},
+      {"ms_maintain_bytes_copied_total", "counter"},
+      {"ms_maintain_dead_bytes_reclaimed_total", "counter"},
+      {"ms_maintain_swap_pause_seconds", "summary"},
+      {"ms_net_requests_total", "counter"},
+      {"ms_live_epoch", "gauge"},
+  };
+  ASSERT_EQ(families.size(), 34u);
+  for (const auto& [name, type] : families) {
+    EXPECT_NE(text.find("\n# TYPE " + name + " " + type + "\n"),
+              std::string::npos)
+        << name << " (" << type << ") missing from the scrape";
+  }
+  // Labelled families carry their labels.
+  EXPECT_NE(text.find("ms_live_epoch{dataset=\"live\"} 3\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("ms_cache_buffer_pool_hit_ratio{dataset=\"main\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("ms_service_completed_total{class=\"normal\"}"),
+            std::string::npos);
+
+  router.Shutdown();
+  group.StopAll();
+}
+
+TEST(ScrapeRetentionTest, DestroyedComponentsKeepTheirCounts) {
+  TempDir dir("scrape_retention");
+  { auto s = MakeStore(dir.path(), 8, 1, 16, 16); }
+
+  // Two stores load masks; one is destroyed before the scrape. The series
+  // still equals the sum of both stores' own counters.
+  const double loaded_before = ScrapeValue("ms_storage_masks_loaded_total");
+  auto a = MaskStore::Open(dir.path()).ValueOrDie();
+  uint64_t b_loaded = 0;
+  {
+    auto b = MaskStore::Open(dir.path()).ValueOrDie();
+    MS_ASSERT_OK(a->LoadMaskBatch({0, 1, 2}).status());
+    MS_ASSERT_OK(b->LoadMask(3).status());
+    MS_ASSERT_OK(b->LoadMaskBatch({4, 5, 5}).status());
+    b_loaded = b->masks_loaded();
+  }
+  EXPECT_EQ(b_loaded, 4u);
+  EXPECT_DOUBLE_EQ(
+      ScrapeValue("ms_storage_masks_loaded_total") - loaded_before,
+      static_cast<double>(a->masks_loaded() + b_loaded));
+
+  // A service's completions survive the service.
+  const std::string completed =
+      "ms_service_completed_total" +
+      obs::Label("class", PriorityClassToString(PriorityClass::kBatch));
+  const double completed_before = ScrapeValue(completed);
+  double completed_live = 0;
+  {
+    Catalog catalog;
+    DatasetConfig config;
+    config.session.chi.cell_width = config.session.chi.cell_height = 8;
+    config.session.chi.num_bins = 8;
+    config.service.num_workers = 1;
+    Dataset* d = catalog.Register("retained", dir.path(), config).ValueOrDie();
+    const auto bound = sql::ParseAndBind(kFilterSql).ValueOrDie();
+    for (int i = 0; i < 3; ++i) {
+      ServiceRequest req;
+      req.priority = PriorityClass::kBatch;
+      req.query = RequestFromBound(bound);
+      MS_ASSERT_OK(d->service()->Execute(std::move(req)).status());
+    }
+    completed_live = ScrapeValue(completed);
+    EXPECT_DOUBLE_EQ(completed_live, completed_before + 3);
+  }
+  EXPECT_DOUBLE_EQ(ScrapeValue(completed), completed_live);
 }
 
 }  // namespace

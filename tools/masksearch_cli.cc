@@ -1129,8 +1129,8 @@ int RunStats(const Args& args) {
   }
   if (served) PrintServiceStats(service_stats);
 
-  // --metrics dumps the process-wide registry (every layer the commands
-  // above exercised recorded into it); --json switches the exposition.
+  // --metrics dumps the process-wide registry (a scrape of every component
+  // the commands above opened); --json switches the exposition.
   if (args.Has("metrics")) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
     const std::string text = args.Has("json") ? reg.Json()
@@ -1163,7 +1163,7 @@ int RunStats(const Args& args) {
           obs::MetricsRegistry::Default().Samples();
       std::printf("-- watch tick %lld\n", static_cast<long long>(tick + 1));
       // Samples() is sorted by name; walk both snapshots in step. A name
-      // only in `cur` is a new instrument (delta = its whole value).
+      // only in `cur` is a new series (delta = its whole value).
       size_t i = 0;
       for (const obs::MetricsRegistry::Sample& sample : cur) {
         while (i < prev.size() && prev[i].name < sample.name) ++i;
