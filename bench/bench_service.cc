@@ -756,7 +756,8 @@ void Run(const BenchFlags& flags) {
     ropts.open_loop = false;
     ropts.closed_loop_clients = 4;
     const ReplayStats rstats =
-        ReplayTraceFile(&catalog, trace_path, ropts).ValueOrDie();
+        ReplayTrace(&catalog, obs::LoadTrace(trace_path).ValueOrDie(), ropts)
+            .ValueOrDie();
     bool mix_exact = rstats.submitted == n_record;
     for (size_t c = 0; c < kNumPriorityClasses; ++c) {
       if (rstats.by_class[c] != sent_by_class[c]) mix_exact = false;

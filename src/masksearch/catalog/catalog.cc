@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "masksearch/common/io.h"
 #include "masksearch/obs/metrics.h"
 
 namespace masksearch {
@@ -137,18 +136,10 @@ Result<std::unique_ptr<Dataset>> Catalog::OpenLiveDataset(
   auto dataset = std::unique_ptr<Dataset>(new Dataset());
   dataset->name_ = name;
   dataset->dir_ = dir;
-  // Resume an existing store (with torn-tail recovery) when a manifest is
-  // already there; otherwise start a fresh empty one at epoch 0. A
-  // compacted store keeps its manifest under the current generation's
-  // directory, so the probe has to resolve the generation sidecar first.
-  MS_ASSIGN_OR_RETURN(const int64_t gen, ReadStoreGeneration(dir));
-  if (PathExists(MaskStoreManifestPath(GenerationDir(dir, gen)))) {
-    MS_ASSIGN_OR_RETURN(dataset->ingestor_,
-                        Ingestor::Open(dir, config.ingest));
-  } else {
-    MS_ASSIGN_OR_RETURN(dataset->ingestor_,
-                        Ingestor::Create(dir, config.ingest));
-  }
+  // Resume an existing store (with torn-tail recovery) or start a fresh
+  // empty one at epoch 0.
+  MS_ASSIGN_OR_RETURN(dataset->ingestor_,
+                      Ingestor::OpenOrCreate(dir, config.ingest));
   dataset->scheduler_ = std::make_unique<MaintenanceScheduler>(
       dataset->ingestor_.get(), config.maintain);
   if (config.start_maintenance) dataset->scheduler_->Start();

@@ -309,6 +309,18 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Open(const std::string& dir,
   return ing;
 }
 
+Result<bool> Ingestor::StoreExists(const std::string& dir) {
+  MS_ASSIGN_OR_RETURN(const int64_t gen, ReadStoreGeneration(dir));
+  return PathExists(MaskStoreManifestPath(GenerationDir(dir, gen)));
+}
+
+Result<std::unique_ptr<Ingestor>> Ingestor::OpenOrCreate(
+    const std::string& dir, const IngestorOptions& opts, bool* resumed) {
+  MS_ASSIGN_OR_RETURN(const bool exists, StoreExists(dir));
+  if (resumed != nullptr) *resumed = exists;
+  return exists ? Open(dir, opts) : Create(dir, opts);
+}
+
 Result<MaskId> Ingestor::AppendEncoded(MaskMeta meta,
                                        const std::string& payload,
                                        MaskId* visible_id,

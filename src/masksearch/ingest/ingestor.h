@@ -214,6 +214,18 @@ class Ingestor {
   static Result<std::unique_ptr<Ingestor>> Open(const std::string& dir,
                                                 const IngestorOptions& opts);
 
+  /// \brief Open when StoreExists(dir), else Create; `*resumed` (if given)
+  /// says which. Probe errors propagate, so an unreadable generation
+  /// sidecar never turns into a Create that wipes the store.
+  static Result<std::unique_ptr<Ingestor>> OpenOrCreate(
+      const std::string& dir, const IngestorOptions& opts,
+      bool* resumed = nullptr);
+
+  /// \brief The generation-aware resume probe: whether the generation the
+  /// sidecar names (gen-<g>/ once compacted) has a manifest. A corrupt
+  /// sidecar is a typed Corruption, not "no store".
+  static Result<bool> StoreExists(const std::string& dir);
+
   ~Ingestor();
 
   Ingestor(const Ingestor&) = delete;

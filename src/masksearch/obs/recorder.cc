@@ -1,10 +1,13 @@
 #include "masksearch/obs/recorder.h"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
 #include "masksearch/common/io.h"
+#include "masksearch/common/priority_class.h"
 
 namespace masksearch {
 namespace obs {
@@ -17,6 +20,71 @@ std::string FormatDouble(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+Status BadValue(const std::string& key, const std::string& value) {
+  return Status::Corruption("bad " + key + " value '" + value + "'");
+}
+
+/// Whole-string finite double; false on an empty value or trailing bytes.
+bool ParseDouble(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (*end != '\0' || errno != 0 || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// Whole-string non-negative decimal integer.
+bool ParseCount(const std::string& s, uint64_t* out) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno != 0) return false;
+  *out = v;
+  return true;
+}
+
+/// Applies one `key=value` pair (any key but sql) to `r`.
+Status ParseField(const std::string& key, const std::string& value,
+                  RecordedRequest* r) {
+  uint64_t count = 0;
+  if (key == "at_ms") {
+    if (!ParseDouble(value, &r->at_ms)) return BadValue(key, value);
+  } else if (key == "dataset") {
+    r->dataset = value;
+  } else if (key == "tenant") {
+    if (!ParseCount(value, &count) ||
+        count > static_cast<uint64_t>(INT64_MAX)) {
+      return BadValue(key, value);
+    }
+    r->tenant = static_cast<int64_t>(count);
+  } else if (key == "class") {
+    if (!ParsePriorityClass(value).ok()) return BadValue(key, value);
+    r->priority_class = value;
+  } else if (key == "deadline_ms") {
+    if (!ParseDouble(value, &r->deadline_ms)) return BadValue(key, value);
+  } else if (key == "trace") {
+    if (!ParseCount(value, &r->trace_id)) return BadValue(key, value);
+  } else if (key == "params") {
+    size_t p = 0;
+    while (p <= value.size()) {
+      size_t comma = value.find(',', p);
+      if (comma == std::string::npos) comma = value.size();
+      double v = 0;
+      if (!ParseDouble(value.substr(p, comma - p), &v)) {
+        return BadValue(key, value);
+      }
+      r->params.push_back(v);
+      p = comma + 1;
+    }
+  } else {
+    return Status::Corruption("unknown trace line key '" + key + "'");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -81,8 +149,8 @@ std::string EncodeRecordedRequest(const RecordedRequest& r) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", r.at_ms);
   std::string line = std::string("at_ms=") + buf;
-  line += " dataset=" + r.dataset;
-  line += " tenant=" + std::to_string(r.tenant);
+  if (!r.dataset.empty()) line += " dataset=" + r.dataset;
+  if (r.tenant >= 0) line += " tenant=" + std::to_string(r.tenant);
   line += " class=" + r.priority_class;
   if (r.deadline_ms != 0) line += " deadline_ms=" + FormatDouble(r.deadline_ms);
   if (r.trace_id != 0) line += " trace=" + std::to_string(r.trace_id);
@@ -101,58 +169,27 @@ std::string EncodeRecordedRequest(const RecordedRequest& r) {
 
 Result<RecordedRequest> ParseRecordedRequest(const std::string& line) {
   RecordedRequest r;
-  bool saw_sql = false;
   size_t pos = 0;
   while (pos < line.size()) {
     while (pos < line.size() && line[pos] == ' ') ++pos;
     if (pos >= line.size()) break;
+    size_t end = line.find(' ', pos);
+    if (end == std::string::npos) end = line.size();
     const size_t eq = line.find('=', pos);
-    if (eq == std::string::npos) {
+    if (eq == std::string::npos || eq > end) {
       return Status::Corruption("trace line token without '=': " +
-                                line.substr(pos));
+                                line.substr(pos, end - pos));
     }
     const std::string key = line.substr(pos, eq - pos);
     if (key == "sql") {
       r.sql = line.substr(eq + 1);
-      saw_sql = true;
-      break;
+      if (r.sql.empty()) break;
+      return r;
     }
-    size_t end = line.find(' ', eq + 1);
-    if (end == std::string::npos) end = line.size();
-    const std::string value = line.substr(eq + 1, end - eq - 1);
-    if (key == "at_ms") {
-      r.at_ms = std::strtod(value.c_str(), nullptr);
-    } else if (key == "dataset") {
-      r.dataset = value;
-    } else if (key == "tenant") {
-      r.tenant = std::strtoll(value.c_str(), nullptr, 10);
-    } else if (key == "class") {
-      r.priority_class = value;
-    } else if (key == "deadline_ms") {
-      r.deadline_ms = std::strtod(value.c_str(), nullptr);
-    } else if (key == "trace") {
-      r.trace_id = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "params") {
-      size_t p = 0;
-      while (p < value.size()) {
-        size_t comma = value.find(',', p);
-        if (comma == std::string::npos) comma = value.size();
-        r.params.push_back(
-            std::strtod(value.substr(p, comma - p).c_str(), nullptr));
-        p = comma + 1;
-      }
-    } else {
-      return Status::Corruption("unknown trace line key '" + key + "'");
-    }
+    MS_RETURN_NOT_OK(ParseField(key, line.substr(eq + 1, end - eq - 1), &r));
     pos = end;
   }
-  if (!saw_sql || r.sql.empty()) {
-    return Status::Corruption("trace line without sql=: " + line);
-  }
-  if (r.dataset.empty()) {
-    return Status::Corruption("trace line without dataset=: " + line);
-  }
-  return r;
+  return Status::Corruption("trace line without sql=: " + line);
 }
 
 Result<std::vector<RecordedRequest>> LoadTrace(const std::string& path) {
@@ -167,7 +204,8 @@ Result<std::vector<RecordedRequest>> LoadTrace(const std::string& path) {
     std::string line = contents.substr(pos, nl - pos);
     pos = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
+    const size_t first = line.find_first_not_of(" \t");
+    if (first == std::string::npos || line[first] == '#') continue;
     auto parsed = ParseRecordedRequest(line);
     if (!parsed.ok()) {
       return Status::Corruption("trace '" + path + "' line " +

@@ -1,19 +1,23 @@
-// Trace recorder / replayer file format (docs/OBSERVABILITY.md).
+// Trace file format and recorder (docs/OBSERVABILITY.md).
 //
-// A TraceRecorder captures a live serve session as a replayable workload:
-// one text line per admitted request, carrying everything needed to
+// A trace file is the one workload format every replay reads: a recorded
+// serve session and a hand-written `masksearch_cli serve --script` are the
+// same thing. One text line per request, carrying what is needed to
 // re-issue it — arrival offset, dataset, tenant, priority class, deadline,
-// the client trace id, bound parameters, and the SQL text. The format
-// extends the `masksearch_cli serve --script` directive syntax:
+// the client trace id, bound parameters, and the SQL text:
 //
 //   # masksearch-trace v1
 //   at_ms=12.345 dataset=default tenant=3 class=interactive
 //       deadline_ms=250 trace=7 params=0.8,1 sql=SELECT ...
 //
-// (one physical line per request; `params=` is omitted when the request
-// bound none; `sql=` is always last and runs to end of line, so SQL may
-// contain spaces and '='). The recorder stamps `at_ms` itself from its own
-// steady clock, so replay reproduces the recorded arrival process.
+// (one physical line per request). Only `sql=` is required; it is always
+// last and runs to end of line, so SQL may contain spaces and '='. Omitted
+// keys default: `at_ms` 0, `dataset` the replay's target dataset, `tenant`
+// unset (the replayer picks one), `class` normal, no deadline, no trace id,
+// no params. Every value is validated — a malformed number or an unknown
+// class is a typed Corruption naming the key. The recorder stamps `at_ms`
+// itself from its own steady clock, so replay reproduces the recorded
+// arrival process.
 //
 // The replayer lives in the catalog layer (catalog/trace_replay.h), which
 // can bind SQL and submit to services; this file is pure format + I/O so
@@ -39,8 +43,8 @@ namespace obs {
 /// parsed back by LoadTrace.
 struct RecordedRequest {
   double at_ms = 0;  ///< arrival offset from session start
-  std::string dataset;
-  int64_t tenant = 0;
+  std::string dataset;  ///< empty = the replay's target dataset
+  int64_t tenant = -1;  ///< -1 = unset (the replayer assigns one)
   std::string priority_class = "normal";
   double deadline_ms = 0;  ///< 0 = service default, negative = none
   uint64_t trace_id = 0;
@@ -87,9 +91,9 @@ std::string EncodeRecordedRequest(const RecordedRequest& r);
 /// \brief Parses one trace-file line (no comment/blank handling).
 Result<RecordedRequest> ParseRecordedRequest(const std::string& line);
 
-/// \brief Loads a recorded session. Blank lines and '#' comments are
-/// skipped; a malformed request line is a typed Corruption naming the line
-/// number.
+/// \brief Loads a trace file (a recorded session or a hand-written
+/// script). Blank lines and '#' comments are skipped; a malformed request
+/// line is a typed Corruption naming the line number.
 Result<std::vector<RecordedRequest>> LoadTrace(const std::string& path);
 
 }  // namespace obs

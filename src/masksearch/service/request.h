@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "masksearch/common/priority_class.h"
 #include "masksearch/common/result.h"
 #include "masksearch/exec/query_spec.h"
 
@@ -23,37 +24,6 @@ namespace masksearch {
 /// Tenants within one priority class share dispatch slots round-robin; one
 /// tenant flooding the queue cannot starve the others.
 using TenantId = int64_t;
-
-/// \brief Dispatch priority of a request. Classes share the worker pool by
-/// weighted deficit round-robin (QueryServiceOptions::class_weights):
-/// higher classes get proportionally more dispatch slots while backlogged,
-/// and no class starves.
-enum class PriorityClass : uint8_t {
-  kInteractive = 0,  ///< latency-sensitive (dashboards, §4.5 exploration)
-  kNormal = 1,       ///< default
-  kBatch = 2,        ///< throughput work (bulk audits, index warming)
-};
-constexpr size_t kNumPriorityClasses = 3;
-
-inline const char* PriorityClassToString(PriorityClass c) {
-  switch (c) {
-    case PriorityClass::kInteractive:
-      return "interactive";
-    case PriorityClass::kNormal:
-      return "normal";
-    case PriorityClass::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
-
-/// \brief Parses "interactive" / "normal" / "batch" (CLI scripts, flags).
-inline Result<PriorityClass> ParsePriorityClass(const std::string& s) {
-  if (s == "interactive") return PriorityClass::kInteractive;
-  if (s == "normal") return PriorityClass::kNormal;
-  if (s == "batch") return PriorityClass::kBatch;
-  return Status::InvalidArgument("unknown priority class: " + s);
-}
 
 /// \brief One query of any executor kind. Exactly the member named by
 /// `kind` is meaningful; the factory functions keep construction terse.

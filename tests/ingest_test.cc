@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "masksearch/catalog/catalog.h"
+#include "masksearch/common/io.h"
 #include "masksearch/ingest/ingestor.h"
 #include "masksearch/service/query_service.h"
 #include "masksearch/workload/query_gen.h"
@@ -208,6 +209,64 @@ TEST(IngestTest, OpenResumesAtLastDurableEpoch) {
   MS_ASSERT_OK(reopened->Publish());
   EXPECT_EQ(reopened->epoch(), 3);
   EXPECT_EQ(reopened->watermark(), 30);
+}
+
+TEST(IngestTest, OpenOrCreateResumesOrCreates) {
+  TempDir dir("ingest_open_or_create");
+  Rng rng(59);
+  bool resumed = true;
+  {
+    auto created = Ingestor::OpenOrCreate(dir.path(), TestIngestOptions(),
+                                          &resumed)
+                       .ValueOrDie();
+    EXPECT_FALSE(resumed);
+    AppendMasks(created.get(), &rng, 9, 0);
+    MS_ASSERT_OK(created->Publish());
+  }
+  auto reopened =
+      Ingestor::OpenOrCreate(dir.path(), TestIngestOptions(), &resumed)
+          .ValueOrDie();
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(reopened->watermark(), 9);
+}
+
+// An unreadable generation sidecar is not "no store": the resume-or-create
+// decision must fail typed instead of creating over (and truncating) the
+// published shards.
+TEST(IngestTest, CorruptGenerationSidecarIsNotRecreated) {
+  TempDir dir("ingest_corrupt_sidecar");
+  Rng rng(61);
+  {
+    auto ingestor =
+        Ingestor::Create(dir.path(), TestIngestOptions()).ValueOrDie();
+    AppendMasks(ingestor.get(), &rng, 12, 0);
+    MS_ASSERT_OK(ingestor->Publish());
+  }
+  const int32_t shards = TestIngestOptions().num_shards;
+  std::vector<uint64_t> sizes;
+  for (int32_t s = 0; s < shards; ++s) {
+    sizes.push_back(
+        FileSize(MaskStoreShardDataPath(dir.path(), s, shards)).ValueOrDie());
+    EXPECT_GT(sizes.back(), 0u);
+  }
+  MS_ASSERT_OK(WriteFile(IngestGenerationPath(dir.path()), "garbage"));
+
+  EXPECT_TRUE(Ingestor::StoreExists(dir.path()).status().IsCorruption());
+  bool resumed = false;
+  EXPECT_TRUE(Ingestor::OpenOrCreate(dir.path(), TestIngestOptions(), &resumed)
+                  .status()
+                  .IsCorruption());
+  Catalog catalog;
+  LiveDatasetConfig config;
+  config.ingest = TestIngestOptions();
+  EXPECT_TRUE(
+      catalog.RegisterLive("live", dir.path(), config).status().IsCorruption());
+  for (int32_t s = 0; s < shards; ++s) {
+    EXPECT_EQ(
+        FileSize(MaskStoreShardDataPath(dir.path(), s, shards)).ValueOrDie(),
+        sizes[s])
+        << "shard " << s;
+  }
 }
 
 TEST(IngestTest, ServiceResolvesEpochAtAdmission) {

@@ -482,6 +482,56 @@ TEST(RecorderTest, MalformedLineIsTypedCorruption) {
       ParseRecordedRequest("at_ms=1 dataset=d tenant=0 class=normal")
           .status()
           .IsCorruption());  // no sql=
+  // A pre-trace script line: the SQL is not behind sql=.
+  EXPECT_TRUE(ParseRecordedRequest("class=batch SELECT a FROM t WHERE b = 1;")
+                  .status()
+                  .IsCorruption());
+  // Every value is checked whole; the error names the offending key. The
+  // rest of each line is well-formed.
+  const std::string rest = " dataset=d sql=SELECT 1;";
+  for (const std::string field :
+       {"at_ms=1x", "at_ms=", "tenant=abc", "tenant=-3", "tenant=2.5",
+        "deadline_ms=oops", "deadline_ms=nan", "trace=7q", "trace=-1",
+        "params=0.5,x", "params=0.5,", "params=", "class=urgent",
+        "bogus=1"}) {
+    const Status st = ParseRecordedRequest(field + rest).status();
+    EXPECT_TRUE(st.IsCorruption()) << field << ": " << st.ToString();
+    const std::string key = field.substr(0, field.find('='));
+    EXPECT_NE(st.message().find(key), std::string::npos)
+        << field << ": " << st.ToString();
+  }
+}
+
+TEST(RecorderTest, ScriptLineLeavesKeysUnset) {
+  auto parsed = ParseRecordedRequest(
+      "class=interactive deadline_ms=50 sql=SELECT mask_id FROM "
+      "MasksDatabaseView WHERE CP(mask, object, (0.6, 1.0)) > 50;");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tenant, -1);
+  EXPECT_TRUE(parsed->dataset.empty());
+  EXPECT_EQ(parsed->at_ms, 0);
+  EXPECT_EQ(parsed->priority_class, "interactive");
+  EXPECT_DOUBLE_EQ(parsed->deadline_ms, 50);
+  EXPECT_EQ(parsed->trace_id, 0u);
+  EXPECT_TRUE(parsed->params.empty());
+}
+
+TEST(RecorderTest, UnsetTenantRoundTrips) {
+  RecordedRequest r;
+  r.sql = "SELECT 1;";
+  ASSERT_EQ(r.tenant, -1);
+  const std::string line = EncodeRecordedRequest(r);
+  EXPECT_EQ(line.find("tenant="), std::string::npos) << line;
+  EXPECT_EQ(line.find("dataset="), std::string::npos) << line;
+  auto parsed = ParseRecordedRequest(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tenant, -1);
+  EXPECT_TRUE(parsed->dataset.empty());
+
+  r.tenant = 0;  // a recorded tenant 0 stays distinct from unset
+  parsed = ParseRecordedRequest(EncodeRecordedRequest(r));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tenant, 0);
 }
 
 TEST(RecorderTest, RecordThenLoadTrace) {

@@ -9,6 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -235,7 +240,125 @@ TEST_F(TraceReplayTest, ReplayCountsUnparseableLinesAsFailed) {
       ReplayTrace(&catalog_, {good, bad}, ropts).ValueOrDie();
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.errors, 1u);
   EXPECT_EQ(stats.failed, 1u);
+  EXPECT_NE(stats.first_error.find(bad.sql), std::string::npos)
+      << stats.first_error;
+}
+
+// A script line (no dataset=, no tenant=) replays into the target dataset;
+// in the closed loop its tenant is the index of the client that issued it,
+// while recorded tenants pass through unchanged.
+TEST_F(TraceReplayTest, ClosedLoopBillsUnsetTenantsToClientIndex) {
+  constexpr int kClients = 3;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<uint64_t, TenantId> tenant_of;  // trace id -> tenant submitted
+  dataset_->set_submitter(
+      [&](ServiceRequest request, const std::string&)
+          -> Result<std::shared_ptr<PendingQuery>> {
+        {
+          // Hold the first kClients submissions until all have arrived, so
+          // each client thread has taken exactly one of them.
+          std::unique_lock<std::mutex> lock(mu);
+          tenant_of[request.trace_id] = request.tenant;
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return tenant_of.size() >= kClients; });
+        }
+        return dataset_->service()->Submit(std::move(request));
+      });
+
+  std::vector<obs::RecordedRequest> script;
+  for (uint64_t i = 1; i <= 8; ++i) {
+    obs::RecordedRequest r;
+    r.sql = kFilterSql;
+    r.trace_id = i;                   // identifies the line in the hook
+    if (i == 5) r.tenant = 7;         // recorded tenants pass through
+    if (i == 7) r.tenant = 0;
+    script.push_back(r);
+  }
+  ReplayOptions ropts;
+  ropts.open_loop = false;
+  ropts.closed_loop_clients = kClients;
+  ropts.dataset_override = "main";
+  const ReplayStats stats = ReplayTrace(&catalog_, script, ropts).ValueOrDie();
+  dataset_->set_submitter({});
+  EXPECT_EQ(stats.completed, 8u);
+  EXPECT_EQ(stats.failed, 0u);
+
+  ASSERT_EQ(tenant_of.size(), 8u);
+  std::set<TenantId> first_three;
+  for (uint64_t i = 1; i <= 3; ++i) first_three.insert(tenant_of[i]);
+  EXPECT_EQ(first_three, (std::set<TenantId>{0, 1, 2}));
+  for (uint64_t i : {4, 6, 8}) {
+    EXPECT_GE(tenant_of[i], 0) << "line " << i;
+    EXPECT_LT(tenant_of[i], kClients) << "line " << i;
+  }
+  EXPECT_EQ(tenant_of[5], 7);
+  EXPECT_EQ(tenant_of[7], 0);
+
+  // Without a target dataset a line that names none cannot be placed.
+  ropts.dataset_override.clear();
+  EXPECT_TRUE(
+      ReplayTrace(&catalog_, script, ropts).status().IsInvalidArgument());
+}
+
+// The open loop has no client index: an unset tenant is billed to tenant 0.
+TEST_F(TraceReplayTest, OpenLoopBillsUnsetTenantsToZero) {
+  std::mutex mu;
+  std::vector<TenantId> tenants;
+  dataset_->set_submitter(
+      [&](ServiceRequest request, const std::string&)
+          -> Result<std::shared_ptr<PendingQuery>> {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          tenants.push_back(request.tenant);
+        }
+        return dataset_->service()->Submit(std::move(request));
+      });
+  obs::RecordedRequest r;
+  r.sql = kFilterSql;
+  ReplayOptions ropts;
+  ropts.dataset_override = "main";
+  const ReplayStats stats =
+      ReplayTrace(&catalog_, {r, r, r}, ropts).ValueOrDie();
+  dataset_->set_submitter({});
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(tenants, (std::vector<TenantId>{0, 0, 0}));
+}
+
+// Outcomes are classed the way a serving replay reports them: a shed
+// (kUnavailable) submission is expected service behaviour, a line whose SQL
+// does not bind is a hard error, and `failed` is the sum of the classes.
+TEST_F(TraceReplayTest, ReplayClassesShedApartFromErrors) {
+  dataset_->set_submitter(
+      [&](ServiceRequest request, const std::string&)
+          -> Result<std::shared_ptr<PendingQuery>> {
+        if (request.trace_id == 2) return Status::Unavailable("test shed");
+        return dataset_->service()->Submit(std::move(request));
+      });
+  std::vector<obs::RecordedRequest> script(4);
+  for (size_t i = 0; i < script.size(); ++i) {
+    script[i].dataset = "main";
+    script[i].sql = kFilterSql;
+    script[i].trace_id = i + 1;
+  }
+  script[3].sql = "SELECT THIS IS NOT SQL";
+  for (const bool open_loop : {false, true}) {
+    ReplayOptions ropts;
+    ropts.open_loop = open_loop;
+    const ReplayStats stats =
+        ReplayTrace(&catalog_, script, ropts).ValueOrDie();
+    EXPECT_EQ(stats.submitted, 3u) << "open_loop=" << open_loop;
+    EXPECT_EQ(stats.completed, 2u) << "open_loop=" << open_loop;
+    EXPECT_EQ(stats.shed, 1u) << "open_loop=" << open_loop;
+    EXPECT_EQ(stats.errors, 1u) << "open_loop=" << open_loop;
+    EXPECT_EQ(stats.deadline_expired + stats.cancelled, 0u);
+    EXPECT_EQ(stats.failed, stats.shed + stats.deadline_expired +
+                                stats.cancelled + stats.errors);
+  }
+  dataset_->set_submitter({});
 }
 
 // --- scrape parity ---------------------------------------------------------

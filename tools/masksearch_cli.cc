@@ -19,18 +19,15 @@
 //       Rewrite a store with N data-file shards (blobs copied verbatim;
 //       --shards 1 converts back to the single-file layout).
 //
-//   masksearch_cli serve --dir D --script F [--clients N] [--workers W]
-//                        [--repeat R] [--queue-depth Q] [--max-queued-mib M]
-//                        [--deadline-ms M] [--verify-batch B] [--cache-mib M]
-//                        [--incremental] [--no-index]
-//       Replay a query script through the concurrent QueryService
-//       (docs/SERVING.md): N closed-loop clients each run the script R
-//       times against W executor slots sharing one session. Script lines
-//       are SQL statements, optionally prefixed by key=value directives:
-//         tenant=3 class=interactive deadline_ms=50 SELECT ... ;
-//       ('#' lines are comments; an unset tenant defaults to the client
-//       index). Prints ServiceStats (admission counters, per-class
-//       latency percentiles) and cache stats.
+//   masksearch_cli serve --dir D --script F [--clients N] [--repeat R]
+//       Replay a script through the dataset's QueryService
+//       (docs/SERVING.md): N closed-loop clients share N x R copies of F.
+//       A script is a trace file (obs/recorder.h) — one request per line,
+//       `[tenant=N] [class=C] [deadline_ms=X] sql=SELECT ...`, '#' lines
+//       are comments — and an unset tenant takes its client's index.
+//       Prints the outcome classes (completed, shed, deadline-expired,
+//       cancelled, errors), ServiceStats and cache stats; exits non-zero
+//       iff a hard error occurred.
 //
 //   masksearch_cli serve --dir D --port P [--bind A] [--name N]
 //                        [--workers W] [--queue-depth Q] [--cache-mib M]
@@ -60,12 +57,13 @@
 //       server to trace the query under the given id.
 //
 //   masksearch_cli replay --dir D --trace F [--closed-loop] [--speed X]
-//                         [--clients N] [--workers W] [--cache-mib M]
-//       Replay a session recorded by `serve --port --record F`
-//       (docs/OBSERVABILITY.md): open loop reproduces the recorded
-//       arrival times (scaled by --speed), --closed-loop drives the same
-//       requests through N closed-loop clients. Preserves the recorded
-//       request count and per-class mix exactly.
+//                         [--clients N]
+//       Replay a trace file — a session recorded by `serve --port --record
+//       F` or a serve script (docs/OBSERVABILITY.md): open loop reproduces
+//       the recorded arrival times (scaled by --speed), --closed-loop
+//       drives the same requests through N closed-loop clients. Preserves
+//       the request count and per-class mix exactly; output and exit rule
+//       as `serve --script`.
 //
 //   masksearch_cli ingest --dir D [--count N] [--epochs K] [--shards S]
 //                         [--width W] [--bins B] [--seed S] [--compressed]
@@ -88,21 +86,26 @@
 //       generation in. --throttle-mib bounds the bulk-copy bandwidth.
 //
 //   masksearch_cli stats --dir D [--sql S] [--repeat N] [--script F]
-//                        [--clients N] [--workers W] [--cache-mib M]
-//                        [--cache-shards N] [--cache-admission all|scan]
-//       Open the store behind the buffer-pool cache (docs/CACHING.md),
-//       optionally run a query N times through a session sharing the pool
-//       (--sql) and/or replay a script through the QueryService
-//       (--script), and print one observability surface: store counters,
-//       CacheStats (hit ratio, resident bytes, evictions, pins), and
-//       service counters (admitted/rejected/deadline-missed, per-class
-//       p50/p95/p99). --metrics [--json] appends the process metrics
-//       registry; --watch S [--watch-count N] loops, re-running the --sql
-//       workload each tick and printing only the samples that moved.
+//                        [--clients N]
+//       Open the dataset behind the buffer-pool cache (docs/CACHING.md),
+//       optionally run a query N times through its session (--sql) and/or
+//       replay a script through its QueryService (--script), and print one
+//       observability surface: store counters, CacheStats (hit ratio,
+//       resident bytes, evictions, pins), and service counters
+//       (admitted/rejected/deadline-missed, per-class p50/p95/p99).
+//       --metrics [--json] appends the process metrics registry; --watch S
+//       [--watch-count N] loops, re-running the --sql workload each tick
+//       and printing only the samples that moved.
 //
-// The cache flags are also accepted by `query`: --cache-mib M enables a
-// shared buffer pool for the store's mask blobs and the session's CHI
-// caches.
+// Every command that opens a dataset (query, stats, serve, replay) builds
+// it from one flag set (DatasetConfigFromArgs), so a replay indexes and
+// verifies exactly like the server whose session it replays: CHI cell
+// --cell (default side/8 of the store's masks, the paper's rule), --bins
+// (16), --verify-batch (32), --incremental, --no-index, --index-path,
+// --attach-index, one buffer pool for mask blobs and CHIs (--cache-mib,
+// default 0 for query and 256 otherwise; --cache-shards,
+// --cache-admission) and the service limits (--workers, --queue-depth,
+// --max-queued-mib, --deadline-ms, --trace-sample).
 
 #include <algorithm>
 #include <atomic>
@@ -112,9 +115,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -167,35 +170,26 @@ int Usage(int exit_code = 2) {
                "masksearch_cli %s\n"
                "usage: masksearch_cli "
                "<generate|info|query|stats|serve|client|ingest|compact|"
-               "replay|explain> [options]\n"
+               "replay|explain|shard|import|export> [options]\n"
                "  generate --dir D [--images N] [--models M] [--width W]\n"
                "           [--height H] [--seed S] [--compressed]\n"
                "  info     --dir D\n"
-               "  query    --dir D --sql S [--incremental] [--no-index]\n"
-               "           [--cell C] [--bins B] [--index-path P] [--explain]\n"
-               "           [--limit-print K] [--cache-mib M]\n"
-               "           [--cache-shards N] [--cache-admission all|scan]\n"
+               "  query    --dir D --sql S [--explain] [--limit-print K]\n"
                "  stats    --dir D [--sql S] [--repeat N] [--script F]\n"
-               "           [--clients N] [--workers W] [--cache-mib M]\n"
-               "           [--cache-shards N] [--cache-admission all|scan]\n"
-               "           [--metrics [--json]] [--watch S [--watch-count N]]\n"
-               "  serve    --dir D --script F [--clients N] [--workers W]\n"
-               "           [--repeat R] [--queue-depth Q] [--max-queued-mib M]\n"
-               "           [--deadline-ms M] [--verify-batch B] [--cache-mib M]\n"
-               "           [--incremental] [--no-index]\n"
+               "           [--clients N] [--metrics [--json]]\n"
+               "           [--watch S [--watch-count N]]\n"
+               "  serve    --dir D --script F [--clients N] [--repeat R]\n"
                "  serve    --dir D --port P [--bind A] [--name N]\n"
-               "           [--workers W] [--queue-depth Q] [--cache-mib M]\n"
-               "           [--max-conns C] [--incremental] [--no-index]\n"
-               "           [--replicas N] [--fault SPEC[,SPEC...]]\n"
-               "           [--failure-threshold K] [--probe-interval-ms T]\n"
-               "           [--max-attempts A] [--record F] [--slow-ms N]\n"
-               "           [--trace-sample R]\n"
+               "           [--max-conns C] [--replicas N]\n"
+               "           [--fault SPEC[,SPEC...]] [--failure-threshold K]\n"
+               "           [--probe-interval-ms T] [--max-attempts A]\n"
+               "           [--record F] [--slow-ms N]\n"
+               "  replay   --dir D --trace F [--closed-loop] [--speed X]\n"
+               "           [--clients N]\n"
                "  client   --port P [--host H] [--dataset D] [--sql S]\n"
                "           [--prepare S --params V] [--repeat N] [--list]\n"
                "           [--timeout-ms T] [--limit-print K] [--trace-id T]\n"
                "           [--metrics [--json]] [--slow]\n"
-               "  replay   --dir D --trace F [--closed-loop] [--speed X]\n"
-               "           [--clients N] [--workers W] [--cache-mib M]\n"
                "  ingest   --dir D [--count N] [--epochs K] [--shards S]\n"
                "           [--width W] [--bins B] [--seed S] [--compressed]\n"
                "           [--serve-queries N] [--clients C] [--cache-mib M]\n"
@@ -206,21 +200,21 @@ int Usage(int exit_code = 2) {
                "  shard    --dir D --out D2 [--shards N]\n"
                "  import   --dir D --npy-dir P [--models M]\n"
                "  export   --dir D --mask-id N --out F.npy\n"
-               "  --help | --version\n",
+               "  --help | --version\n"
+               "dataset flags of query, stats, serve and replay:\n"
+               "  [--cell C] [--bins B] [--verify-batch V] [--incremental]\n"
+               "  [--no-index] [--index-path P] [--attach-index]\n"
+               "  [--cache-mib M] [--cache-shards N]\n"
+               "  [--cache-admission all|scan] [--workers W] [--queue-depth Q]\n"
+               "  [--max-queued-mib M] [--deadline-ms M] [--trace-sample R]\n"
+               "  The CHI cell defaults to side/8 of the store's masks (the\n"
+               "  paper's rule), --bins to 16, --verify-batch to 32, and\n"
+               "  --cache-mib to 0 for query and 256 otherwise.\n"
+               "script / trace line (one request; only sql= is required):\n"
+               "  [at_ms=T] [dataset=D] [tenant=N] [class=C] [deadline_ms=X]\n"
+               "  [trace=I] [params=V,...] sql=SELECT ...\n",
                VersionString());
   return exit_code;
-}
-
-/// Buffer pool from the shared cache flags; null when --cache-mib is 0 /
-/// absent (`def_mib` lets `stats` default the cache on).
-std::shared_ptr<BufferPool> PoolFromArgs(const Args& args, int64_t def_mib) {
-  const int64_t mib = std::max<int64_t>(0, args.GetInt("cache-mib", def_mib));
-  return BufferPool::MaybeCreate(
-      nullptr, static_cast<uint64_t>(mib) << 20,
-      static_cast<int32_t>(args.GetInt("cache-shards", 8)),
-      args.Get("cache-admission", "scan") == "all"
-          ? CacheAdmission::kAdmitAll
-          : CacheAdmission::kScanResistant);
 }
 
 int RunGenerate(const Args& args) {
@@ -276,23 +270,79 @@ int RunInfo(const Args& args) {
   return 0;
 }
 
-/// SessionOptions shared by `query` and `stats`: CHI geometry defaulted
-/// from the store's mask size, regime flags, and the cache pool. Keeping
-/// this in one place guarantees `stats` measures the same session
-/// configuration `query` executes.
-SessionOptions SessionOptionsFromArgs(const Args& args, const MaskStore& s,
-                                      std::shared_ptr<BufferPool> pool) {
-  SessionOptions opts;
-  const int32_t side = s.num_masks() > 0 ? s.meta(0).width : 112;
-  opts.chi.cell_width = opts.chi.cell_height =
+/// The one dataset configuration of every command that opens a store
+/// (query, stats, serve, replay); the flag rules are in the header comment
+/// and Usage(). The CHI cell defaults to side/8 of the store's masks, read
+/// from its manifest (112 px, the generator's default, for an empty store).
+Result<DatasetConfig> DatasetConfigFromArgs(const Args& args,
+                                            int64_t def_cache_mib) {
+  const std::string dir = args.Get("dir");
+  MS_ASSIGN_OR_RETURN(const int64_t gen, ReadStoreGeneration(dir));
+  MS_ASSIGN_OR_RETURN(const internal::ParsedManifest manifest,
+                      internal::ReadMaskStoreManifest(GenerationDir(dir, gen)));
+  const int32_t side = manifest.metas.empty() ? 112 : manifest.metas[0].width;
+
+  DatasetConfig config;
+  const int64_t mib =
+      std::max<int64_t>(0, args.GetInt("cache-mib", def_cache_mib));
+  const std::shared_ptr<BufferPool> pool = BufferPool::MaybeCreate(
+      nullptr, static_cast<uint64_t>(mib) << 20,
+      static_cast<int32_t>(args.GetInt("cache-shards", 8)),
+      args.Get("cache-admission", "scan") == "all"
+          ? CacheAdmission::kAdmitAll
+          : CacheAdmission::kScanResistant);
+  config.store.cache = pool;
+  SessionOptions& session = config.session;
+  session.cache = pool;
+  session.chi.cell_width = session.chi.cell_height =
       static_cast<int32_t>(args.GetInt("cell", std::max(1, side / 8)));
-  opts.chi.num_bins = static_cast<int32_t>(args.GetInt("bins", 16));
-  opts.incremental = args.Has("incremental");
-  opts.use_index = !args.Has("no-index");
-  opts.index_path = args.Get("index-path");
-  opts.attach_index = args.Has("attach-index");
-  opts.cache = std::move(pool);
-  return opts;
+  session.chi.num_bins = static_cast<int32_t>(args.GetInt("bins", 16));
+  // Modest verification batches give the executors frequent deadline /
+  // cancel checkpoints; results are batch-independent.
+  session.verify_batch = static_cast<size_t>(args.GetInt("verify-batch", 32));
+  session.incremental = args.Has("incremental");
+  session.use_index = !args.Has("no-index");
+  session.index_path = args.Get("index-path");
+  session.attach_index = args.Has("attach-index");
+  QueryServiceOptions& service = config.service;
+  service.num_workers = static_cast<size_t>(args.GetInt("workers", 4));
+  service.max_queue_depth =
+      static_cast<size_t>(args.GetInt("queue-depth", 256));
+  service.max_queued_bytes =
+      static_cast<uint64_t>(args.GetInt("max-queued-mib", 1024)) << 20;
+  service.default_deadline_seconds = args.GetInt("deadline-ms", 0) / 1e3;
+  service.trace_sample_rate =
+      std::strtod(args.Get("trace-sample", "0").c_str(), nullptr);
+  return config;
+}
+
+/// Registers --dir as dataset --name (default "default") in `catalog` under
+/// `config` and prints its banner; on failure (of either step) prints the
+/// error and returns null. The `-- session:` line is what the record/replay
+/// smoke compares between `serve --port` and `replay`.
+Dataset* OpenDataset(Catalog* catalog, const Args& args,
+                     const Result<DatasetConfig>& config) {
+  auto opened = config.ok() ? catalog->Register(args.Get("name", "default"),
+                                                args.Get("dir"), *config)
+                            : Result<Dataset*>(config.status());
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 opened.status().ToString().c_str());
+    return nullptr;
+  }
+  Dataset* ds = *opened;
+  const SessionOptions& s = ds->session()->options();
+  std::printf("-- dataset \"%s\": %lld masks, %.2f MiB\n", ds->name().c_str(),
+              static_cast<long long>(ds->store().num_masks()),
+              ds->store().TotalDataBytes() / 1048576.0);
+  std::printf("-- session: CHI cell %dx%d px, %d bins, verify batch %zu\n",
+              s.chi.cell_width, s.chi.cell_height, s.chi.num_bins,
+              s.verify_batch);
+  if (!s.incremental && s.use_index) {
+    std::printf("-- index built in %.2fs\n",
+                ds->session()->index_build_seconds());
+  }
+  return ds;
 }
 
 /// Executes a bound query of any kind, discarding the results (the
@@ -360,154 +410,114 @@ int RunShard(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// serve: replay a script through the QueryService (docs/SERVING.md)
+// serve --script / replay / stats --script: one trace format, one replayer
 // ---------------------------------------------------------------------------
 
-/// One script line: optional `key=value` directives, then SQL.
-struct ScriptEntry {
-  std::string sql;
-  sql::BoundQuery bound;
-  TenantId tenant = -1;  ///< -1: default to the client index at replay time
-  PriorityClass priority = PriorityClass::kNormal;
-  double deadline_seconds = 0;  ///< 0 = service default
-};
-
-/// Parses a serve script: '#'-prefixed and blank lines are skipped; every
-/// other line is `[tenant=N] [class=C] [deadline_ms=X] SQL...`.
-Result<std::vector<ScriptEntry>> LoadScript(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open script: " + path);
-  std::vector<ScriptEntry> entries;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    ScriptEntry entry;
-    std::istringstream tokens(line);
-    std::string token;
-    std::string rest;
-    while (tokens >> token) {
-      const size_t eq = token.find('=');
-      if (eq == std::string::npos || token.find('(') != std::string::npos) {
-        // First non-directive token: the remainder of the line is SQL.
-        std::string tail;
-        std::getline(tokens, tail);
-        rest = token + tail;
-        break;
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      // Numeric directive values parse through strtod-style tail checking:
-      // a malformed value must yield the same typed per-line error shape as
-      // an unknown class, never an uncaught std::stoll exception.
-      auto parse_number = [&](double* out) {
-        char* end = nullptr;
-        const double v = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
-          return Status::InvalidArgument("script line " +
-                                         std::to_string(lineno) + ": bad " +
-                                         key + " value: " + value);
-        }
-        *out = v;
-        return Status::OK();
-      };
-      if (key == "tenant") {
-        double v = 0;
-        const Status st = parse_number(&v);
-        if (!st.ok()) return st;
-        entry.tenant = static_cast<TenantId>(v);
-      } else if (key == "class") {
-        auto cls = ParsePriorityClass(value);
-        if (!cls.ok()) {
-          return Status::InvalidArgument("script line " +
-                                         std::to_string(lineno) + ": " +
-                                         cls.status().message());
-        }
-        entry.priority = *cls;
-      } else if (key == "deadline_ms") {
-        double v = 0;
-        const Status st = parse_number(&v);
-        if (!st.ok()) return st;
-        entry.deadline_seconds = v / 1e3;
-      } else {
-        return Status::InvalidArgument("script line " +
-                                       std::to_string(lineno) +
-                                       ": unknown directive " + key);
-      }
-    }
-    if (rest.empty()) {
-      return Status::InvalidArgument("script line " + std::to_string(lineno) +
-                                     ": no SQL statement");
-    }
-    entry.sql = rest;
-    auto bound = sql::ParseAndBind(rest);
-    if (!bound.ok()) {
-      return Status::InvalidArgument("script line " + std::to_string(lineno) +
-                                     ": " + bound.status().message());
-    }
-    entry.bound = std::move(*bound);
-    entries.push_back(std::move(entry));
+/// Loads the trace file at `path`, printing the error (which names the
+/// bad line) on failure.
+std::optional<std::vector<obs::RecordedRequest>> LoadTraceFile(
+    const std::string& path) {
+  auto loaded = obs::LoadTrace(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return std::nullopt;
   }
-  if (entries.empty()) {
-    return Status::InvalidArgument("script has no statements: " + path);
-  }
-  return entries;
+  return std::move(*loaded);
 }
 
-/// Outcome tally of one replay run (shed/expired/cancelled are expected
-/// service behaviours; `hard_errors` are genuine failures).
-struct ReplayCounts {
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> shed{0};
-  std::atomic<uint64_t> deadline{0};
-  std::atomic<uint64_t> cancelled{0};
-  std::atomic<uint64_t> hard_errors{0};
-};
-
-/// Replays `entries` through `service` with `clients` closed-loop client
-/// threads, `repeat` passes each.
-void ReplayScript(QueryService* service, const std::vector<ScriptEntry>& entries,
-                  int64_t clients, int64_t repeat, ReplayCounts* counts) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  for (int64_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      for (int64_t r = 0; r < repeat; ++r) {
-        for (const ScriptEntry& entry : entries) {
-          ServiceRequest req;
-          req.tenant = entry.tenant >= 0 ? entry.tenant : c;
-          req.priority = entry.priority;
-          req.deadline_seconds = entry.deadline_seconds;
-          req.query = RequestFromBound(entry.bound);
-          const auto result = service->Execute(std::move(req));
-          if (result.ok()) {
-            counts->completed.fetch_add(1);
-          } else if (result.status().IsUnavailable()) {
-            counts->shed.fetch_add(1);
-          } else if (result.status().IsDeadlineExceeded()) {
-            counts->deadline.fetch_add(1);
-          } else if (result.status().IsCancelled()) {
-            counts->cancelled.fetch_add(1);
-          } else {
-            if (counts->hard_errors.fetch_add(1) == 0) {
-              std::fprintf(stderr, "query failed: %s\n  sql: %s\n",
-                           result.status().ToString().c_str(),
-                           entry.sql.c_str());
-            }
-          }
-        }
-      }
-    });
+/// Replays `once` into `dataset` through ReplayTrace, `copies` times over
+/// (closed loop: --clients N; open loop: --speed X), and prints the outcome
+/// classes. Shed / expired / cancelled requests are expected service
+/// behaviour; `errors` counts the genuine failures.
+Result<ReplayStats> ReplayRequests(
+    Catalog* catalog, const Dataset& dataset,
+    const std::vector<obs::RecordedRequest>& once, const Args& args,
+    bool open_loop, int64_t copies) {
+  std::vector<obs::RecordedRequest> requests;
+  requests.reserve(once.size() * static_cast<size_t>(copies));
+  for (int64_t c = 0; c < copies; ++c) {
+    requests.insert(requests.end(), once.begin(), once.end());
   }
-  for (auto& t : threads) t.join();
+  ReplayOptions ropts;
+  ropts.open_loop = open_loop;
+  ropts.speed = std::strtod(args.Get("speed", "1").c_str(), nullptr);
+  ropts.closed_loop_clients =
+      static_cast<int>(std::max<int64_t>(1, args.GetInt("clients", 4)));
+  // A recorded trace names the dataset it was served from; replaying into
+  // a local catalog re-targets every line at the dataset opened here.
+  ropts.dataset_override = dataset.name();
+  MS_ASSIGN_OR_RETURN(const ReplayStats stats,
+                      ReplayTrace(catalog, requests, ropts));
+  dataset.service()->Drain();  // settle the gauges before any snapshot
+
+  if (open_loop) {
+    std::printf("-- replayed %zu requests (open loop, speed %gx)\n",
+                requests.size(), ropts.speed);
+  } else {
+    std::printf("-- replayed %zu requests (closed loop, %d client(s))\n",
+                requests.size(), ropts.closed_loop_clients);
+  }
+  std::printf("-- %llu submitted, %llu completed, %llu failed in %.3fs "
+              "(%.1f qps): %llu shed, %llu deadline-expired, %llu cancelled, "
+              "%llu errors\n",
+              static_cast<unsigned long long>(stats.submitted),
+              static_cast<unsigned long long>(stats.completed),
+              static_cast<unsigned long long>(stats.failed),
+              stats.wall_seconds,
+              stats.wall_seconds > 0 ? stats.submitted / stats.wall_seconds
+                                     : 0.0,
+              static_cast<unsigned long long>(stats.shed),
+              static_cast<unsigned long long>(stats.deadline_expired),
+              static_cast<unsigned long long>(stats.cancelled),
+              static_cast<unsigned long long>(stats.errors));
+  for (size_t c = 0; c < kNumPriorityClasses; ++c) {
+    if (stats.by_class[c] == 0) continue;
+    std::printf("   class %-12s %llu\n",
+                PriorityClassToString(static_cast<PriorityClass>(c)),
+                static_cast<unsigned long long>(stats.by_class[c]));
+  }
+  if (stats.errors > 0) {
+    std::fprintf(stderr, "query failed: %s\n", stats.first_error.c_str());
+  }
+  return stats;
 }
 
-/// Prints the service section of the observability surface (shared by
-/// `serve` and `stats --script`).
-void PrintServiceStats(const ServiceStats& stats) {
-  std::printf("service:\n%s", stats.ToString().c_str());
+/// Prints the serving sections shared by `serve`, `replay` and `stats`:
+/// service counters, the metadata cache, and the buffer pool.
+void PrintServingStats(const Dataset& dataset) {
+  const BufferPool* pool = dataset.session()->cache();
+  std::printf("service:\n%s", dataset.service()->Stats().ToString().c_str());
+  const MetadataCache::CacheStats mstats = dataset.metadata()->stats();
+  std::printf("metadata cache: %llu hits / %llu misses, %zu entries\n",
+              static_cast<unsigned long long>(mstats.hits),
+              static_cast<unsigned long long>(mstats.misses), mstats.entries);
+  if (pool != nullptr) {
+    std::printf("cache: %s\n", pool->Stats().ToString().c_str());
+  } else {
+    std::printf("cache: disabled (--cache-mib 0)\n");
+  }
+}
+
+/// `serve --script F` (closed loop, --clients x --repeat copies) and
+/// `replay --trace F`: open the dataset, replay, print the serving stats.
+/// Exits non-zero iff a hard error occurred.
+int RunReplayCommand(const Args& args, const std::string& path,
+                     bool open_loop, int64_t copies) {
+  const auto requests = LoadTraceFile(path);
+  if (!requests) return 1;
+  Catalog catalog;
+  Dataset* dataset = OpenDataset(
+      &catalog, args, DatasetConfigFromArgs(args, /*def_cache_mib=*/256));
+  if (dataset == nullptr) return 1;
+  auto stats =
+      ReplayRequests(&catalog, *dataset, *requests, args, open_loop, copies);
+  if (!stats.ok()) {
+    std::fprintf(stderr, "replay failed: %s\n",
+                 stats.status().ToString().c_str());
+    return 1;
+  }
+  PrintServingStats(*dataset);
+  return stats->errors == 0 ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -523,7 +533,6 @@ void HandleStopSignal(int) { g_stop_requested = 1; }
 /// cleanly (stats printed, in-flight queries drained or cancelled, exit 0).
 int RunServeNetwork(const Args& args) {
   if (!args.Has("dir")) return Usage();
-  const std::shared_ptr<BufferPool> pool = PoolFromArgs(args, /*def_mib=*/256);
 
   // Observability wiring (docs/OBSERVABILITY.md): --slow-ms N keeps a
   // slow-query log of requests over N ms (and forces every request to be
@@ -547,34 +556,11 @@ int RunServeNetwork(const Args& args) {
     recorder = std::move(*opened);
   }
 
-  DatasetConfig config;
-  config.service.slow_query_log = slow_log.get();
-  config.service.trace_sample_rate =
-      std::strtod(args.Get("trace-sample", "0").c_str(), nullptr);
-  config.store.cache = pool;
-  config.session.cache = pool;
-  config.session.chi.cell_width = config.session.chi.cell_height =
-      static_cast<int32_t>(args.GetInt("cell", 14));
-  config.session.chi.num_bins = static_cast<int32_t>(args.GetInt("bins", 16));
-  config.session.incremental = args.Has("incremental");
-  config.session.use_index = !args.Has("no-index");
-  config.session.verify_batch =
-      static_cast<size_t>(args.GetInt("verify-batch", 32));
-  config.service.num_workers = static_cast<size_t>(args.GetInt("workers", 4));
-  config.service.max_queue_depth =
-      static_cast<size_t>(args.GetInt("queue-depth", 256));
-  config.service.max_queued_bytes =
-      static_cast<uint64_t>(args.GetInt("max-queued-mib", 1024)) << 20;
-  config.service.default_deadline_seconds = args.GetInt("deadline-ms", 0) / 1e3;
-
+  auto config = DatasetConfigFromArgs(args, /*def_cache_mib=*/256);
+  if (config.ok()) config->service.slow_query_log = slow_log.get();
   Catalog catalog;
-  const std::string name = args.Get("name", "default");
-  auto dataset = catalog.Register(name, args.Get("dir"), config);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "register failed: %s\n",
-                 dataset.status().ToString().c_str());
-    return 1;
-  }
+  Dataset* dataset = OpenDataset(&catalog, args, config);
+  if (dataset == nullptr) return 1;
 
   // --replicas N puts a replicated tier (docs/REPLICATION.md) behind the
   // wire protocol: N in-process replicas of --dir, health-checked routing
@@ -588,9 +574,9 @@ int RunServeNetwork(const Args& args) {
   std::unique_ptr<Router> router;
   if (replicas > 1) {
     ReplicaConfig rconfig;
-    rconfig.store = config.store;
-    rconfig.session = config.session;
-    rconfig.service = config.service;
+    rconfig.store = config->store;
+    rconfig.session = config->session;
+    rconfig.service = config->service;
     if (Status s = group.AddInProcess("r", args.Get("dir"), rconfig,
                                       static_cast<size_t>(replicas));
         !s.ok()) {
@@ -602,7 +588,7 @@ int RunServeNetwork(const Args& args) {
         static_cast<int>(args.GetInt("failure-threshold", 1));
     ropts.probe_interval_seconds = args.GetInt("probe-interval-ms", 20) / 1e3;
     ropts.max_attempts = static_cast<int>(args.GetInt("max-attempts", 4));
-    ropts.num_workers = config.service.num_workers;
+    ropts.num_workers = config->service.num_workers;
     for (std::stringstream faults(args.Get("fault")); faults.good();) {
       std::string spec;
       if (!std::getline(faults, spec, ',') || spec.empty()) break;
@@ -616,7 +602,7 @@ int RunServeNetwork(const Args& args) {
       ropts.fault_injector = &injector;
     }
     router = std::make_unique<Router>(&group, ropts);
-    AttachRouter(*dataset, router.get());
+    AttachRouter(dataset, router.get());
     std::printf("-- replicated tier: %d replicas of \"%s\"%s\n", replicas,
                 args.Get("dir").c_str(),
                 ropts.fault_injector ? " (fault injection armed)" : "");
@@ -635,9 +621,6 @@ int RunServeNetwork(const Args& args) {
     return 1;
   }
 
-  std::printf("-- dataset \"%s\": %lld masks, %.2f MiB\n", name.c_str(),
-              static_cast<long long>((*dataset)->store().num_masks()),
-              (*dataset)->store().TotalDataBytes() / 1048576.0);
   // Scripts wait for this exact line before connecting.
   std::printf("listening on %s:%u\n", sopts.bind_address.c_str(),
               (*server)->port());
@@ -682,14 +665,7 @@ int RunServeNetwork(const Args& args) {
     router->Shutdown();
     group.StopAll();
   }
-  PrintServiceStats((*dataset)->service()->Stats());
-  const MetadataCache::CacheStats mstats = (*dataset)->metadata()->stats();
-  std::printf("metadata cache: %llu hits / %llu misses, %zu entries\n",
-              static_cast<unsigned long long>(mstats.hits),
-              static_cast<unsigned long long>(mstats.misses), mstats.entries);
-  if (pool != nullptr) {
-    std::printf("cache: %s\n", pool->Stats().ToString().c_str());
-  }
+  PrintServingStats(*dataset);
   if (slow_log != nullptr) {
     std::printf("-- slow-query log: %llu over %.0f ms\n",
                 static_cast<unsigned long long>(slow_log->recorded()),
@@ -884,89 +860,16 @@ int RunClient(const Args& args) {
 
 int RunServe(const Args& args) {
   // --port switches serve into network mode (docs/NETWORK.md); without it
-  // the command remains the in-process script replay below.
+  // the command replays a script: --clients N closed-loop clients share
+  // N x --repeat R copies of it.
   if (args.Has("port")) return RunServeNetwork(args);
   if (!args.Has("dir") || !args.Has("script")) return Usage();
-  auto entries = LoadScript(args.Get("script"));
-  if (!entries.ok()) {
-    std::fprintf(stderr, "%s\n", entries.status().ToString().c_str());
-    return 1;
-  }
-
-  const std::shared_ptr<BufferPool> pool = PoolFromArgs(args, /*def_mib=*/256);
-  MaskStore::Options store_opts;
-  store_opts.cache = pool;
-  auto store = MaskStore::Open(args.Get("dir"), store_opts);
-  if (!store.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  SessionOptions sopts = SessionOptionsFromArgs(args, **store, pool);
-  // Serving default: modest verification batches give the executors
-  // frequent deadline/cancel checkpoints (results are batch-independent).
-  sopts.verify_batch = static_cast<size_t>(args.GetInt("verify-batch", 32));
-  auto session = Session::Open(store->get(), sopts);
-  if (!session.ok()) {
-    std::fprintf(stderr, "session failed: %s\n",
-                 session.status().ToString().c_str());
-    return 1;
-  }
-  if (!sopts.incremental && sopts.use_index) {
-    std::printf("-- index built in %.2fs\n", (*session)->index_build_seconds());
-  }
-
-  QueryServiceOptions qopts;
-  qopts.num_workers = static_cast<size_t>(args.GetInt("workers", 4));
-  qopts.max_queue_depth =
-      static_cast<size_t>(args.GetInt("queue-depth", 256));
-  qopts.max_queued_bytes =
-      static_cast<uint64_t>(args.GetInt("max-queued-mib", 1024)) << 20;
-  qopts.default_deadline_seconds = args.GetInt("deadline-ms", 0) / 1e3;
-  auto service = QueryService::Start(session->get(), qopts);
-  if (!service.ok()) {
-    std::fprintf(stderr, "service failed: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
-  }
-
   const int64_t clients = std::max<int64_t>(1, args.GetInt("clients", 4));
   const int64_t repeat = std::max<int64_t>(1, args.GetInt("repeat", 1));
-  std::printf("-- serving %zu statements to %lld client(s) x %lld pass(es), "
-              "%zu workers\n",
-              entries->size(), static_cast<long long>(clients),
-              static_cast<long long>(repeat), qopts.num_workers);
-  ReplayCounts counts;
-  Stopwatch wall;
-  ReplayScript(service->get(), *entries, clients, repeat, &counts);
-  const double seconds = wall.ElapsedSeconds();
-  (*service)->Drain();  // settle the gauges before the snapshot
-
-  const uint64_t total = counts.completed.load() + counts.shed.load() +
-                         counts.deadline.load() + counts.cancelled.load() +
-                         counts.hard_errors.load();
-  std::printf("-- %llu requests in %.3fs (%.1f qps): %llu completed, "
-              "%llu shed, %llu deadline-expired, %llu cancelled, %llu errors\n",
-              static_cast<unsigned long long>(total), seconds,
-              seconds > 0 ? static_cast<double>(total) / seconds : 0.0,
-              static_cast<unsigned long long>(counts.completed.load()),
-              static_cast<unsigned long long>(counts.shed.load()),
-              static_cast<unsigned long long>(counts.deadline.load()),
-              static_cast<unsigned long long>(counts.cancelled.load()),
-              static_cast<unsigned long long>(counts.hard_errors.load()));
-  PrintServiceStats((*service)->Stats());
-  if (pool != nullptr) {
-    std::printf("cache: %s\n", pool->Stats().ToString().c_str());
-  }
-  return counts.hard_errors.load() == 0 ? 0 : 1;
+  return RunReplayCommand(args, args.Get("script"), /*open_loop=*/false,
+                          clients * repeat);
 }
 
-/// Opens a store behind the buffer-pool cache, optionally runs one SQL
-/// query `--repeat` times through a session sharing the pool (--sql)
-/// and/or replays a script through the QueryService (--script), and prints
-/// one observability surface across cache and service: store counters +
-/// CacheStats (docs/CACHING.md) + service counters (docs/SERVING.md). The
-/// default --repeat 2 makes warm-cache behavior (hit ratio > 0) visible
-/// immediately.
 /// Offline maintenance view of a store directory (docs/COMPACTION.md):
 /// current generation, live/tombstoned counts, dead bytes, and the
 /// persisted compaction counters. All read from sidecars — no ingestor is
@@ -1021,37 +924,36 @@ void PrintMaintenanceSection(const std::string& dir) {
   }
 }
 
+/// Opens the dataset behind the buffer-pool cache, optionally runs one SQL
+/// query `--repeat` times through its session (--sql)
+/// and/or replays a script through the QueryService (--script), and prints
+/// one observability surface across cache and service: store counters +
+/// CacheStats (docs/CACHING.md) + service counters (docs/SERVING.md). The
+/// default --repeat 2 makes warm-cache behavior (hit ratio > 0) visible
+/// immediately.
 int RunStats(const Args& args) {
   if (!args.Has("dir")) return Usage();
-  const std::shared_ptr<BufferPool> pool =
-      PoolFromArgs(args, /*def_mib=*/256);
-  MaskStore::Options store_opts;
-  store_opts.cache = pool;
-  auto store = MaskStore::Open(args.Get("dir"), store_opts);
-  if (!store.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", store.status().ToString().c_str());
-    return 1;
+  std::optional<std::vector<obs::RecordedRequest>> script;
+  if (args.Has("script")) {
+    script = LoadTraceFile(args.Get("script"));
+    if (!script) return 1;
   }
-  const MaskStore& s = **store;
+  Catalog catalog;
+  Dataset* dataset = OpenDataset(
+      &catalog, args, DatasetConfigFromArgs(args, /*def_cache_mib=*/256));
+  if (dataset == nullptr) return 1;
+  Session* session = dataset->session();
+  const MaskStore& s = dataset->store();
 
-  std::unique_ptr<Session> session;
   if (args.Has("sql")) {
     auto bound = sql::ParseAndBind(args.Get("sql"));
     if (!bound.ok()) {
       std::fprintf(stderr, "%s\n", bound.status().ToString().c_str());
       return 1;
     }
-    auto opened =
-        Session::Open(store->get(), SessionOptionsFromArgs(args, s, pool));
-    if (!opened.ok()) {
-      std::fprintf(stderr, "session failed: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    session = std::move(*opened);
     const int64_t repeat = std::max<int64_t>(1, args.GetInt("repeat", 2));
     for (int64_t r = 0; r < repeat; ++r) {
-      const Status st = ExecuteBoundQuery(session.get(), *bound);
+      const Status st = ExecuteBoundQuery(session, *bound);
       if (!st.ok()) {
         std::fprintf(stderr, "query failed: %s\n", st.ToString().c_str());
         return 1;
@@ -1065,41 +967,16 @@ int RunStats(const Args& args) {
   // to the cache stats it produced. Hard query errors are reported in the
   // exit code only *after* the observability sections print — this command
   // exists to diagnose, so failure must not suppress the diagnostics.
-  bool served = false;
   bool script_failed = false;
-  ServiceStats service_stats;
-  if (args.Has("script")) {
-    auto entries = LoadScript(args.Get("script"));
-    if (!entries.ok()) {
-      std::fprintf(stderr, "%s\n", entries.status().ToString().c_str());
+  if (script) {
+    auto stats = ReplayRequests(&catalog, *dataset, *script, args,
+                                /*open_loop=*/false, /*copies=*/1);
+    if (!stats.ok()) {
+      std::fprintf(stderr, "replay failed: %s\n",
+                   stats.status().ToString().c_str());
       return 1;
     }
-    if (session == nullptr) {
-      auto opened =
-          Session::Open(store->get(), SessionOptionsFromArgs(args, s, pool));
-      if (!opened.ok()) {
-        std::fprintf(stderr, "session failed: %s\n",
-                     opened.status().ToString().c_str());
-        return 1;
-      }
-      session = std::move(*opened);
-    }
-    QueryServiceOptions qopts;
-    qopts.num_workers = static_cast<size_t>(args.GetInt("workers", 4));
-    auto service = QueryService::Start(session.get(), qopts);
-    if (!service.ok()) {
-      std::fprintf(stderr, "service failed: %s\n",
-                   service.status().ToString().c_str());
-      return 1;
-    }
-    ReplayCounts counts;
-    ReplayScript(service->get(), *entries,
-                 std::max<int64_t>(1, args.GetInt("clients", 4)),
-                 /*repeat=*/1, &counts);
-    script_failed = counts.hard_errors.load() > 0;
-    (*service)->Drain();  // settle the gauges before the snapshot
-    service_stats = (*service)->Stats();
-    served = true;
+    script_failed = stats->errors > 0;
   }
 
   std::printf("store: %s\n", s.dir().c_str());
@@ -1112,22 +989,16 @@ int RunStats(const Args& args) {
               static_cast<unsigned long long>(s.masks_loaded()),
               s.bytes_read() / 1048576.0);
   PrintMaintenanceSection(args.Get("dir"));
-  if (pool != nullptr) {
-    const CacheStats stats = pool->Stats();
-    std::printf("cache: %s\n", stats.ToString().c_str());
-    if (const auto* cached = dynamic_cast<const CachedMaskStore*>(&s)) {
-      std::printf("  store blob traffic: %llu hits / %llu misses\n",
-                  static_cast<unsigned long long>(cached->cache_hits()),
-                  static_cast<unsigned long long>(cached->cache_misses()));
-    }
-    if (session != nullptr && session->chi_cache() != nullptr) {
-      std::printf("  resident per-mask CHIs: %zu\n",
-                  session->chi_cache()->size());
-    }
-  } else {
-    std::printf("cache: disabled (--cache-mib 0)\n");
+  PrintServingStats(*dataset);
+  if (const auto* cached = dynamic_cast<const CachedMaskStore*>(&s)) {
+    std::printf("  store blob traffic: %llu hits / %llu misses\n",
+                static_cast<unsigned long long>(cached->cache_hits()),
+                static_cast<unsigned long long>(cached->cache_misses()));
   }
-  if (served) PrintServiceStats(service_stats);
+  if (session->chi_cache() != nullptr) {
+    std::printf("  resident per-mask CHIs: %zu\n",
+                session->chi_cache()->size());
+  }
 
   // --metrics dumps the process-wide registry (a scrape of every component
   // the commands above opened); --json switches the exposition.
@@ -1154,9 +1025,9 @@ int RunStats(const Args& args) {
       if (interval > 0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(interval));
       }
-      if (session != nullptr && args.Has("sql")) {
+      if (args.Has("sql")) {
         if (auto bound = sql::ParseAndBind(args.Get("sql")); bound.ok()) {
-          (void)ExecuteBoundQuery(session.get(), *bound);
+          (void)ExecuteBoundQuery(session, *bound);
         }
       }
       std::vector<obs::MetricsRegistry::Sample> cur =
@@ -1263,12 +1134,17 @@ int RunExport(const Args& args) {
 
 int RunQuery(const Args& args) {
   if (!args.Has("dir") || !args.Has("sql")) return Usage();
-  // One pool for the store's mask blobs and the session's CHI caches: a
-  // single byte budget (docs/CACHING.md).
-  const std::shared_ptr<BufferPool> pool = PoolFromArgs(args, /*def_mib=*/0);
-  MaskStore::Options store_opts;
-  store_opts.cache = pool;
-  auto store = MaskStore::Open(args.Get("dir"), store_opts);
+  // The dataset flags' store and session parts: one pool for the store's
+  // mask blobs and the session's CHI caches, a single byte budget
+  // (docs/CACHING.md).
+  auto config = DatasetConfigFromArgs(args, /*def_cache_mib=*/0);
+  if (!config.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 config.status().ToString().c_str());
+    return 1;
+  }
+  const BufferPool* pool = config->store.cache.get();
+  auto store = MaskStore::Open(args.Get("dir"), config->store);
   if (!store.ok()) {
     std::fprintf(stderr, "open failed: %s\n", store.status().ToString().c_str());
     return 1;
@@ -1282,7 +1158,7 @@ int RunQuery(const Args& args) {
     std::printf("%s\n", ExplainBound(*bound).c_str());
   }
 
-  const SessionOptions opts = SessionOptionsFromArgs(args, **store, pool);
+  const SessionOptions& opts = config->session;
   auto session = Session::Open(store->get(), opts);
   if (!session.ok()) {
     std::fprintf(stderr, "session failed: %s\n",
@@ -1301,7 +1177,7 @@ int RunQuery(const Args& args) {
         std::printf("-- cache: %s\n", pool->Stats().ToString().c_str());
       }
     }
-  } cache_report{pool.get()};
+  } cache_report{pool};
 
   const size_t print_limit =
       static_cast<size_t>(args.GetInt("limit-print", 20));
@@ -1382,15 +1258,11 @@ int RunIngest(const Args& args) {
       << 20;
   iopts.cache_shards = static_cast<int32_t>(args.GetInt("cache-shards", 8));
 
-  // Generation-aware resume probe: a compacted store keeps its manifest in
-  // the current generation directory, not the store root.
+  // Resume at the last durable epoch, or create on first use. A corrupt
+  // generation sidecar is an error here, never a Create that wipes the
+  // store.
   bool resume = false;
-  if (auto gen = ReadStoreGeneration(dir); gen.ok()) {
-    resume = std::filesystem::exists(
-        MaskStoreManifestPath(GenerationDir(dir, *gen)));
-  }
-  auto opened = resume ? Ingestor::Open(dir, iopts)
-                       : Ingestor::Create(dir, iopts);
+  auto opened = Ingestor::OpenOrCreate(dir, iopts, &resume);
   if (!opened.ok()) {
     std::fprintf(stderr, "ingest open failed: %s\n",
                  opened.status().ToString().c_str());
@@ -1560,9 +1432,13 @@ int RunCompact(const Args& args) {
   if (!args.Has("dir")) return Usage();
   const std::string dir = args.Get("dir");
 
-  auto gen = ReadStoreGeneration(dir);
-  if (!gen.ok() ||
-      !std::filesystem::exists(MaskStoreManifestPath(GenerationDir(dir, *gen)))) {
+  auto exists = Ingestor::StoreExists(dir);
+  if (!exists.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 exists.status().ToString().c_str());
+    return 1;
+  }
+  if (!*exists) {
     std::fprintf(stderr, "no mask store at %s\n", dir.c_str());
     return 1;
   }
@@ -1588,85 +1464,19 @@ int RunCompact(const Args& args) {
                  stats.status().ToString().c_str());
     return 1;
   }
-  std::printf("completed compaction: generation %lld, copied %lld masks "
-              "(%.2f MiB), dropped %lld, reclaimed %.2f MiB in %.2f ms "
-              "(swap pause %.2f ms)\n",
-              static_cast<long long>(stats->generation),
-              static_cast<long long>(stats->masks_copied),
-              stats->bytes_copied / 1048576.0,
-              static_cast<long long>(stats->masks_dropped),
-              stats->dead_bytes_reclaimed / 1048576.0, stats->total_ms,
-              stats->swap_pause_ms);
+  std::printf("completed compaction: %s\n", stats->ToString().c_str());
   return 0;
 }
 
-/// Replays a recorded serve session (serve --port --record F) against the
-/// store, in-process: registers --dir as a catalog dataset and drives the
-/// trace through catalog::ReplayTrace (docs/OBSERVABILITY.md). Open loop
-/// reproduces the recorded arrival times (scaled by --speed); --closed-loop
-/// replays the same requests through N closed-loop clients instead.
+/// Replays a trace file against the store, in-process, through the same
+/// path as `serve --script` (docs/OBSERVABILITY.md). Open loop reproduces
+/// the recorded arrival times (scaled by --speed); --closed-loop replays
+/// the same requests through N closed-loop clients instead.
 int RunReplay(const Args& args) {
   if (!args.Has("dir") || !args.Has("trace")) return Usage();
-  auto requests = obs::LoadTrace(args.Get("trace"));
-  if (!requests.ok()) {
-    std::fprintf(stderr, "%s\n", requests.status().ToString().c_str());
-    return 1;
-  }
-
-  const std::shared_ptr<BufferPool> pool = PoolFromArgs(args, /*def_mib=*/256);
-  DatasetConfig config;
-  config.store.cache = pool;
-  config.session.cache = pool;
-  config.session.incremental = args.Has("incremental");
-  config.session.use_index = !args.Has("no-index");
-  config.service.num_workers = static_cast<size_t>(args.GetInt("workers", 4));
-  config.service.max_queue_depth =
-      static_cast<size_t>(args.GetInt("queue-depth", 256));
-
-  Catalog catalog;
-  const std::string name = args.Get("name", "default");
-  auto dataset = catalog.Register(name, args.Get("dir"), config);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "register failed: %s\n",
-                 dataset.status().ToString().c_str());
-    return 1;
-  }
-
-  ReplayOptions ropts;
-  ropts.open_loop = !args.Has("closed-loop");
-  ropts.speed = std::strtod(args.Get("speed", "1").c_str(), nullptr);
-  ropts.closed_loop_clients =
-      static_cast<int>(args.GetInt("clients", 4));
-  // A recorded trace names the dataset it was served from; replaying into
-  // a local catalog re-targets every line at the dataset registered here.
-  ropts.dataset_override = name;
-  auto stats = ReplayTrace(&catalog, *requests, ropts);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "replay failed: %s\n",
-                 stats.status().ToString().c_str());
-    return 1;
-  }
-
-  std::printf("-- replayed %zu recorded requests (%s, speed %.2gx)\n",
-              requests->size(), ropts.open_loop ? "open loop" : "closed loop",
-              ropts.speed);
-  std::printf("-- %llu submitted, %llu completed, %llu failed in %.3fs "
-              "(%.1f qps)\n",
-              static_cast<unsigned long long>(stats->submitted),
-              static_cast<unsigned long long>(stats->completed),
-              static_cast<unsigned long long>(stats->failed),
-              stats->wall_seconds,
-              stats->wall_seconds > 0 ? stats->submitted / stats->wall_seconds
-                                      : 0.0);
-  for (size_t c = 0; c < kNumPriorityClasses; ++c) {
-    if (stats->by_class[c] == 0) continue;
-    std::printf("   class %-12s %llu\n",
-                PriorityClassToString(static_cast<PriorityClass>(c)),
-                static_cast<unsigned long long>(stats->by_class[c]));
-  }
-  PrintServiceStats((*dataset)->service()->Stats());
-  catalog.ShutdownAll();
-  return stats->completed > 0 ? 0 : 1;
+  return RunReplayCommand(args, args.Get("trace"),
+                          /*open_loop=*/!args.Has("closed-loop"),
+                          /*copies=*/1);
 }
 
 }  // namespace
