@@ -9,9 +9,10 @@
 //     filter-stage bounds when the IndexManager has no CHI, and retain the
 //     CHI of a verification-loaded mask here when incremental indexing is
 //     off, i.e. bounded incremental indexing.
-//   * derived/per-group CHIs (CacheSpace::kDerivedChi, key = group value):
-//     the pool-backed mode of DerivedIndexCache (§3.4's aggregated-mask
-//     indexes), one ChiCache per aggregation template.
+//   * derived/per-group CHIs (CacheSpace::kDerivedChi, key = the
+//     DerivedIndexCache's number for a group's member set): the pool-backed
+//     mode of DerivedIndexCache (§3.4's aggregated-mask indexes), one
+//     ChiCache per aggregation template.
 //
 // Each instance registers its own BufferPool owner id, so many caches (and
 // CachedMaskStores) share one pool — one memory budget — without key

@@ -18,6 +18,17 @@ namespace masksearch {
 /// \brief Executes SCALAR_AGG(CP(...)) GROUP BY ... [HAVING | ORDER BY
 /// LIMIT].
 ///
+/// Runs on the group driver shared with ExecuteMaskAgg (group_driver.h).
+/// Member bounds come from the IndexManager, else EngineOptions::chi_cache.
+/// Each undecidable group is one load unit of the verification pipeline
+/// (verify_pipeline.h): its members whose bounds are not tight, read with
+/// one MaskStore::LoadMaskBatch. Batches of EngineOptions::verify_batch
+/// groups (auto: 2 × pool threads, or 1 without a pool) are verified across
+/// opts.pool, with the next batch's loads in flight on opts.io_pool, and
+/// QueryControl is polled between batches. Results are byte-identical to
+/// the serial schedule; a batched top-k may verify a few groups the serial
+/// schedule prunes, never different values.
+///
 /// Stats units: masks_targeted / masks_loaded count masks; pruned /
 /// accepted_by_bounds / candidates count groups.
 ///

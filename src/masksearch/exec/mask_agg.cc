@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
-#include <set>
 
-#include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
-#include "masksearch/exec/verify_pipeline.h"
+#include "masksearch/exec/group_driver.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/kernels/agg_kernels.h"
 
@@ -17,17 +14,6 @@ namespace masksearch {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-struct Better {
-  bool descending;
-  bool operator()(const ScoredGroup& a, const ScoredGroup& b) const {
-    if (a.value != b.value) {
-      return descending ? a.value > b.value : a.value < b.value;
-    }
-    return a.group < b.group;
-  }
-};
 
 DerivedAggOp ToKernelOp(MaskAggOp op) {
   switch (op) {
@@ -136,21 +122,30 @@ Result<Mask> ComputeDerivedMask(MaskAggOp op, double threshold,
   return out;
 }
 
-std::shared_ptr<const Chi> DerivedIndexCache::Get(int64_t group) const {
-  if (pooled_ != nullptr) return pooled_->Get(group);
+std::shared_ptr<const Chi> DerivedIndexCache::Get(
+    const std::vector<MaskId>& members) const {
+  const int64_t slot = Slot(members);
+  if (pooled_ != nullptr) return pooled_->Get(slot);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = chis_.find(group);
+  auto it = chis_.find(slot);
   return it == chis_.end() ? nullptr : it->second;
 }
 
-void DerivedIndexCache::Put(int64_t group, Chi chi) {
+void DerivedIndexCache::Put(const std::vector<MaskId>& members, Chi chi) {
+  const int64_t slot = Slot(members);
   if (pooled_ != nullptr) {
-    pooled_->Put(group, std::move(chi));
+    pooled_->Put(slot, std::move(chi));
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = chis_[group];
-  if (slot == nullptr) slot = std::make_shared<const Chi>(std::move(chi));
+  auto& entry = chis_[slot];
+  if (entry == nullptr) entry = std::make_shared<const Chi>(std::move(chi));
+}
+
+int64_t DerivedIndexCache::Slot(const std::vector<MaskId>& members) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return slots_.try_emplace(members, static_cast<int64_t>(slots_.size()))
+      .first->second;
 }
 
 size_t DerivedIndexCache::size() const {
@@ -163,16 +158,13 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
                            MaskAggOp op, double threshold, GroupKey group_key,
                            DerivedIndexCache* cache) {
   if (cache == nullptr) return Status::InvalidArgument("null derived cache");
-  const std::vector<MaskId> ids = ResolveSelection(store, selection);
-  std::map<int64_t, std::vector<MaskId>> groups;
-  for (MaskId id : ids) {
-    groups[GroupKeyValue(group_key, store.meta(id))].push_back(id);
-  }
-  for (const auto& [key, members] : groups) {
-    if (cache->Get(key) != nullptr) continue;
-    MS_ASSIGN_OR_RETURN(std::vector<Mask> masks, store.LoadMaskBatch(members));
+  for (const internal::AggGroup& g :
+       internal::ResolveGroups(store, selection, group_key)) {
+    if (cache->Get(g.members) != nullptr) continue;
+    MS_ASSIGN_OR_RETURN(std::vector<Mask> masks,
+                        store.LoadMaskBatch(g.members));
     MS_ASSIGN_OR_RETURN(Mask derived, ComputeDerivedMask(op, threshold, masks));
-    cache->Put(key, BuildChi(derived, cache->config()));
+    cache->Put(g.members, BuildChi(derived, cache->config()));
   }
   return Status::OK();
 }
@@ -181,236 +173,59 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
                                  DerivedIndexCache* derived_cache,
                                  const MaskAggQuery& query,
                                  const EngineOptions& opts) {
-  if (!query.k.has_value() && !query.having_op.has_value()) {
-    return Status::InvalidArgument(
-        "mask-agg query needs a HAVING predicate and/or ORDER BY LIMIT k");
-  }
-  if (query.k.has_value() && *query.k == 0) {
-    return Status::InvalidArgument("mask-agg query requires k > 0");
-  }
-  MS_RETURN_NOT_OK(CheckControl(opts.control));
-
-  Stopwatch timer;
-  const std::vector<MaskId> ids = ResolveSelection(store, query.selection);
-
-  std::map<int64_t, std::vector<MaskId>> groups;
-  for (MaskId id : ids) {
-    groups[GroupKeyValue(query.group_key, store.meta(id))].push_back(id);
-  }
-
-  AggResult result;
-  result.stats.masks_targeted = static_cast<int64_t>(ids.size());
-
-  struct GroupState {
-    int64_t key;
-    const std::vector<MaskId>* members;
-    Interval bounds;
+  DerivedIndexCache* const cache = opts.use_index ? derived_cache : nullptr;
+  auto roi = [&](const internal::AggGroup& g) {
+    return ResolveRoi(query.term, store.meta(g.members.front()));
   };
-  std::vector<GroupState> states;
-  states.reserve(groups.size());
-  for (const auto& [key, members] : groups) {
-    GroupState gs{key, &members, Interval{-kInf, kInf}};
-    if (opts.use_index) {
+
+  internal::GroupOps ops;
+  ops.bounds = [&](const std::vector<internal::AggGroup>& groups) {
+    std::vector<Interval> out(groups.size(), Interval{-kInf, kInf});
+    if (!opts.use_index) return out;
+    for (size_t i = 0; i < groups.size(); ++i) {
       // Prefer the derived mask's own CHI; fall back to member-CHI bounds.
       const std::shared_ptr<const Chi> dchi =
-          derived_cache != nullptr ? derived_cache->Get(key) : nullptr;
-      if (dchi != nullptr) {
-        const ROI roi = ResolveRoi(query.term, store.meta(members.front()));
-        gs.bounds = Interval::FromBounds(
-            ComputeCpBounds(*dchi, roi, query.term.range));
-      } else {
-        gs.bounds = BoundsFromMembers(query, store, index, opts, members);
-      }
+          cache != nullptr ? cache->Get(groups[i].members) : nullptr;
+      out[i] = dchi != nullptr
+                   ? Interval::FromBounds(ComputeCpBounds(
+                         *dchi, roi(groups[i]), query.term.range))
+                   : BoundsFromMembers(query, store, index, opts,
+                                       groups[i].members);
     }
-    states.push_back(gs);
-  }
+    return out;
+  };
+  ops.unit = [](size_t, const internal::AggGroup& g) { return g.members; };
 
-  // Compute stage of verification: CP(derived, roi, range) exactly from the
-  // loaded members. When the derived CHI is wanted but missing, the derived
-  // mask is materialized (it is needed for the CHI build anyway) and
-  // registered; otherwise the fused count kernel answers without
-  // materializing it. Safe to run concurrently for distinct groups.
-  auto ComputeGroup = [&](const GroupState& gs, const std::vector<Mask>& masks,
-                          std::atomic<int64_t>* built) -> Result<double> {
+  // CP(derived, roi, range) exactly from the loaded members. When the
+  // derived CHI is wanted but missing, the derived mask is materialized (it
+  // is needed for the CHI build anyway) and registered; otherwise the fused
+  // count kernel answers without materializing it.
+  std::atomic<int64_t> built{0};
+  ops.exact = [&](size_t, const internal::AggGroup& g,
+                  const std::vector<Mask>& masks) -> Result<double> {
     MS_RETURN_NOT_OK(CheckSameShape(masks));
-    const MaskMeta& first = store.meta(gs.members->front());
-    const ROI roi = ResolveRoi(query.term, first);
-    const bool build_derived = derived_cache != nullptr && opts.use_index &&
-                               derived_cache->Get(gs.key) == nullptr;
-    if (build_derived) {
+    if (cache != nullptr && cache->Get(g.members) == nullptr) {
       // §3.4 treats aggregated masks as "new masks" indexed ahead of time
-      // or on first use; skip the build when the key is already cached.
+      // or on first use; skip the build when the group is already cached.
       MS_ASSIGN_OR_RETURN(
           Mask derived,
           ComputeDerivedMask(query.op, query.agg_threshold, masks));
       const double value = static_cast<double>(
-          CountPixels(derived, roi, query.term.range));
-      derived_cache->Put(gs.key, BuildChi(derived, derived_cache->config()));
-      built->fetch_add(1, std::memory_order_relaxed);
+          CountPixels(derived, roi(g), query.term.range));
+      cache->Put(g.members, BuildChi(derived, cache->config()));
+      built.fetch_add(1, std::memory_order_relaxed);
       return value;
     }
     const std::vector<const float*> ptrs = MaskPointers(masks);
     return static_cast<double>(DerivedCpCount(
         ToKernelOp(query.op), static_cast<float>(query.agg_threshold),
         DerivedMaskOne(), ptrs.data(), ptrs.size(), masks[0].width(),
-        masks[0].height(), roi, query.term.range));
+        masks[0].height(), roi(g), query.term.range));
   };
 
-  const Better better{query.descending};
-  std::set<ScoredGroup, Better> heap(better);
-  auto Fold = [&](int64_t key, double value) {
-    if (query.having_op.has_value() &&
-        !CompareExact(value, *query.having_op, query.having_threshold)) {
-      return;
-    }
-    const ScoredGroup cand{key, value};
-    if (heap.size() < *query.k) {
-      heap.insert(cand);
-    } else if (better(cand, *heap.rbegin())) {
-      heap.erase(std::prev(heap.end()));
-      heap.insert(cand);
-    }
-  };
-
-  // Verification: one load unit per group; each batch's groups are computed
-  // across the pool, and under top-k folded into the heap in batch order.
-  std::vector<double> exact(states.size(), 0.0);
-  auto verify = [&](const internal::VerifyBatch& b,
-                    const std::vector<std::vector<Mask>>& masks) -> Status {
-    const size_t n = b.items.size();
-    std::vector<Status> statuses(n, Status::OK());
-    std::atomic<int64_t> built{0};
-    ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
-      Result<double> v = ComputeGroup(states[b.items[j]], masks[j], &built);
-      if (v.ok()) {
-        exact[b.items[j]] = *v;
-      } else {
-        statuses[j] = v.status();
-      }
-    });
-    result.stats.chis_built += built.load();
-    for (const Status& s : statuses) MS_RETURN_NOT_OK(s);
-    if (query.k.has_value()) {
-      for (size_t i : b.items) Fold(states[i].key, exact[i]);
-    }
-    return Status::OK();
-  };
-  auto MakeBatch = [&](std::vector<size_t> idxs) {
-    internal::VerifyBatch b;
-    for (size_t i : idxs) b.units.push_back(*states[i].members);
-    b.items = std::move(idxs);
-    return b;
-  };
-
-  // Verification batch size (shared by both query shapes).
-  const size_t batch =
-      opts.verify_batch > 0
-          ? opts.verify_batch
-          : (opts.pool != nullptr
-                 ? std::max<size_t>(1, opts.pool->num_threads() * 2)
-                 : 1);
-
-  if (!query.k.has_value()) {
-    // HAVING-only: per-group decisions are independent, so classify every
-    // group first, verify the undecidable ones in fixed slices, and emit in
-    // group-key order — byte-identical to the serial schedule.
-    enum class Kind : uint8_t { kPruned, kAccepted, kVerify };
-    std::vector<Kind> kind(states.size(), Kind::kPruned);
-    std::vector<size_t> verify_idx;
-    for (size_t i = 0; i < states.size(); ++i) {
-      const Tri t = CompareBounds(states[i].bounds, *query.having_op,
-                                  query.having_threshold);
-      if (t == Tri::kFalse) {
-        ++result.stats.pruned;
-      } else if (t == Tri::kTrue) {
-        kind[i] = Kind::kAccepted;
-        ++result.stats.accepted_by_bounds;
-      } else {
-        kind[i] = Kind::kVerify;
-        ++result.stats.candidates;
-        verify_idx.push_back(i);
-      }
-    }
-    size_t next = 0;
-    auto next_batch = [&] {
-      const size_t take = std::min(batch, verify_idx.size() - next);
-      next += take;
-      return MakeBatch(std::vector<size_t>(verify_idx.begin() + next - take,
-                                           verify_idx.begin() + next));
-    };
-    MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
-        store, index, opts, "agg_verify", next_batch, verify, &result.stats));
-    for (size_t i = 0; i < states.size(); ++i) {
-      if (kind[i] == Kind::kAccepted) {
-        result.groups.push_back(ScoredGroup{
-            states[i].key, states[i].bounds.Tight() ? states[i].bounds.lo
-                                                    : kNaN});
-      } else if (kind[i] == Kind::kVerify &&
-                 CompareExact(exact[i], *query.having_op,
-                              query.having_threshold)) {
-        result.groups.push_back(ScoredGroup{states[i].key, exact[i]});
-      }
-    }
-    result.stats.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-
-  std::vector<size_t> order(states.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (opts.sort_by_bound) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const double oa = query.descending ? states[a].bounds.hi : -states[a].bounds.lo;
-      const double ob = query.descending ? states[b].bounds.hi : -states[b].bounds.lo;
-      if (oa != ob) return oa > ob;
-      return states[a].key < states[b].key;
-    });
-  }
-
-  // Top-k: walk groups in bound order, pruning against the running top-k,
-  // and verify survivors in batches across the pool — with io_pool, the
-  // next batch's loads are in flight while one is verified. The top-k set
-  // is order-independent under the Better total order, and exact values
-  // never exceed their bounds, so batching and prefetch-ahead only relax
-  // pruning conservatively (decisions are made against the heap as of batch
-  // formation): results are byte-identical to the serial schedule (batch 1,
-  // no pools), which this loop degenerates to exactly.
-  //
-  // FormNextBatch advances the cursor through the bound order, folding
-  // bound-decided groups and pruning against the current heap, until
-  // `batch` undecidable groups are collected.
-  size_t cursor = 0;
-  auto FormNextBatch = [&] {
-    std::vector<size_t> pending;
-    while (cursor < order.size() && pending.size() < batch) {
-      const size_t oi = order[cursor++];
-      const GroupState& gs = states[oi];
-      if (query.having_op.has_value() &&
-          CompareBounds(gs.bounds, *query.having_op, query.having_threshold) ==
-              Tri::kFalse) {
-        ++result.stats.pruned;
-        continue;
-      }
-      const double optimistic = query.descending ? gs.bounds.hi : gs.bounds.lo;
-      if (heap.size() >= *query.k &&
-          !better(ScoredGroup{gs.key, optimistic}, *heap.rbegin())) {
-        ++result.stats.pruned;
-        continue;
-      }
-      if (gs.bounds.Tight() && std::isfinite(gs.bounds.lo)) {
-        ++result.stats.accepted_by_bounds;
-        Fold(gs.key, gs.bounds.lo);
-        continue;
-      }
-      ++result.stats.candidates;
-      pending.push_back(oi);
-    }
-    return MakeBatch(std::move(pending));
-  };
-  MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
-      store, index, opts, "agg_verify", FormNextBatch, verify, &result.stats));
-
-  result.groups.assign(heap.begin(), heap.end());
-  result.stats.seconds = timer.ElapsedSeconds();
+  MS_ASSIGN_OR_RETURN(AggResult result, internal::RunGroupAggregation(
+                                              store, index, opts, query, ops));
+  result.stats.chis_built += built.load();
   return result;
 }
 

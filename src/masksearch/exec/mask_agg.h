@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "masksearch/cache/chi_cache.h"
 #include "masksearch/exec/options.h"
@@ -27,9 +28,12 @@ namespace masksearch {
 Result<Mask> ComputeDerivedMask(MaskAggOp op, double threshold,
                                 const std::vector<Mask>& masks);
 
-/// \brief Cache of CHIs for derived masks, keyed by group value. One cache
-/// corresponds to one (MaskAggOp, threshold, selection) template; the
-/// Session keeps caches across queries to amortize builds.
+/// \brief Cache of CHIs for derived masks. One cache holds one (MaskAggOp,
+/// threshold) template; entries are keyed by the group's exact member ids,
+/// which is all a derived mask depends on. A CHI is reused by any later
+/// query whose group has exactly those members, whatever its selection or
+/// GROUP BY key, and never by a group whose members differ. The Session
+/// keeps caches across queries to amortize builds.
 ///
 /// Two backings: the default is an unbounded map (every derived CHI stays
 /// for the cache's lifetime — the pre-cache-subsystem behavior). With a
@@ -48,16 +52,21 @@ class DerivedIndexCache {
                                                  CacheSpace::kDerivedChi)) {}
 
   const ChiConfig& config() const { return config_; }
-  std::shared_ptr<const Chi> Get(int64_t group) const;
-  void Put(int64_t group, Chi chi);
+  /// \brief The derived CHI of the group of `members` (ascending ids).
+  std::shared_ptr<const Chi> Get(const std::vector<MaskId>& members) const;
+  void Put(const std::vector<MaskId>& members, Chi chi);
   size_t size() const;
   /// \brief Pool-backed (capacity-bounded) mode?
   bool bounded() const { return pooled_ != nullptr; }
 
  private:
+  /// The entry key of a member set: numbered on first sight, never reused.
+  int64_t Slot(const std::vector<MaskId>& members) const;
+
   ChiConfig config_;
   std::unique_ptr<ChiCache> pooled_;  ///< null = unbounded map backing
   mutable std::mutex mu_;
+  mutable std::map<std::vector<MaskId>, int64_t> slots_;
   std::map<int64_t, std::shared_ptr<const Chi>> chis_;
 };
 
@@ -77,19 +86,16 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
 /// loading its members). `index` supplies individual-mask CHIs for the
 /// monotone-aggregation bounds.
 ///
-/// Verification runs through the shared pipeline (verify_pipeline.h):
-/// undecidable groups are verified across opts.pool in bound-ordered batches
-/// of EngineOptions::verify_batch, each group's members loaded with one
-/// MaskStore::LoadMaskBatch. With EngineOptions::io_pool set, the member
-/// loads of the next batch are in flight while one batch is verified, so
-/// the modeled disk and the verification kernels work concurrently. Results
-/// are byte-identical to the serial schedule; batching and prefetch-ahead
-/// only relax heap-based pruning conservatively (each decision uses the
-/// heap as of batch formation), so a pipelined run may verify a few extra
-/// groups (candidates up, pruned down by the same amount) — never fewer,
-/// and never different values. When only the count is
-/// needed (derived CHI already cached or no cache supplied), the fused
-/// derived-CP kernel answers without materializing the derived mask.
+/// Runs on the group driver shared with ExecuteAggregation (group_driver.h):
+/// undecidable groups are verified across opts.pool in batches through the
+/// verification pipeline, each group's members loaded as one unit with one
+/// MaskStore::LoadMaskBatch; with EngineOptions::io_pool the next batch's
+/// loads are in flight while one batch is verified. Results are
+/// byte-identical to the serial schedule; a pipelined top-k may verify a
+/// few extra groups (candidates up, pruned down by the same amount) —
+/// never fewer, and never different values. When only the count is needed
+/// (derived CHI already cached or no cache supplied), the fused derived-CP
+/// kernel answers without materializing the derived mask.
 Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
                                  DerivedIndexCache* derived_cache,
                                  const MaskAggQuery& query,

@@ -16,9 +16,9 @@ class ChiCache;
 /// \brief Per-request cancellation + deadline state (docs/SERVING.md).
 ///
 /// Executors poll Check() at batch boundaries — between batches of the
-/// filter / mask-agg verification pipeline, between groups or heap updates
-/// of the scalar executors — and abort with a typed
-/// DeadlineExceeded / Cancelled status. Polling at batch granularity keeps
+/// verification pipeline (filter, scalar aggregation, mask-agg), every 32
+/// masks in top-k — and abort with a typed DeadlineExceeded / Cancelled
+/// status. Polling at batch granularity keeps
 /// the hot per-pixel loops branch-free: a request overruns its deadline by
 /// at most one batch of work. One QueryControl belongs to one request; it
 /// may be Cancel()ed from any thread while the request executes.
@@ -72,13 +72,14 @@ struct EngineOptions {
   /// order. The ablation bench quantifies the difference.
   bool sort_by_bound = true;
 
-  /// Verification batch size of the filter and mask-agg executors: the
-  /// undecided masks (filter) or groups (mask-agg) are loaded and verified
-  /// in batches of this many, and QueryControl is polled between batches.
-  /// 0 = auto: filter max(64, 4 × pool threads); mask-agg 2 × pool threads,
-  /// or 1 (the exact serial schedule) without a pool. Results do not depend
-  /// on it; a mask-agg top-k may verify a few extra groups with larger
-  /// batches, because pruning uses the heap as of batch formation.
+  /// Verification batch size of the filter and aggregation executors: the
+  /// undecided masks (filter) or groups (scalar aggregation, mask-agg) are
+  /// loaded and verified in batches of this many, and QueryControl is
+  /// polled between batches. 0 = auto: filter max(64, 4 × pool threads);
+  /// aggregations 2 × pool threads, or 1 (the exact serial schedule)
+  /// without a pool. Results do not depend on it; an aggregation top-k may
+  /// verify a few extra groups with larger batches, because pruning uses
+  /// the heap as of batch formation.
   size_t verify_batch = 0;
 
   /// I/O pool of the verification pipeline: while one batch is verified on
@@ -88,9 +89,8 @@ struct EngineOptions {
   ThreadPool* io_pool = nullptr;
 
   /// Capacity-bounded individual-mask CHI cache (docs/CACHING.md). When
-  /// set, the filter stages of ExecuteFilter / ExecuteTopK / ExecuteMaskAgg
-  /// fall back to it for bounds when the IndexManager has no CHI, and
-  /// verification retains a loaded mask's CHI here when incremental
+  /// set, every executor falls back to it for bounds when the IndexManager
+  /// has no CHI, and verification retains a loaded mask's CHI here when incremental
   /// indexing (build_missing) is off — bounded incremental indexing.
   /// Bounds stay sound regardless of evictions, so query results are
   /// byte-identical with or without the cache; only pruning stats and I/O

@@ -1,11 +1,12 @@
-// The verification stage shared by the filter and mask-agg executors (§3.2):
-// masks the filter stage could not decide stream through here in batches.
-// Internal; not part of the public API.
+// The verification stage shared by the filter executor and the group driver
+// of the scalar- and mask-aggregation executors (§3.2): masks the filter
+// stage could not decide stream through here in batches. Top-k does not use
+// it yet. Internal; not part of the public API.
 //
 // A batch is a list of load units, each read with one MaskStore::LoadMaskBatch
 // (offset-sorted, coalesced, shard-parallel reads). The filter gives one unit
-// per batch, mask-agg one per group, so each keeps its own I/O request
-// pattern. With EngineOptions::io_pool set the pipeline is two batches deep:
+// per batch, the aggregations one per group, so each keeps its own I/O
+// request pattern. With EngineOptions::io_pool set the pipeline is two batches deep:
 // batch k+1's units load on io_pool while batch k is verified on
 // EngineOptions::pool. Without io_pool it is one batch deep and every unit
 // loads at verify time, which is the serial schedule.
@@ -27,7 +28,7 @@ namespace masksearch {
 namespace internal {
 
 /// \brief One verification batch. `items` are the executor's own indices
-/// (masks for the filter, groups for mask-agg) and are opaque to the
+/// (masks for the filter, groups for the aggregations) and are opaque to the
 /// pipeline; `units` are the mask ids loaded together.
 struct VerifyBatch {
   std::vector<size_t> items;

@@ -6,6 +6,7 @@
 
 #include "masksearch/baselines/full_scan.h"
 #include "masksearch/exec/agg_executor.h"
+#include "masksearch/obs/trace.h"
 #include "masksearch/workload/query_gen.h"
 #include "test_util.h"
 
@@ -161,6 +162,37 @@ TEST_F(AggExecutorTest, RandomizedQueriesMatchReference) {
       ASSERT_NEAR(got->groups[j].value, want->groups[j].value, 1e-9);
     }
   }
+}
+
+// Verification runs through the shared pipeline, so a traced query's time
+// shows up under the pipeline's spans: io_wait for loads, agg_verify for
+// the exact aggregates.
+TEST_F(AggExecutorTest, TracedQueryRecordsPipelineSpans) {
+  ThreadPool pool(2);
+  EngineOptions opts;
+  opts.pool = &pool;
+  opts.io_pool = &pool;
+  opts.use_index = false;  // every group is verified
+  AggregationQuery q = MeanQuery(0, true);
+  q.k.reset();
+  q.having_op = CompareOp::kGt;
+  q.having_threshold = 100.0;
+
+  obs::Trace trace(1);
+  {
+    obs::TraceScope scope(&trace);
+    auto r = ExecuteAggregation(*store_, index_.get(), q, opts);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->stats.masks_loaded, store_->num_masks());
+  }
+  uint64_t verify_spans = 0;
+  uint64_t wait_spans = 0;
+  for (const obs::Trace::Span& span : trace.spans()) {
+    if (span.name == "agg_verify") verify_spans = span.count;
+    if (span.name == "io_wait") wait_spans = span.count;
+  }
+  EXPECT_GT(verify_spans, 0u);
+  EXPECT_EQ(wait_spans, verify_spans);  // one of each per batch
 }
 
 TEST_F(AggExecutorTest, InvalidQueriesRejected) {

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "masksearch/baselines/full_scan.h"
 #include "masksearch/catalog/catalog.h"
 #include "masksearch/common/io.h"
 #include "masksearch/ingest/ingestor.h"
@@ -339,6 +341,65 @@ TEST(IngestTest, CatalogRegisterLiveServesInserts) {
 
   // A second registration resumes the same store.
   EXPECT_FALSE(catalog.RegisterLive("live", dir.file("live"), config).ok());
+}
+
+// Scalar aggregation on a snapshot session takes member bounds from the
+// CHIs built at ingest time (the shared ChiCache), like every other
+// executor: a HAVING clause the bounds refute prunes every group without
+// loading a mask, and a splitting one answers like the reference.
+TEST(IngestTest, ScalarAggregationPrunesWithIngestBuiltChis) {
+  TempDir dir("ingest_agg");
+  ThreadPool pool(2);
+  IngestorOptions opts = TestIngestOptions();
+  opts.session.pool = &pool;
+  opts.session.io_pool = &pool;
+  auto ingestor = Ingestor::Create(dir.path(), opts).ValueOrDie();
+  Rng rng(29);
+  for (int64_t i = 0; i < 60; ++i) {
+    auto id = ingestor->Append(MetaFor(i / 2, static_cast<int32_t>(i % 2)),
+                               BlobMask(&rng, 32, 32));
+    ASSERT_TRUE(id.ok()) << id.status();
+  }
+  MS_ASSERT_OK(ingestor->Publish());
+  const std::shared_ptr<const Snapshot> snap = ingestor->snapshot();
+  FullScanBaseline reference(&snap->store());
+
+  AggregationQuery q;
+  q.term.roi_source = RoiSource::kConstant;
+  q.term.constant_roi = ROI{0, 0, 32, 32};
+  q.term.range = ValueRange{0.5, 1.0};
+  q.op = ScalarAggOp::kSum;
+  q.having_op = CompareOp::kGt;
+  q.having_threshold = 1e9;  // above any SUM of two 32x32 counts
+  const AggResult none = snap->session()->Aggregate(q).ValueOrDie();
+  EXPECT_TRUE(none.groups.empty());
+  EXPECT_EQ(none.stats.masks_targeted, 60);
+  EXPECT_EQ(none.stats.masks_loaded, 0);
+  EXPECT_EQ(none.stats.pruned, 30);
+
+  AggregationQuery ranked = q;
+  ranked.having_op.reset();
+  ranked.k = 30;
+  const AggResult all = reference.Aggregate(ranked).ValueOrDie();
+  ASSERT_EQ(all.groups.size(), 30u);
+  q.having_threshold = all.groups[15].value;
+  const AggResult got = snap->session()->Aggregate(q).ValueOrDie();
+  const AggResult want = reference.Aggregate(q).ValueOrDie();
+  EXPECT_LT(got.stats.masks_loaded, 60);
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (size_t i = 0; i < got.groups.size(); ++i) {
+    EXPECT_EQ(got.groups[i].group, want.groups[i].group);
+    if (!std::isnan(got.groups[i].value)) {
+      EXPECT_EQ(got.groups[i].value, want.groups[i].value);
+    }
+  }
+
+  const AggResult top = snap->session()->Aggregate(ranked).ValueOrDie();
+  ASSERT_EQ(top.groups.size(), all.groups.size());
+  for (size_t i = 0; i < top.groups.size(); ++i) {
+    EXPECT_EQ(top.groups[i].group, all.groups[i].group);
+    EXPECT_EQ(top.groups[i].value, all.groups[i].value);
+  }
 }
 
 TEST(IngestTest, IngestOnFixedDatasetIsTyped) {

@@ -1,13 +1,16 @@
 // Tests for mask aggregation (§3.4, Q5): derived masks, derived-index
-// caching, and the monotone-aggregation bounds extension.
+// caching, and the monotone-aggregation bounds extension; plus the group
+// driver both aggregation executors share (pipeline parity, cancellation).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 
 #include "masksearch/baselines/full_scan.h"
 #include "masksearch/cache/buffer_pool.h"
+#include "masksearch/exec/agg_executor.h"
 #include "masksearch/exec/mask_agg.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/storage/sharded_mask_store.h"
@@ -71,16 +74,26 @@ TEST(DerivedMaskTest, ValidatesInputs) {
 }
 
 TEST(DerivedIndexCacheTest, PutGetAndFirstWins) {
-  DerivedIndexCache cache(TestConfig());
-  EXPECT_EQ(cache.Get(7), nullptr);
-  Rng rng(1);
-  Mask m = RandomMask(&rng, 16, 16);
-  cache.Put(7, BuildChi(m, TestConfig()));
-  const std::shared_ptr<const Chi> first = cache.Get(7);
-  ASSERT_NE(first, nullptr);
-  cache.Put(7, BuildChi(RandomMask(&rng, 16, 16), TestConfig()));
-  EXPECT_EQ(cache.Get(7).get(), first.get());
-  EXPECT_EQ(cache.size(), 1u);
+  BufferPool::Options popts;
+  popts.budget_bytes = 1ull << 20;
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pool-backed" : "unbounded");
+    DerivedIndexCache cache(
+        TestConfig(), pooled ? std::make_shared<BufferPool>(popts) : nullptr);
+    EXPECT_EQ(cache.bounded(), pooled);
+    EXPECT_EQ(cache.Get({7}), nullptr);
+    Rng rng(1);
+    Mask m = RandomMask(&rng, 16, 16);
+    cache.Put({7}, BuildChi(m, TestConfig()));
+    const std::shared_ptr<const Chi> first = cache.Get({7});
+    ASSERT_NE(first, nullptr);
+    cache.Put({7}, BuildChi(RandomMask(&rng, 16, 16), TestConfig()));
+    EXPECT_EQ(cache.Get({7}).get(), first.get());
+    EXPECT_EQ(cache.size(), 1u);
+    // Entries are keyed by the exact member set, not by a group value.
+    EXPECT_EQ(cache.Get({7, 8}), nullptr);
+    EXPECT_EQ(cache.Get({8}), nullptr);
+  }
 }
 
 class MaskAggExecTest : public ::testing::Test {
@@ -456,6 +469,83 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
       }
     }
   }
+
+  // Scalar aggregation runs on the same group driver and pipeline: every
+  // op, HAVING-only and top-k both ways, under the same pool sets and both
+  // stores, matches the serial schedule and the full-scan reference.
+  FullScanBaseline reference(store_.get());
+  const int64_t num_groups = 16;
+  for (ScalarAggOp op : {ScalarAggOp::kSum, ScalarAggOp::kAvg,
+                         ScalarAggOp::kMin, ScalarAggOp::kMax}) {
+    AggregationQuery base;
+    base.term.roi_source = RoiSource::kObjectBox;
+    base.term.range = ValueRange(0.7, 1.0);
+    base.op = op;
+    base.group_key = GroupKey::kImageId;
+    // HAVING at the median group value: some groups on each side.
+    AggregationQuery every = base;
+    every.k = num_groups;
+    const AggResult ranked = reference.Aggregate(every).ValueOrDie();
+    ASSERT_EQ(ranked.groups.size(), static_cast<size_t>(num_groups));
+    AggregationQuery over_median = base;
+    over_median.having_op = CompareOp::kGt;
+    over_median.having_threshold = ranked.groups[num_groups / 2].value;
+    AggregationQuery desc = base;
+    desc.k = 5;
+    AggregationQuery asc = desc;
+    asc.descending = false;
+
+    for (const AggregationQuery& q : {over_median, desc, asc}) {
+      const AggResult want = reference.Aggregate(q).ValueOrDie();
+      const AggResult serial =
+          ExecuteAggregation(*store_, index_.get(), q).ValueOrDie();
+      for (const MaskStore* store : {store_.get(), warm.get()}) {
+        for (const Pools& p : pool_sets) {
+          for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
+            SCOPED_TRACE(std::string(ScalarAggOpToString(op)) +
+                         (q.k ? (q.descending ? " top-k desc" : " top-k asc")
+                              : " having") +
+                         " warm " + std::to_string(store == warm.get()) +
+                         " pools " + std::to_string(p.pool != nullptr) +
+                         std::to_string(p.io_pool != nullptr) + " batch " +
+                         std::to_string(batch));
+            EngineOptions opts;
+            opts.pool = p.pool;
+            opts.io_pool = p.io_pool;
+            opts.verify_batch = batch;
+            auto got = ExecuteAggregation(*store, index_.get(), q, opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ASSERT_EQ(got->groups.size(), serial.groups.size());
+            ASSERT_EQ(got->groups.size(), want.groups.size());
+            for (size_t i = 0; i < got->groups.size(); ++i) {
+              const ScoredGroup& g = got->groups[i];
+              EXPECT_EQ(g.group, serial.groups[i].group) << "rank " << i;
+              EXPECT_EQ(g.group, want.groups[i].group) << "rank " << i;
+              EXPECT_EQ(std::memcmp(&g.value, &serial.groups[i].value,
+                                    sizeof(double)),
+                        0)
+                  << "rank " << i;
+              // Only a HAVING group accepted by non-tight bounds has no
+              // value (NaN); every other value is the exact aggregate.
+              if (!std::isnan(g.value)) {
+                EXPECT_EQ(std::memcmp(&g.value, &want.groups[i].value,
+                                      sizeof(double)),
+                          0)
+                    << "rank " << i;
+              }
+            }
+            const ExecStats& st = got->stats;
+            EXPECT_EQ(st.pruned + st.accepted_by_bounds + st.candidates,
+                      num_groups);
+            if (!q.k) {
+              EXPECT_EQ(st.masks_loaded, serial.stats.masks_loaded);
+              EXPECT_EQ(st.candidates, serial.stats.candidates);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Forwards to a wrapped store, cancelling `control` whenever a batch is
@@ -512,6 +602,16 @@ TEST_F(MaskAggExecTest, HavingOnlyCancelMidQueryStopsAtBatchBoundary) {
   opts.control = &control;
   auto r = ExecuteMaskAgg(store, nullptr, nullptr, q, opts);
   EXPECT_TRUE(r.status().IsCancelled()) << r.status();
+
+  // Scalar aggregation shares the driver and stops the same way.
+  control.cancelled.store(false);
+  AggregationQuery agg;
+  agg.term = q.term;
+  agg.op = ScalarAggOp::kSum;
+  agg.having_op = CompareOp::kGt;
+  agg.having_threshold = 50.0;
+  auto a = ExecuteAggregation(store, nullptr, agg, opts);
+  EXPECT_TRUE(a.status().IsCancelled()) << a.status();
 }
 
 }  // namespace

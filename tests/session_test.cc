@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "masksearch/baselines/full_scan.h"
 #include "masksearch/exec/session.h"
 #include "masksearch/workload/query_gen.h"
 #include "test_util.h"
@@ -213,6 +216,53 @@ TEST(SessionTest, DerivedCacheKeyedByOpAndThreshold) {
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a, a2);
+}
+
+// A derived CHI is a function of the group's members alone. One Session
+// answering the same MASK_AGG template over different selections and
+// GROUP BY keys must never reuse a derived CHI for a group whose members
+// differ: image 5 over models {0,1,2} is not image 5 over model 1, nor
+// model group 5.
+TEST(SessionTest, DerivedCacheNeverCrossesSelectionsOrGroupKeys) {
+  TempDir dir("sess");
+  auto store = MakeStore(dir.path(), 40, 3, 32, 32, /*seed=*/91);
+  auto session = Session::Open(store.get(), BaseOptions()).ValueOrDie();
+  FullScanBaseline reference(store.get());
+
+  for (MaskAggOp op :
+       {MaskAggOp::kIntersectThreshold, MaskAggOp::kUnionThreshold}) {
+    MaskAggQuery base;
+    base.op = op;
+    base.agg_threshold = 0.5;
+    base.term.roi_source = RoiSource::kObjectBox;
+    base.term.range = ValueRange(0.5, 1.0);
+    base.group_key = GroupKey::kImageId;
+    // HAVING at the median group value of the unrestricted query.
+    MaskAggQuery ranked = base;
+    ranked.k = 40;
+    const AggResult all = reference.MaskAggregate(ranked).ValueOrDie();
+    ASSERT_EQ(all.groups.size(), 40u);
+    base.having_op = CompareOp::kGt;
+    base.having_threshold = all.groups[20].value;
+
+    MaskAggQuery one_model = base;
+    one_model.selection.model_ids = {1};
+    MaskAggQuery by_model = base;
+    by_model.group_key = GroupKey::kModelId;
+    for (const MaskAggQuery& q : {base, one_model, by_model}) {
+      const AggResult got = session->MaskAggregate(q).ValueOrDie();
+      const AggResult want = reference.MaskAggregate(q).ValueOrDie();
+      std::vector<int64_t> got_ids, want_ids;
+      for (const ScoredGroup& g : got.groups) got_ids.push_back(g.group);
+      for (const ScoredGroup& g : want.groups) want_ids.push_back(g.group);
+      ASSERT_EQ(got_ids, want_ids);
+      for (size_t i = 0; i < got.groups.size(); ++i) {
+        if (!std::isnan(got.groups[i].value)) {
+          EXPECT_EQ(got.groups[i].value, want.groups[i].value);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
