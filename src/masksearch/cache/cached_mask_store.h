@@ -13,6 +13,11 @@
 // other's in-flight entries. Duplicate ids in a batch resolve to one pool
 // access and one decode.
 //
+// Row windows: ReadsRowWindows() stays false and LoadMaskWindows is the
+// base default (whole masks through the cache, windows copied out), so the
+// executors' verification loads read whole masks and keep filling the
+// cache — a slice is never a cache entry.
+//
 // Accounting: masks_loaded()/bytes_read() forward to the wrapped store, so
 // they keep meaning *physical* storage traffic — a warm hit moves neither.
 // Cache traffic is reported by cache_hits()/cache_misses() and the pool's

@@ -47,6 +47,7 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
                                      const AggregationQuery& query,
                                      const EngineOptions& opts) {
   auto roi = [&](MaskId id) { return ResolveRoi(query.term, store.meta(id)); };
+  const std::vector<CpTerm> terms{query.term};
 
   // Per group, each member's CP interval; empty when a member has no CHI,
   // and then every member is loaded.
@@ -76,23 +77,33 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
     }
     return out;
   };
-  // Members with tight intervals contribute their bound; the rest load.
+  // Members with tight intervals contribute their bound; the rest load the
+  // rows of the term's ROI.
   ops.unit = [&](size_t i, const internal::AggGroup& g) {
-    std::vector<MaskId> unit;
+    internal::LoadUnit unit;
     for (size_t m = 0; m < g.members.size(); ++m) {
-      if (!tight(i, m)) unit.push_back(g.members[m]);
+      if (tight(i, m)) continue;
+      unit.ids.push_back(g.members[m]);
+      unit.windows.push_back(
+          internal::TermRows(store.meta(g.members[m]), terms));
     }
     return unit;
   };
   ops.exact = [&](size_t i, const internal::AggGroup& g,
+                  const internal::LoadUnit& unit,
                   const std::vector<Mask>& masks) -> Result<double> {
     std::vector<Interval> values(g.members.size());
-    for (size_t m = 0, loaded = 0; m < g.members.size(); ++m) {
-      values[m] = tight(i, m) ? member_bounds[i][m]
-                              : Interval::Point(static_cast<double>(
-                                    CountPixels(masks[loaded++],
-                                                roi(g.members[m]),
-                                                query.term.range)));
+    for (size_t m = 0, j = 0; m < g.members.size(); ++m) {
+      if (tight(i, m)) {
+        values[m] = member_bounds[i][m];
+        continue;
+      }
+      const MaskId id = g.members[m];
+      values[m] = Interval::Point(static_cast<double>(CountPixels(
+          masks[j],
+          internal::WindowRoi(roi(id), store.meta(id), unit.windows[j]),
+          query.term.range)));
+      ++j;
     }
     return Combine(query.op, values).lo;
   };

@@ -1,9 +1,19 @@
 // Internal per-mask evaluation helpers shared by the executors.
 // Not part of the public API.
+//
+// Row windows: a verification load reads only the rows its terms' clamped
+// ROIs touch (TermRows), as one RowWindow per mask. It reads the whole mask
+// instead on a store whose LoadMaskWindows does not save I/O (compressed,
+// or a whole-mask cache in front: MaskStore::ReadsRowWindows) and whenever
+// the load would retain the mask's CHI (RetainsChi), because a CHI is
+// built from the whole mask, never from a slice. VerifyWindow applies both
+// rules; the verify kernels shift each ROI by the window's first row
+// (WindowRoi).
 
 #ifndef MASKSEARCH_EXEC_EVALUATOR_H_
 #define MASKSEARCH_EXEC_EVALUATOR_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -34,15 +44,43 @@ inline std::vector<Interval> TermBoundsFromChi(const Chi& chi,
   return out;
 }
 
-/// \brief Exact CP term values from a loaded mask (verification stage).
+/// \brief The rows of `meta`'s mask that the clamped ROIs of `terms` touch:
+/// the hull of their row ranges, so disjoint ROIs read the rows between
+/// them too. The whole mask when every ROI is empty.
+inline RowWindow TermRows(const MaskMeta& meta,
+                          const std::vector<CpTerm>& terms) {
+  RowWindow w{meta.height, 0};
+  for (const CpTerm& t : terms) {
+    const ROI r = ResolveRoi(t, meta).ClampTo(meta.width, meta.height);
+    if (r.Empty()) continue;
+    w.y0 = std::min(w.y0, r.y0);
+    w.y1 = std::max(w.y1, r.y1);
+  }
+  return w.y0 < w.y1 ? w : RowWindow::Whole(meta);
+}
+
+/// \brief `roi` clamped to `meta`'s mask, in the coordinates of its rows
+/// `window` (whose row 0 is mask row window.y0). Every nonempty clamped ROI
+/// of TermRows' terms lies inside their window.
+inline ROI WindowRoi(const ROI& roi, const MaskMeta& meta,
+                     const RowWindow& window) {
+  ROI r = roi.ClampTo(meta.width, meta.height);
+  r.y0 -= window.y0;
+  r.y1 -= window.y0;
+  return r;
+}
+
+/// \brief Exact CP term values from a loaded mask, or from its rows
+/// `window` (verification stage).
 inline std::vector<double> TermExactFromMask(const Mask& mask,
                                              const MaskMeta& meta,
-                                             const std::vector<CpTerm>& terms) {
+                                             const std::vector<CpTerm>& terms,
+                                             const RowWindow& window) {
   std::vector<double> out;
   out.reserve(terms.size());
   for (const CpTerm& t : terms) {
-    out.push_back(static_cast<double>(
-        CountPixels(mask, ResolveRoi(t, meta), t.range)));
+    out.push_back(static_cast<double>(CountPixels(
+        mask, WindowRoi(ResolveRoi(t, meta), meta, window), t.range)));
   }
   return out;
 }
@@ -65,11 +103,12 @@ inline std::shared_ptr<const Chi> ChiForBounds(const IndexManager* index,
   return nullptr;
 }
 
-/// \brief Retains the CHI of a verification-loaded mask per the engine
-/// configuration: into the IndexManager under incremental indexing (§3.6,
-/// unbounded — the paper's MS-II), else into the bounded chi_cache when one
-/// is configured. `index` must already be gated on opts.use_index by the
-/// caller. Returns the number of CHIs built (0 or 1) for stats.
+/// \brief Retains the CHI of a verification-loaded whole mask per the
+/// engine configuration: into the IndexManager under incremental indexing
+/// (§3.6, unbounded — the paper's MS-II), else into the bounded chi_cache
+/// when one is configured. `index` must already be gated on opts.use_index
+/// by the caller. Returns the number of CHIs built (0 or 1) for stats.
+/// Callers never pass a row window's slice: its CHI would be wrong.
 inline int64_t RetainChiAfterLoad(IndexManager* index,
                                   const EngineOptions& opts, MaskId id,
                                   const Mask& mask) {
@@ -86,16 +125,55 @@ inline int64_t RetainChiAfterLoad(IndexManager* index,
   return 0;
 }
 
-/// \brief Loads a mask (counted in `stats`) and retains its CHI per
-/// RetainChiAfterLoad.
+/// \brief True when RetainChiAfterLoad would build mask `id`'s CHI from its
+/// load now (same gating of `index`).
+inline bool RetainsChi(const IndexManager* index, const EngineOptions& opts,
+                       MaskId id) {
+  return (opts.build_missing && index != nullptr && !index->Has(id)) ||
+         (opts.use_index && opts.chi_cache != nullptr &&
+          (index == nullptr || !index->IsResident(id)) &&
+          !opts.chi_cache->Contains(id));
+}
+
+/// \brief The window a verification load of mask `id` reads, given the
+/// `rows` its terms touch: `rows`, or the whole mask when the store does
+/// not read row windows or the load would retain the CHI (RetainsChi; a
+/// chi_cache entry evicted after this decision only means the whole-mask
+/// retention is skipped). `index` is gated as for RetainChiAfterLoad.
+inline RowWindow VerifyWindow(const MaskStore& store,
+                              const IndexManager* index,
+                              const EngineOptions& opts, MaskId id,
+                              const RowWindow& rows) {
+  if (!store.ReadsRowWindows() || RetainsChi(index, opts, id)) {
+    return RowWindow::Whole(store.meta(id));
+  }
+  return rows;
+}
+
+/// \brief Bytes a load of `window` of mask `id` reads: the stored blob when
+/// the window is whole, else the window's raw rows.
+inline int64_t WindowBytes(const MaskStore& store, MaskId id,
+                           const RowWindow& window) {
+  const MaskMeta& m = store.meta(id);
+  if (window.IsWhole(m)) return static_cast<int64_t>(store.BlobSize(id));
+  return static_cast<int64_t>(window.rows()) * m.width *
+         static_cast<int64_t>(sizeof(float));
+}
+
+/// \brief Loads `window` of a mask (counted in `stats`) and, when the
+/// window is whole, retains its CHI per RetainChiAfterLoad.
 inline Result<Mask> LoadForVerification(const MaskStore& store,
                                         IndexManager* index,
                                         const EngineOptions& opts, MaskId id,
+                                        const RowWindow& window,
                                         ExecStats* stats) {
-  MS_ASSIGN_OR_RETURN(Mask mask, store.LoadMask(id));
+  const bool whole = window.IsWhole(store.meta(id));
+  MS_ASSIGN_OR_RETURN(Mask mask,
+                      whole ? store.LoadMask(id)
+                            : store.LoadMaskRows(id, window.y0, window.y1));
   stats->masks_loaded += 1;
-  stats->bytes_read += static_cast<int64_t>(store.BlobSize(id));
-  stats->chis_built += RetainChiAfterLoad(index, opts, id, mask);
+  stats->bytes_read += WindowBytes(store, id, window);
+  if (whole) stats->chis_built += RetainChiAfterLoad(index, opts, id, mask);
   return mask;
 }
 

@@ -72,7 +72,8 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
   }
 
   // Verification stage: the undecided masks in fixed slices, one load unit
-  // per slice, each slice evaluated across the pool.
+  // per slice, each slice evaluated across the pool. A mask's window is the
+  // rows of all the predicate's terms.
   const size_t batch =
       opts.verify_batch > 0
           ? opts.verify_batch
@@ -86,8 +87,12 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
     if (take == 0) return b;
     b.items.assign(verify_idx.begin() + next, verify_idx.begin() + next + take);
     next += take;
-    b.units.emplace_back();
-    for (size_t i : b.items) b.units[0].push_back(ids[i]);
+    internal::LoadUnit& unit = b.units.emplace_back();
+    for (size_t i : b.items) {
+      unit.ids.push_back(ids[i]);
+      unit.windows.push_back(
+          internal::TermRows(store.meta(ids[i]), query.terms));
+    }
     return b;
   };
   auto verify = [&](const internal::VerifyBatch& b,
@@ -97,7 +102,8 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
                 [&](size_t j) {
                   const size_t i = b.items[j];
                   const std::vector<double> exact = internal::TermExactFromMask(
-                      loaded[j], store.meta(ids[i]), query.terms);
+                      loaded[j], store.meta(ids[i]), query.terms,
+                      b.units[0].windows[j]);
                   outcomes[i] = query.predicate.EvalExact(exact)
                                     ? Outcome::kVerifiedPass
                                     : Outcome::kVerifiedFail;

@@ -154,7 +154,7 @@ Result<AggResult> RunGroupAggregation(const MaskStore& store,
     std::vector<Status> statuses(n, Status::OK());
     ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
       const size_t i = b.items[j];
-      Result<double> v = ops.exact(i, groups[i], masks[j]);
+      Result<double> v = ops.exact(i, groups[i], b.units[j], masks[j]);
       if (v.ok()) {
         exact[i] = *v;
       } else {

@@ -14,6 +14,7 @@
 
 #include "masksearch/exec/options.h"
 #include "masksearch/exec/query_spec.h"
+#include "masksearch/exec/verify_pipeline.h"
 #include "masksearch/index/index_manager.h"
 
 namespace masksearch {
@@ -35,11 +36,14 @@ struct GroupOps {
   /// +inf) where nothing is known. Called once, before any load.
   std::function<std::vector<Interval>(const std::vector<AggGroup>& groups)>
       bounds;
-  /// The mask ids loaded to verify group i: one pipeline load unit.
-  std::function<std::vector<MaskId>(size_t i, const AggGroup& group)> unit;
-  /// Group i's exact aggregate from its unit's masks, in unit order. Runs
+  /// The masks loaded to verify group i, with the rows each one's term
+  /// touches (or none: whole masks): one pipeline load unit.
+  std::function<LoadUnit(size_t i, const AggGroup& group)> unit;
+  /// Group i's exact aggregate from its unit's masks, in unit order; mask j
+  /// holds the rows unit.windows[j] (as widened by the pipeline). Runs
   /// concurrently for distinct groups across EngineOptions::pool.
   std::function<Result<double>(size_t i, const AggGroup& group,
+                               const LoadUnit& unit,
                                const std::vector<Mask>& masks)>
       exact;
 };

@@ -194,7 +194,10 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
     }
     return out;
   };
-  ops.unit = [](size_t, const internal::AggGroup& g) { return g.members; };
+  // Whole members: the derived-CHI build needs the whole derived mask.
+  ops.unit = [](size_t, const internal::AggGroup& g) {
+    return internal::LoadUnit{g.members, {}};
+  };
 
   // CP(derived, roi, range) exactly from the loaded members. When the
   // derived CHI is wanted but missing, the derived mask is materialized (it
@@ -202,6 +205,7 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
   // count kernel answers without materializing it.
   std::atomic<int64_t> built{0};
   ops.exact = [&](size_t, const internal::AggGroup& g,
+                  const internal::LoadUnit&,
                   const std::vector<Mask>& masks) -> Result<double> {
     MS_RETURN_NOT_OK(CheckSameShape(masks));
     if (cache != nullptr && cache->Get(g.members) == nullptr) {

@@ -84,6 +84,7 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
   // Pass 2: sequential scan maintaining the running top-k set R (Eq. 15).
   MS_TRACE_SPAN("topk_scan");
   std::set<ScoredMask, Better> heap(better);
+  IndexManager* const retain_into = opts.use_index ? index : nullptr;
   for (size_t oi = 0; oi < order.size(); ++oi) {
     // This executor has no batches; a stride of masks is its boundary for
     // deadline/cancel checks (prunes are branch-only, loads dominate).
@@ -109,12 +110,16 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
       ++result.stats.accepted_by_bounds;
     } else {
       ++result.stats.candidates;
-      MS_ASSIGN_OR_RETURN(
-          Mask mask, internal::LoadForVerification(
-                         store, opts.use_index ? index : nullptr, opts, id,
-                         &result.stats));
+      // The window covers every term the order expression reads.
+      const MaskMeta& meta = store.meta(id);
+      const RowWindow window = internal::VerifyWindow(
+          store, retain_into, opts, id, internal::TermRows(meta, query.terms));
+      MS_ASSIGN_OR_RETURN(Mask mask,
+                          internal::LoadForVerification(
+                              store, retain_into, opts, id, window,
+                              &result.stats));
       const std::vector<double> exact =
-          internal::TermExactFromMask(mask, store.meta(id), query.terms);
+          internal::TermExactFromMask(mask, meta, query.terms, window);
       value = query.order_expr.EvalExact(exact);
     }
 

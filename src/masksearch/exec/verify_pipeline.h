@@ -3,11 +3,18 @@
 // stage could not decide stream through here in batches. Top-k does not use
 // it yet. Internal; not part of the public API.
 //
-// A batch is a list of load units, each read with one MaskStore::LoadMaskBatch
-// (offset-sorted, coalesced, shard-parallel reads). The filter gives one unit
-// per batch, the aggregations one per group, so each keeps its own I/O
-// request pattern. With EngineOptions::io_pool set the pipeline is two batches deep:
-// batch k+1's units load on io_pool while batch k is verified on
+// A batch is a list of load units, each read with one
+// MaskStore::LoadMaskWindows (offset-sorted, coalesced, shard-parallel
+// reads). The filter gives one unit per batch, the aggregations one per
+// group, so each keeps its own I/O request pattern. A unit carries a row
+// window per mask: the rows its terms' ROIs touch. Before loading, the
+// pipeline widens each to the whole mask where evaluator.h's VerifyWindow
+// says so (compressed or cached store, or a CHI to retain), so on a raw
+// uncached store only the windows' bytes are read, and a CHI is only ever
+// built from a whole mask.
+//
+// With EngineOptions::io_pool set the pipeline is two batches deep: batch
+// k+1's units load on io_pool while batch k is verified on
 // EngineOptions::pool. Without io_pool it is one batch deep and every unit
 // loads at verify time, which is the serial schedule.
 
@@ -27,12 +34,20 @@
 namespace masksearch {
 namespace internal {
 
+/// \brief Mask ids loaded together, with the rows each one's terms touch
+/// (parallel to `ids`; empty = whole masks). RunVerifyPipeline replaces
+/// `windows` with the windows actually read before it loads the unit.
+struct LoadUnit {
+  std::vector<MaskId> ids;
+  std::vector<RowWindow> windows;
+};
+
 /// \brief One verification batch. `items` are the executor's own indices
 /// (masks for the filter, groups for the aggregations) and are opaque to the
-/// pipeline; `units` are the mask ids loaded together.
+/// pipeline; `units` are loaded one LoadMaskWindows each.
 struct VerifyBatch {
   std::vector<size_t> items;
-  std::vector<std::vector<MaskId>> units;
+  std::vector<LoadUnit> units;
 };
 
 /// \brief Runs batches from `next_batch` through load and verification until
@@ -41,16 +56,18 @@ struct VerifyBatch {
 /// `next_batch()` runs on the calling thread whenever the pipeline has room,
 /// so with io_pool it forms batch k+1 before batch k is verified.
 /// `verify(batch, masks)` runs on the calling thread with masks[u] holding
-/// unit u's masks in id order; it may fan out across opts.pool. Batches are
-/// verified in the order they were formed.
+/// unit u's masks in id order, each mask the rows batch.units[u].windows
+/// names; it may fan out across opts.pool. Batches are verified in the
+/// order they were formed.
 ///
 /// QueryControl is polled at every batch boundary, so a request overruns its
 /// deadline by at most one batch. Loads are counted into
-/// stats->masks_loaded / bytes_read, their CHIs are retained per
-/// RetainChiAfterLoad (stats->chis_built), and a unit whose masks were all
-/// resident in the buffer pool is loaded at verify time instead of on
-/// io_pool (stats->prefetch_skipped, docs/CACHING.md). A load error ends the
-/// run with that error; in-flight loads are drained before any return.
+/// stats->masks_loaded / bytes_read (window bytes), whole masks' CHIs are
+/// retained per RetainChiAfterLoad (stats->chis_built), and a unit whose
+/// masks were all resident in the buffer pool is loaded at verify time
+/// instead of on io_pool (stats->prefetch_skipped, docs/CACHING.md). A load
+/// error ends the run with that error; in-flight loads are drained before
+/// any return.
 template <typename NextBatch, typename Verify>
 Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
                          const EngineOptions& opts, const char* verify_span,
@@ -71,9 +88,21 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
   // itself be an io_pool task.
   LatchDrainGuard drain_on_exit(opts.io_pool);
 
+  IndexManager* const retain_into = opts.use_index ? index : nullptr;
   auto start = [&](VerifyBatch batch) {
     auto s = std::make_shared<Stage>();
     s->batch = std::move(batch);
+    for (LoadUnit& unit : s->batch.units) {
+      const bool requested = !unit.windows.empty();
+      unit.windows.resize(unit.ids.size());
+      for (size_t j = 0; j < unit.ids.size(); ++j) {
+        const MaskId id = unit.ids[j];
+        unit.windows[j] =
+            requested ? VerifyWindow(store, retain_into, opts, id,
+                                     unit.windows[j])
+                      : RowWindow::Whole(store.meta(id));
+      }
+    }
     const size_t n = s->batch.units.size();
     s->masks.assign(n, Status::Internal("not loaded"));
     s->on_io_pool.assign(n, 0);
@@ -84,7 +113,7 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
     // miss at verify time, nothing more.
     size_t submitted = 0;
     for (size_t u = 0; u < n; ++u) {
-      const std::vector<MaskId>& ids = s->batch.units[u];
+      const std::vector<MaskId>& ids = s->batch.units[u].ids;
       if (store.CountResident(ids) == ids.size()) {
         ++stats->prefetch_skipped;
       } else {
@@ -99,7 +128,8 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
       opts.io_pool->Submit([&store, s, u, trace] {
         obs::TraceScope trace_scope(trace);
         MS_TRACE_SPAN("io_load");
-        s->masks[u] = store.LoadMaskBatch(s->batch.units[u]);
+        const LoadUnit& unit = s->batch.units[u];
+        s->masks[u] = store.LoadMaskWindows(unit.ids, unit.windows);
         s->done->CountDown();
       });
     }
@@ -107,7 +137,7 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
   };
 
   auto finish = [&](Stage& s) -> Status {
-    const std::vector<std::vector<MaskId>>& units = s.batch.units;
+    const std::vector<LoadUnit>& units = s.batch.units;
     {
       MS_TRACE_SPAN("io_wait");
       // Cooperative wait: the caller may itself be an io_pool task, and
@@ -120,24 +150,29 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
       ParallelFor(now.size() > 1 ? opts.pool : nullptr, now.size(),
                   [&](size_t k) {
                     obs::TraceScope trace_scope(trace);
-                    s.masks[now[k]] = store.LoadMaskBatch(units[now[k]]);
+                    const LoadUnit& unit = units[now[k]];
+                    s.masks[now[k]] =
+                        store.LoadMaskWindows(unit.ids, unit.windows);
                   });
     }
     MS_TRACE_SPAN(verify_span);
     std::vector<std::vector<Mask>> masks(units.size());
-    std::vector<std::pair<MaskId, const Mask*>> loaded;
+    std::vector<std::pair<MaskId, const Mask*>> loaded;  ///< whole masks
     for (size_t u = 0; u < units.size(); ++u) {
       MS_RETURN_NOT_OK(s.masks[u].status());
       masks[u] = std::move(*s.masks[u]);
-      for (size_t j = 0; j < units[u].size(); ++j) {
-        stats->bytes_read += static_cast<int64_t>(store.BlobSize(units[u][j]));
-        loaded.emplace_back(units[u][j], &masks[u][j]);
+      const LoadUnit& unit = units[u];
+      stats->masks_loaded += static_cast<int64_t>(unit.ids.size());
+      for (size_t j = 0; j < unit.ids.size(); ++j) {
+        const MaskId id = unit.ids[j];
+        stats->bytes_read += WindowBytes(store, id, unit.windows[j]);
+        if (unit.windows[j].IsWhole(store.meta(id))) {
+          loaded.emplace_back(id, &masks[u][j]);
+        }
       }
     }
-    stats->masks_loaded += static_cast<int64_t>(loaded.size());
     // Incremental indexing (§3.6) or the bounded CHI cache, across the pool.
     std::atomic<int64_t> built{0};
-    IndexManager* const retain_into = opts.use_index ? index : nullptr;
     ParallelFor(loaded.size() > 1 ? opts.pool : nullptr, loaded.size(),
                 [&](size_t i) {
                   built.fetch_add(

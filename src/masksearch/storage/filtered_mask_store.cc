@@ -85,6 +85,13 @@ Result<Mask> FilteredMaskStore::LoadMaskRows(MaskId id, int32_t y0,
   return inner_->LoadMaskRows(phys_[id], y0, y1);
 }
 
+Result<std::vector<Mask>> FilteredMaskStore::LoadMaskWindows(
+    const std::vector<MaskId>& ids,
+    const std::vector<RowWindow>& windows) const {
+  MS_ASSIGN_OR_RETURN(std::vector<MaskId> phys, Translate(ids));
+  return inner_->LoadMaskWindows(phys, windows);
+}
+
 Status FilteredMaskStore::ReadBlob(MaskId id, std::string* out) const {
   MS_RETURN_NOT_OK(CheckId(id));
   return inner_->ReadBlob(phys_[id], out);

@@ -39,6 +39,10 @@ class FilteredMaskStore final : public MaskStore {
   Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const override;
   Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override;
+  Result<std::vector<Mask>> LoadMaskWindows(
+      const std::vector<MaskId>& ids,
+      const std::vector<RowWindow>& windows) const override;
+  bool ReadsRowWindows() const override { return inner_->ReadsRowWindows(); }
   Status ReadBlob(MaskId id, std::string* out) const override;
   size_t CountResident(const std::vector<MaskId>& ids) const override;
 

@@ -247,6 +247,44 @@ Status MaskStore::CheckId(MaskId id) const {
   return Status::OK();
 }
 
+Status MaskStore::CheckWindow(MaskId id, const RowWindow& w) const {
+  const int32_t height = meta(id).height;
+  if (w.y0 < 0 || w.y1 > height || w.y0 >= w.y1) {
+    return Status::InvalidArgument(
+        "row range [" + std::to_string(w.y0) + "," + std::to_string(w.y1) +
+        ") outside mask of height " + std::to_string(height));
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Mask>> MaskStore::LoadMaskWindows(
+    const std::vector<MaskId>& ids,
+    const std::vector<RowWindow>& windows) const {
+  if (windows.size() != ids.size()) {
+    return Status::InvalidArgument("one row window per id required");
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    MS_RETURN_NOT_OK(CheckId(ids[i]));
+    MS_RETURN_NOT_OK(CheckWindow(ids[i], windows[i]));
+  }
+  MS_ASSIGN_OR_RETURN(std::vector<Mask> masks, LoadMaskBatch(ids));
+  for (size_t i = 0; i < masks.size(); ++i) {
+    const RowWindow& w = windows[i];
+    Mask& m = masks[i];
+    if (m.height() != meta(ids[i]).height) {
+      return Status::Corruption("mask " + std::to_string(ids[i]) +
+                                " does not have its manifest height");
+    }
+    if (w.IsWhole(meta(ids[i]))) continue;
+    const float* first = m.row(w.y0);
+    std::vector<float> rows(first,
+                            first + static_cast<size_t>(m.width()) * w.rows());
+    MS_ASSIGN_OR_RETURN(m,
+                        Mask::FromData(m.width(), w.rows(), std::move(rows)));
+  }
+  return masks;
+}
+
 Result<std::unique_ptr<MaskStore>> MaskStore::Open(const std::string& dir) {
   return Open(dir, Options{});
 }

@@ -44,6 +44,21 @@ enum class StorageKind : uint8_t {
   kCompressed = 1,   ///< codec.h blobs; cheaper I/O, decode cost on load
 };
 
+/// \brief Rows [y0, y1) of one mask: the part of it a windowed load reads
+/// (MaskStore::LoadMaskWindows). A raw blob stores rows contiguously, so a
+/// window is one byte range of it.
+struct RowWindow {
+  int32_t y0 = 0;
+  int32_t y1 = 0;
+
+  /// \brief Every row of `meta`'s mask.
+  static RowWindow Whole(const MaskMeta& meta) { return {0, meta.height}; }
+  bool IsWhole(const MaskMeta& meta) const {
+    return y0 == 0 && y1 == meta.height;
+  }
+  int32_t rows() const { return y1 - y0; }
+};
+
 /// \brief Creates a mask store directory; append masks then Finish().
 class MaskStoreWriter {
  public:
@@ -200,6 +215,22 @@ class MaskStore {
   /// reads (the whole blob must be decoded), mirroring real codecs.
   virtual Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const = 0;
 
+  /// \brief LoadMaskBatch with a row window per id (`windows` parallel to
+  /// `ids`): entry i comes back as LoadMaskRows(ids[i], windows[i]) would
+  /// return it. Where ReadsRowWindows() is true, only each window's bytes
+  /// are read, with LoadMaskBatch's coalescing applied to the windows'
+  /// byte ranges. This default loads whole masks through LoadMaskBatch and
+  /// copies the windows out of them.
+  virtual Result<std::vector<Mask>> LoadMaskWindows(
+      const std::vector<MaskId>& ids,
+      const std::vector<RowWindow>& windows) const;
+
+  /// \brief True when LoadMaskWindows reads only the windows' bytes from the
+  /// data files: a raw store with no whole-mask cache in front. False for
+  /// compressed stores (a blob decodes whole) and for CachedMaskStore (a
+  /// slice never fills the cache), and for any store that does not say.
+  virtual bool ReadsRowWindows() const { return false; }
+
   /// \brief Number of `ids` currently resident in a memory cache in front
   /// of this store — 0 for stores with no cache (this base implementation).
   /// A residency *probe*: never touches the data files, never counts a
@@ -226,9 +257,9 @@ class MaskStore {
   virtual uint64_t TotalDataBytes() const { return total_data_bytes_; }
 
   /// \brief Cumulative number of masks loaded (LoadMask / LoadMaskRows /
-  /// LoadMaskBatch entries, duplicates included). A CachedMaskStore
-  /// forwards to the wrapped store, so the counters keep meaning physical
-  /// storage traffic: cache hits move neither counter.
+  /// LoadMaskBatch / LoadMaskWindows entries, duplicates included). A
+  /// CachedMaskStore forwards to the wrapped store, so the counters keep
+  /// meaning physical storage traffic: cache hits move neither counter.
   virtual uint64_t masks_loaded() const { return masks_loaded_.load(); }
   /// \brief Cumulative bytes read from the data file(s).
   virtual uint64_t bytes_read() const { return bytes_read_.load(); }
@@ -248,6 +279,8 @@ class MaskStore {
             std::vector<MaskMeta> metas, std::vector<uint64_t> sizes);
 
   Status CheckId(MaskId id) const;
+  /// InvalidArgument unless `w` is a nonempty row range inside mask `id`.
+  Status CheckWindow(MaskId id, const RowWindow& w) const;
 
   std::string dir_;
   Options opts_;

@@ -77,8 +77,22 @@ Result<std::unique_ptr<MaskStore>> ShardedMaskStore::Create(
   return std::unique_ptr<MaskStore>(std::move(store));
 }
 
+Status ShardedMaskStore::CheckBlobShape(MaskId id) const {
+  const MaskMeta& m = metas_[id];
+  if (kind_ == StorageKind::kRawFloat32 &&
+      (m.width < 0 || m.height < 0 ||
+       static_cast<uint64_t>(m.width) * static_cast<uint64_t>(m.height) *
+               sizeof(float) !=
+           sizes_[id])) {
+    return Status::Corruption("blob size mismatch for mask " +
+                              std::to_string(id));
+  }
+  return Status::OK();
+}
+
 Result<Mask> ShardedMaskStore::LoadMask(MaskId id) const {
   MS_RETURN_NOT_OK(CheckId(id));
+  MS_RETURN_NOT_OK(CheckBlobShape(id));
   const MaskMeta& m = metas_[id];
   const uint64_t nbytes = sizes_[id];
   const int32_t shard = ShardOf(id);
@@ -93,10 +107,6 @@ Result<Mask> ShardedMaskStore::LoadMask(MaskId id) const {
 
   if (kind_ == StorageKind::kRawFloat32) {
     std::vector<float> values(static_cast<size_t>(m.width) * m.height);
-    if (values.size() * sizeof(float) != nbytes) {
-      return Status::Corruption("blob size mismatch for mask " +
-                                std::to_string(id));
-    }
     MS_RETURN_NOT_OK(data.ReadAt(offsets_[id], nbytes, values.data()));
     return Mask::FromData(m.width, m.height, std::move(values));
   }
@@ -108,6 +118,7 @@ Result<Mask> ShardedMaskStore::LoadMask(MaskId id) const {
 
 Status ShardedMaskStore::LoadShardRuns(int32_t shard,
                                        const std::vector<MaskId>& ids,
+                                       const std::vector<Extent>& extents,
                                        const size_t* order, size_t count,
                                        std::vector<Mask>* out) const {
   const RandomAccessFile& file = *shards_[shard];
@@ -123,20 +134,27 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     size_t out_idx;
     std::string bytes;
   };
+  // Entries a and b of the batch read the same bytes into the same shape.
+  auto same = [&](size_t a, size_t b) {
+    return ids[a] == ids[b] && extents[a].offset == extents[b].offset &&
+           extents[a].size == extents[b].size;
+  };
 
   size_t pos = 0;
   while (pos < count) {
-    // Grow the run while the next blob starts within the gap threshold and
-    // the total span stays under the read cap (one oversized blob is still
-    // read whole).
-    const uint64_t run_start = offsets_[ids[order[pos]]];
-    uint64_t run_end = run_start + sizes_[ids[order[pos]]];
+    // Grow the run while the next extent starts within the gap threshold
+    // and the total span stays under the read cap (one oversized extent is
+    // still read whole). Two windows of one mask may overlap; the second
+    // then starts its own run, because a scatter read fills its
+    // destinations back to back.
+    const uint64_t run_start = extents[order[pos]].offset;
+    uint64_t run_end = run_start + extents[order[pos]].size;
     size_t end = pos + 1;
     while (end < count) {
-      const MaskId next = ids[order[end]];
-      if (offsets_[next] > run_end + opts_.batch_gap_bytes) break;
-      const uint64_t next_end =
-          std::max(run_end, offsets_[next] + sizes_[next]);
+      const Extent& next = extents[order[end]];
+      if (next.offset > run_end + opts_.batch_gap_bytes) break;
+      if (next.offset < run_end && !same(order[end], order[end - 1])) break;
+      const uint64_t next_end = std::max(run_end, next.offset + next.size);
       if (next_end - run_start > opts_.batch_max_bytes && next_end > run_end) {
         break;
       }
@@ -151,11 +169,9 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     {
       uint64_t scan = run_start;
       for (size_t p = pos; p < end; ++p) {
-        const MaskId id = ids[order[p]];
-        if (offsets_[id] > scan) {
-          max_gap = std::max(max_gap, offsets_[id] - scan);
-        }
-        scan = std::max(scan, offsets_[id] + sizes_[id]);
+        const Extent& e = extents[order[p]];
+        if (e.offset > scan) max_gap = std::max(max_gap, e.offset - scan);
+        scan = std::max(scan, e.offset + e.size);
       }
     }
     if (gap_buf.size() < max_gap) gap_buf.resize(max_gap);
@@ -170,31 +186,26 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     size_t first_idx = order[pos];
     for (size_t p = pos; p < end; ++p) {
       const size_t i = order[p];
-      const MaskId id = ids[i];
-      if (p > pos && ids[order[p - 1]] == id) {
+      if (p > pos && same(i, order[p - 1])) {
         dups.emplace_back(i, first_idx);
         continue;
       }
       first_idx = i;
-      if (offsets_[id] > cursor) {
-        slices.push_back(IoSlice{gap_buf.data(),
-                                 static_cast<size_t>(offsets_[id] - cursor)});
+      const Extent& e = extents[i];
+      if (e.offset > cursor) {
+        slices.push_back(
+            IoSlice{gap_buf.data(), static_cast<size_t>(e.offset - cursor)});
       }
-      const size_t nbytes = sizes_[id];
+      const size_t nbytes = e.size;
       if (kind_ == StorageKind::kRawFloat32) {
-        const MaskMeta& m = metas_[id];
-        std::vector<float> values(static_cast<size_t>(m.width) * m.height);
-        if (values.size() * sizeof(float) != nbytes) {
-          return Status::Corruption("blob size mismatch for mask " +
-                                    std::to_string(id));
-        }
-        raw_dests.push_back(RawDest{i, std::move(values)});
+        raw_dests.push_back(
+            RawDest{i, std::vector<float>(nbytes / sizeof(float))});
         slices.push_back(IoSlice{raw_dests.back().values.data(), nbytes});
       } else {
         blob_dests.push_back(BlobDest{i, std::string(nbytes, '\0')});
         slices.push_back(IoSlice{blob_dests.back().bytes.data(), nbytes});
       }
-      cursor = offsets_[id] + nbytes;
+      cursor = e.offset + nbytes;
     }
 
     const uint64_t span = run_end - run_start;
@@ -206,9 +217,9 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
 
     MS_TRACE_SPAN("decode");
     for (RawDest& d : raw_dests) {
-      const MaskMeta& m = metas_[ids[d.out_idx]];
+      const int32_t width = metas_[ids[d.out_idx]].width;
       MS_ASSIGN_OR_RETURN((*out)[d.out_idx],
-                          Mask::FromData(m.width, m.height,
+                          Mask::FromData(width, extents[d.out_idx].rows,
                                          std::move(d.values)));
     }
     for (const BlobDest& d : blob_dests) {
@@ -223,14 +234,38 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
   return Status::OK();
 }
 
-Result<std::vector<Mask>> ShardedMaskStore::LoadMaskBatch(
-    const std::vector<MaskId>& ids) const {
+Result<std::vector<Mask>> ShardedMaskStore::LoadWindows(
+    const std::vector<MaskId>& ids, const RowWindow* windows) const {
   std::vector<Mask> out(ids.size());
   if (ids.empty()) return out;
-  for (MaskId id : ids) MS_RETURN_NOT_OK(CheckId(id));
 
-  // Sort by (shard, offset): each shard's slice becomes an append-ordered
-  // run sequence (duplicates adjacent, decoded once), and the slices are
+  // Every entry is validated before anything is read or counted: a bad id
+  // or window, or a raw blob whose manifest shape disagrees with its size,
+  // fails the whole batch. A raw window is one byte range of its blob.
+  std::vector<Extent> extents(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const MaskId id = ids[i];
+    MS_RETURN_NOT_OK(CheckId(id));
+    MS_RETURN_NOT_OK(CheckBlobShape(id));
+    const MaskMeta& m = metas_[id];
+    const RowWindow w = windows != nullptr ? windows[i] : RowWindow::Whole(m);
+    if (windows != nullptr) MS_RETURN_NOT_OK(CheckWindow(id, w));
+    if (kind_ == StorageKind::kRawFloat32) {
+      const uint64_t row_bytes =
+          static_cast<uint64_t>(m.width) * sizeof(float);
+      extents[i] =
+          Extent{offsets_[id] + static_cast<uint64_t>(w.y0) * row_bytes,
+                 static_cast<uint64_t>(w.rows()) * row_bytes, w.rows()};
+    } else if (w.IsWhole(m)) {
+      extents[i] = Extent{offsets_[id], sizes_[id], m.height};
+    } else {
+      return Status::NotImplemented(
+          "partial reads require raw storage (compressed blobs decode whole)");
+    }
+  }
+
+  // Sort by (shard, extent): each shard's slice becomes an append-ordered
+  // run sequence (duplicates adjacent, read once), and the slices are
   // independent — one coalesced read loop per shard, issued concurrently
   // when an io_pool is configured.
   std::vector<size_t> order(ids.size());
@@ -239,7 +274,13 @@ Result<std::vector<Mask>> ShardedMaskStore::LoadMaskBatch(
     const int32_t sa = ShardOf(ids[a]);
     const int32_t sb = ShardOf(ids[b]);
     if (sa != sb) return sa < sb;
-    return offsets_[ids[a]] < offsets_[ids[b]];
+    if (extents[a].offset != extents[b].offset) {
+      return extents[a].offset < extents[b].offset;
+    }
+    if (extents[a].size != extents[b].size) {
+      return extents[a].size < extents[b].size;
+    }
+    return ids[a] < ids[b];
   });
 
   masks_loaded_.fetch_add(ids.size(), std::memory_order_relaxed);
@@ -268,41 +309,33 @@ Result<std::vector<Mask>> ShardedMaskStore::LoadMaskBatch(
                 obs::TraceScope trace_scope(trace);
                 MS_TRACE_SPAN("shard_read");
                 const ShardSlice& sl = slices[s];
-                statuses[s] = LoadShardRuns(sl.shard, ids, &order[sl.begin],
-                                            sl.end - sl.begin, &out);
+                statuses[s] =
+                    LoadShardRuns(sl.shard, ids, extents, &order[sl.begin],
+                                  sl.end - sl.begin, &out);
               });
   for (const Status& st : statuses) MS_RETURN_NOT_OK(st);
   return out;
 }
 
+Result<std::vector<Mask>> ShardedMaskStore::LoadMaskBatch(
+    const std::vector<MaskId>& ids) const {
+  return LoadWindows(ids, nullptr);
+}
+
+Result<std::vector<Mask>> ShardedMaskStore::LoadMaskWindows(
+    const std::vector<MaskId>& ids,
+    const std::vector<RowWindow>& windows) const {
+  if (windows.size() != ids.size()) {
+    return Status::InvalidArgument("one row window per id required");
+  }
+  return LoadWindows(ids, windows.data());
+}
+
 Result<Mask> ShardedMaskStore::LoadMaskRows(MaskId id, int32_t y0,
                                             int32_t y1) const {
-  MS_RETURN_NOT_OK(CheckId(id));
-  if (kind_ != StorageKind::kRawFloat32) {
-    return Status::NotImplemented(
-        "partial reads require raw storage (compressed blobs decode whole)");
-  }
-  const MaskMeta& m = metas_[id];
-  if (y0 < 0 || y1 > m.height || y0 >= y1) {
-    return Status::InvalidArgument("row range [" + std::to_string(y0) + "," +
-                                   std::to_string(y1) +
-                                   ") outside mask of height " +
-                                   std::to_string(m.height));
-  }
-  const size_t row_bytes = static_cast<size_t>(m.width) * sizeof(float);
-  const uint64_t offset = offsets_[id] + static_cast<uint64_t>(y0) * row_bytes;
-  const uint64_t nbytes = static_cast<uint64_t>(y1 - y0) * row_bytes;
-  const int32_t shard = ShardOf(id);
-
-  if (DiskThrottle* throttle = ThrottleFor(shard)) throttle->Acquire(nbytes);
-  masks_loaded_.fetch_add(1, std::memory_order_relaxed);
-  bytes_read_.fetch_add(nbytes, std::memory_order_relaxed);
-  read_ops_.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<float> values(static_cast<size_t>(m.width) * (y1 - y0));
-  MS_RETURN_NOT_OK(
-      shards_[ShardOf(id)]->ReadAt(offset, nbytes, values.data()));
-  return Mask::FromData(m.width, y1 - y0, std::move(values));
+  const RowWindow window{y0, y1};
+  MS_ASSIGN_OR_RETURN(std::vector<Mask> rows, LoadWindows({id}, &window));
+  return std::move(rows[0]);
 }
 
 Status ShardedMaskStore::ReadBlob(MaskId id, std::string* out) const {

@@ -10,7 +10,9 @@
 // single-file loader did, and — when Options::io_pool is set — issues the
 // per-shard read loops concurrently. On a device with queue depth (real
 // NVMe, or DiskThrottle queue_depth > 1) the concurrent shard reads overlap
-// their per-request latencies; see docs/PERFORMANCE.md.
+// their per-request latencies; see docs/PERFORMANCE.md. LoadMaskWindows and
+// LoadMaskRows run the same loader over row windows: a raw window is the
+// byte range [offset + y0·row_bytes, offset + y1·row_bytes) of its blob.
 
 #ifndef MASKSEARCH_STORAGE_SHARDED_MASK_STORE_H_
 #define MASKSEARCH_STORAGE_SHARDED_MASK_STORE_H_
@@ -42,6 +44,12 @@ class ShardedMaskStore final : public MaskStore {
   Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const override;
   Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override;
+  Result<std::vector<Mask>> LoadMaskWindows(
+      const std::vector<MaskId>& ids,
+      const std::vector<RowWindow>& windows) const override;
+  bool ReadsRowWindows() const override {
+    return kind_ == StorageKind::kRawFloat32;
+  }
   Status ReadBlob(MaskId id, std::string* out) const override;
 
  private:
@@ -62,10 +70,30 @@ class ShardedMaskStore final : public MaskStore {
     return opts_.throttle.get();
   }
 
+  /// Corruption when a raw blob's manifest shape disagrees with its size:
+  /// offsets computed from that shape would read into the next blob.
+  Status CheckBlobShape(MaskId id) const;
+
+  /// The bytes one batch entry reads: its whole blob, or for a raw row
+  /// window the window's rows (`rows` of them) within the blob.
+  struct Extent {
+    uint64_t offset = 0;  ///< within the owning shard
+    uint64_t size = 0;
+    int32_t rows = 0;
+  };
+
+  /// The one batch loader behind LoadMaskBatch (`windows` null: whole
+  /// masks), LoadMaskWindows and LoadMaskRows (`windows` parallel to
+  /// `ids`). Validates every entry, then reads each shard's extents with
+  /// LoadShardRuns, shard-parallel on Options::io_pool.
+  Result<std::vector<Mask>> LoadWindows(const std::vector<MaskId>& ids,
+                                        const RowWindow* windows) const;
+
   /// Coalesced scatter-read loop over one shard's slice
-  /// [order, order + count) of the batch order (ids sorted by offset within
-  /// this shard), decoding into out[order[p]].
+  /// [order, order + count) of the batch order (entries sorted by extent
+  /// within this shard), decoding into out[order[p]].
   Status LoadShardRuns(int32_t shard, const std::vector<MaskId>& ids,
+                       const std::vector<Extent>& extents,
                        const size_t* order, size_t count,
                        std::vector<Mask>* out) const;
 

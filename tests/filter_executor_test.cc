@@ -8,7 +8,9 @@
 
 #include "masksearch/baselines/full_scan.h"
 #include "masksearch/cache/buffer_pool.h"
+#include "masksearch/cache/chi_cache.h"
 #include "masksearch/exec/filter_executor.h"
+#include "masksearch/index/chi_builder.h"
 #include "masksearch/storage/sharded_mask_store.h"
 #include "masksearch/workload/query_gen.h"
 #include "test_util.h"
@@ -104,12 +106,57 @@ TEST_F(FilterExecutorTest, IncrementalIndexingBuildsOnlyLoadedMasks) {
   EXPECT_EQ(first->stats.chis_built, store_->num_masks());
   EXPECT_EQ(static_cast<int64_t>(empty.num_built()), store_->num_masks());
 
-  // Second identical query now benefits from the incrementally built index.
-  auto second = ExecuteFilter(*store_, &empty, q, opts);
+  // Every CHI was built from the whole mask, never from a row window.
+  for (MaskId id = 0; id < store_->num_masks(); ++id) {
+    ASSERT_NE(empty.Get(id), nullptr) << "mask " << id;
+    EXPECT_EQ(testing_util::ChiBytes(*empty.Get(id)),
+              testing_util::ChiBytes(
+                  BuildChi(store_->LoadMask(id).ValueOrDie(), TestConfig())))
+        << "mask " << id;
+  }
+
+  // Second identical query now benefits from the incrementally built index,
+  // and with every CHI built it reads only the object boxes' rows.
+  testing_util::ForwardingStore store(*store_);
+  auto second = ExecuteFilter(store, &empty, q, opts);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->mask_ids, first->mask_ids);
   EXPECT_LT(second->stats.masks_loaded, first->stats.masks_loaded);
   EXPECT_EQ(second->stats.chis_built, 0);
+  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
+                                 second->stats.bytes_read);
+}
+
+// Bounded incremental indexing: a mask missing from the chi_cache is read
+// whole and its CHI retained; once cached, its loads read only ROI rows.
+TEST_F(FilterExecutorTest, ChiCacheRetentionBuildsFromWholeMasks) {
+  BufferPool::Options popts;
+  popts.budget_bytes = 64ull << 20;
+  ChiCache cache(std::make_shared<BufferPool>(popts), TestConfig());
+  EngineOptions opts;
+  opts.build_missing = false;
+  opts.chi_cache = &cache;
+  const FilterQuery q = ObjectQuery(0.6, 1.0, 100.0);
+  testing_util::ForwardingStore store(*store_);
+  auto first = ExecuteFilter(store, nullptr, q, opts);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->stats.chis_built, store_->num_masks());
+  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/false,
+                                 first->stats.bytes_read);
+  for (MaskId id = 0; id < store_->num_masks(); ++id) {
+    ASSERT_TRUE(cache.Contains(id));
+    EXPECT_EQ(testing_util::ChiBytes(*cache.Get(id)),
+              testing_util::ChiBytes(
+                  BuildChi(store_->LoadMask(id).ValueOrDie(), TestConfig())))
+        << "mask " << id;
+  }
+  auto second = ExecuteFilter(store, nullptr, q, opts);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->mask_ids, first->mask_ids);
+  EXPECT_EQ(second->stats.chis_built, 0);
+  EXPECT_LT(second->stats.masks_loaded, first->stats.masks_loaded);
+  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
+                                 second->stats.bytes_read);
 }
 
 TEST_F(FilterExecutorTest, SelectionByModel) {
@@ -216,20 +263,69 @@ TEST_F(FilterExecutorTest, RandomizedQueriesMatchReference) {
   }
 }
 
-// Every pipeline configuration — pools {none, pool, pool + io_pool, io_pool
-// aliased to pool} x store {cold, warm buffer pool} x verify_batch {1, 5,
-// auto} — returns the reference answer with identical per-mask stats. Only
-// io_pool configurations may skip prefetches, and on the warm store every
-// batch is resident, so every one of them is skipped and nothing is read.
+// Every pipeline configuration — store {raw uncached, raw cached cold, raw
+// cached warm, compressed} x pools {none, pool, pool + io_pool, io_pool
+// aliased to pool} x verify_batch {1, 5, auto} x {indexed, no index} —
+// returns the reference answer with identical per-mask stats. The queries
+// cover one object-box term, two disjoint ROIs (object box + a rectangle),
+// an ROI partly outside the mask, and an empty ROI. The raw uncached store
+// reads each loaded mask's ROI rows only; the others read whole masks, so
+// bytes_read is equal per store, not across stores. Only io_pool
+// configurations may skip prefetches, and on the warm store every batch is
+// resident, so every one of them is skipped and nothing is read.
 TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
+  TempDir raw_dir("filter_raw");
+  TempDir compressed_dir("filter_compressed");
+  testing_util::WriteQuantizedTwins(*store_, raw_dir.path(),
+                                    compressed_dir.path());
+  auto raw = MaskStore::Open(raw_dir.path()).ValueOrDie();
+  auto compressed = MaskStore::Open(compressed_dir.path()).ValueOrDie();
+  IndexManager index(raw->num_masks(), TestConfig());
+  MS_ASSERT_OK(index.BuildAll(*raw));
   BufferPool::Options popts;
   popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
-  MaskStore::Options copts;
-  copts.cache = std::make_shared<BufferPool>(popts);
-  auto warm = MaskStore::Open(dir_->path(), copts).ValueOrDie();
+  auto open_cached = [&] {
+    MaskStore::Options copts;
+    copts.cache = std::make_shared<BufferPool>(popts);
+    return MaskStore::Open(raw_dir.path(), copts).ValueOrDie();
+  };
+  auto warm = open_cached();
   std::vector<MaskId> all;
   for (MaskId id = 0; id < warm->num_masks(); ++id) all.push_back(id);
   MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
+
+  auto term = [](RoiSource source, ROI roi, double lv) {
+    CpTerm t;
+    t.roi_source = source;
+    t.constant_roi = roi;
+    t.range = ValueRange(lv, 1.0);
+    return t;
+  };
+  const CpExpr sum = CpExpr::Term(0) + CpExpr::Term(1);
+  std::vector<FilterQuery> queries;
+  for (double threshold : {0.0, 100.0, 500.0}) {
+    queries.push_back(ObjectQuery(0.55, 1.0, threshold));
+  }
+  FilterQuery disjoint;  // object box + the bottom rows
+  disjoint.terms = {term(RoiSource::kObjectBox, {}, 0.6),
+                    term(RoiSource::kConstant, ROI(0, 44, 48, 48), 0.3)};
+  disjoint.predicate = Predicate::Compare(sum, CompareOp::kGt, 150.0);
+  queries.push_back(disjoint);
+  FilterQuery outside;  // rows 30..60 of a 48-row mask
+  outside.terms = {term(RoiSource::kConstant, ROI(20, 30, 70, 60), 0.5)};
+  outside.predicate =
+      Predicate::Compare(CpExpr::Term(0), CompareOp::kGt, 100.0);
+  queries.push_back(outside);
+  FilterQuery empty_roi;  // a zero-width ROI beside a rectangle
+  empty_roi.terms = {term(RoiSource::kConstant, ROI(9, 2, 9, 40), 0.0),
+                     term(RoiSource::kConstant, ROI(4, 12, 30, 20), 0.6)};
+  empty_roi.predicate = Predicate::Compare(sum, CompareOp::kGt, 40.0);
+  queries.push_back(empty_roi);
+  FilterQuery only_empty;  // every ROI empty: whole masks
+  only_empty.terms = {term(RoiSource::kConstant, ROI(60, 0, 70, 48), 0.0)};
+  only_empty.predicate =
+      Predicate::Compare(CpExpr::Term(0), CompareOp::kLt, 1.0);
+  queries.push_back(only_empty);
 
   ThreadPool pool(4);
   ThreadPool io_pool(2);
@@ -239,47 +335,69 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
   };
   const Pools pool_sets[] = {
       {nullptr, nullptr}, {&pool, nullptr}, {&pool, &io_pool}, {&pool, &pool}};
-  FullScanBaseline reference(store_.get());
-  for (double threshold : {0.0, 100.0, 500.0}) {
-    const FilterQuery q = ObjectQuery(0.55, 1.0, threshold);
+  enum Kind { kUncached, kCold, kWarm, kCompressed, kNumKinds };
+  FullScanBaseline reference(raw.get());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const FilterQuery& q = queries[qi];
     auto want = reference.Filter(q);
     ASSERT_TRUE(want.ok());
-    std::optional<ExecStats> first;
-    for (const MaskStore* store : {store_.get(), warm.get()}) {
-      for (const Pools& p : pool_sets) {
-        for (size_t batch : {size_t{1}, size_t{5}, size_t{0}}) {
-          EngineOptions opts;
-          opts.pool = p.pool;
-          opts.io_pool = p.io_pool;
-          opts.verify_batch = batch;
-          const uint64_t physical_before = store->masks_loaded();
-          auto got = ExecuteFilter(*store, index_.get(), q, opts);
-          ASSERT_TRUE(got.ok()) << got.status();
-          SCOPED_TRACE("threshold " + std::to_string(threshold) + " warm " +
-                       std::to_string(store == warm.get()) + " pools " +
-                       std::to_string(p.pool != nullptr) +
-                       std::to_string(p.io_pool != nullptr) + " batch " +
-                       std::to_string(batch));
-          EXPECT_EQ(got->mask_ids, want->mask_ids);
-          const ExecStats& s = got->stats;
-          if (!first) first = s;
-          EXPECT_EQ(s.masks_loaded, first->masks_loaded);
-          EXPECT_EQ(s.bytes_read, first->bytes_read);
-          EXPECT_EQ(s.pruned, first->pruned);
-          EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
-          EXPECT_EQ(s.candidates, first->candidates);
-          if (p.io_pool == nullptr || store != warm.get()) {
-            EXPECT_EQ(s.prefetch_skipped, 0);
-          } else {
-            const int64_t b =
-                batch > 0 ? static_cast<int64_t>(batch) : int64_t{64};
-            EXPECT_EQ(s.prefetch_skipped, (s.candidates + b - 1) / b);
-          }
-          if (store == warm.get()) {
-            EXPECT_EQ(store->masks_loaded(), physical_before);
+    for (const bool use_index : {true, false}) {
+      std::optional<ExecStats> first;
+      std::optional<int64_t> bytes[kNumKinds];
+      for (int kind = 0; kind < kNumKinds; ++kind) {
+        for (const Pools& p : pool_sets) {
+          for (size_t batch : {size_t{1}, size_t{5}, size_t{0}}) {
+            std::unique_ptr<MaskStore> cold =
+                kind == kCold ? open_cached() : nullptr;
+            const MaskStore& inner = kind == kUncached    ? *raw
+                                     : kind == kCold      ? *cold
+                                     : kind == kWarm      ? *warm
+                                                          : *compressed;
+            testing_util::ForwardingStore store(inner);
+            EngineOptions opts;
+            opts.pool = p.pool;
+            opts.io_pool = p.io_pool;
+            opts.verify_batch = batch;
+            opts.use_index = use_index;
+            const uint64_t physical_before = store.masks_loaded();
+            auto got = ExecuteFilter(store, use_index ? &index : nullptr, q,
+                                     opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            SCOPED_TRACE("query " + std::to_string(qi) + " index " +
+                         std::to_string(use_index) + " store " +
+                         std::to_string(kind) + " pools " +
+                         std::to_string(p.pool != nullptr) +
+                         std::to_string(p.io_pool != nullptr) + " batch " +
+                         std::to_string(batch));
+            EXPECT_EQ(got->mask_ids, want->mask_ids);
+            const ExecStats& s = got->stats;
+            if (!first) first = s;
+            EXPECT_EQ(s.masks_loaded, first->masks_loaded);
+            EXPECT_EQ(s.pruned, first->pruned);
+            EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
+            EXPECT_EQ(s.candidates, first->candidates);
+            if (!bytes[kind]) bytes[kind] = s.bytes_read;
+            EXPECT_EQ(s.bytes_read, *bytes[kind]);
+            testing_util::ExpectLoadedRows(&store, q.terms,
+                                           kind == kUncached, s.bytes_read);
+            if (p.io_pool == nullptr || kind != kWarm) {
+              EXPECT_EQ(s.prefetch_skipped, 0);
+            } else {
+              const int64_t b =
+                  batch > 0 ? static_cast<int64_t>(batch) : int64_t{64};
+              EXPECT_EQ(s.prefetch_skipped, (s.candidates + b - 1) / b);
+            }
+            if (kind == kWarm) {
+              EXPECT_EQ(store.masks_loaded(), physical_before);
+            }
           }
         }
       }
+      // Windows read fewer bytes wherever an ROI spans part of the rows.
+      if (qi != queries.size() - 1 && first->masks_loaded > 0) {
+        EXPECT_LT(*bytes[kUncached], *bytes[kCold]);
+      }
+      EXPECT_EQ(*bytes[kCold], *bytes[kWarm]);
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "masksearch/baselines/full_scan.h"
@@ -471,9 +472,29 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
   }
 
   // Scalar aggregation runs on the same group driver and pipeline: every
-  // op, HAVING-only and top-k both ways, under the same pool sets and both
-  // stores, matches the serial schedule and the full-scan reference.
-  FullScanBaseline reference(store_.get());
+  // op, HAVING-only and top-k both ways, under the same pool sets and four
+  // stores holding the same masks (raw uncached, raw cached cold and warm,
+  // compressed), matches the serial schedule and the full-scan reference
+  // with equal stats on every store. The raw uncached store reads only the
+  // rows of each loaded member's object box.
+  TempDir raw_dir("maskagg_raw");
+  TempDir compressed_dir("maskagg_compressed");
+  testing_util::WriteQuantizedTwins(*store_, raw_dir.path(),
+                                    compressed_dir.path());
+  auto raw = MaskStore::Open(raw_dir.path()).ValueOrDie();
+  auto compressed = MaskStore::Open(compressed_dir.path()).ValueOrDie();
+  IndexManager index(raw->num_masks(), TestConfig());
+  MS_ASSERT_OK(index.BuildAll(*raw));
+  auto open_cached = [&] {
+    MaskStore::Options cached;
+    cached.cache = std::make_shared<BufferPool>(popts);
+    return MaskStore::Open(raw_dir.path(), cached).ValueOrDie();
+  };
+  auto raw_warm = open_cached();
+  MS_ASSERT_OK(raw_warm->LoadMaskBatch(all).status());
+  enum Kind { kUncached, kCold, kWarm, kCompressed, kNumKinds };
+
+  FullScanBaseline reference(raw.get());
   const int64_t num_groups = 16;
   for (ScalarAggOp op : {ScalarAggOp::kSum, ScalarAggOp::kAvg,
                          ScalarAggOp::kMin, ScalarAggOp::kMax}) {
@@ -498,22 +519,30 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
     for (const AggregationQuery& q : {over_median, desc, asc}) {
       const AggResult want = reference.Aggregate(q).ValueOrDie();
       const AggResult serial =
-          ExecuteAggregation(*store_, index_.get(), q).ValueOrDie();
-      for (const MaskStore* store : {store_.get(), warm.get()}) {
-        for (const Pools& p : pool_sets) {
-          for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
+          ExecuteAggregation(*raw, &index, q).ValueOrDie();
+      for (const Pools& p : pool_sets) {
+        for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
+          std::optional<ExecStats> first;
+          for (int kind = 0; kind < kNumKinds; ++kind) {
             SCOPED_TRACE(std::string(ScalarAggOpToString(op)) +
                          (q.k ? (q.descending ? " top-k desc" : " top-k asc")
                               : " having") +
-                         " warm " + std::to_string(store == warm.get()) +
-                         " pools " + std::to_string(p.pool != nullptr) +
+                         " store " + std::to_string(kind) + " pools " +
+                         std::to_string(p.pool != nullptr) +
                          std::to_string(p.io_pool != nullptr) + " batch " +
                          std::to_string(batch));
+            std::unique_ptr<MaskStore> cold =
+                kind == kCold ? open_cached() : nullptr;
+            testing_util::ForwardingStore store(
+                kind == kUncached ? *raw
+                : kind == kCold   ? *cold
+                : kind == kWarm   ? *raw_warm
+                                  : *compressed);
             EngineOptions opts;
             opts.pool = p.pool;
             opts.io_pool = p.io_pool;
             opts.verify_batch = batch;
-            auto got = ExecuteAggregation(*store, index_.get(), q, opts);
+            auto got = ExecuteAggregation(store, &index, q, opts);
             ASSERT_TRUE(got.ok()) << got.status();
             ASSERT_EQ(got->groups.size(), serial.groups.size());
             ASSERT_EQ(got->groups.size(), want.groups.size());
@@ -541,6 +570,13 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
               EXPECT_EQ(st.masks_loaded, serial.stats.masks_loaded);
               EXPECT_EQ(st.candidates, serial.stats.candidates);
             }
+            if (!first) first = st;
+            EXPECT_EQ(st.masks_loaded, first->masks_loaded);
+            EXPECT_EQ(st.pruned, first->pruned);
+            EXPECT_EQ(st.accepted_by_bounds, first->accepted_by_bounds);
+            EXPECT_EQ(st.candidates, first->candidates);
+            testing_util::ExpectLoadedRows(&store, {q.term},
+                                           kind == kUncached, st.bytes_read);
           }
         }
       }
@@ -548,51 +584,14 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
   }
 }
 
-/// Forwards to a wrapped store, cancelling `control` whenever a batch is
-/// loaded — from inside the first verification batch on.
-class CancellingStore final : public MaskStore {
- public:
-  CancellingStore(const MaskStore& inner, QueryControl* control)
-      : MaskStore(inner.dir(), inner.options(), inner.kind(), inner.metas(),
-                  Sizes(inner)),
-        inner_(inner),
-        control_(control) {}
-
-  int32_t num_shards() const override { return inner_.num_shards(); }
-  Result<Mask> LoadMask(MaskId id) const override {
-    return inner_.LoadMask(id);
-  }
-  Result<std::vector<Mask>> LoadMaskBatch(
-      const std::vector<MaskId>& ids) const override {
-    control_->Cancel();
-    return inner_.LoadMaskBatch(ids);
-  }
-  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override {
-    return inner_.LoadMaskRows(id, y0, y1);
-  }
-  Status ReadBlob(MaskId id, std::string* out) const override {
-    return inner_.ReadBlob(id, out);
-  }
-
- private:
-  static std::vector<uint64_t> Sizes(const MaskStore& store) {
-    std::vector<uint64_t> sizes;
-    for (MaskId id = 0; id < store.num_masks(); ++id) {
-      sizes.push_back(store.BlobSize(id));
-    }
-    return sizes;
-  }
-
-  const MaskStore& inner_;
-  QueryControl* control_;
-};
-
 // A HAVING-only query without io_pool polls QueryControl between
 // verification batches like every other shape: a cancel that arrives while
 // the first batch loads ends the query with kCancelled at the next boundary.
 TEST_F(MaskAggExecTest, HavingOnlyCancelMidQueryStopsAtBatchBoundary) {
   QueryControl control;
-  const CancellingStore store(*store_, &control);
+  // Cancels from inside the first verification load, whole or windowed.
+  const testing_util::ForwardingStore store(*store_,
+                                            [&] { control.Cancel(); });
   MaskAggQuery q = IntersectQuery(0);
   q.k.reset();
   q.having_op = CompareOp::kGt;

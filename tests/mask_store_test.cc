@@ -143,6 +143,49 @@ TEST(MaskStoreTest, LoadMaskRowsValidation) {
   EXPECT_TRUE(store->LoadMaskRows(0, 0, 5).status().IsInvalidArgument());
 }
 
+// A manifest whose shape disagrees with a raw blob's size is a typed
+// Corruption on every read path, windowed ones included: offsets computed
+// from the damaged shape would otherwise read the next blob's bytes.
+TEST(MaskStoreTest, DamagedShapeIsCorruptionOnEveryWindowedRead) {
+  TempDir dir("store");
+  {
+    auto writer = MaskStoreWriter::Create(dir.path()).ValueOrDie();
+    for (float v : {0.1f, 0.9f}) {
+      Mask m(8, 8);
+      for (float& p : m.mutable_data()) p = v;
+      writer->Append(MaskMeta{}, m).ValueOrDie();
+    }
+    MS_ASSERT_OK(writer->Finish());
+  }
+  internal::ParsedManifest parsed =
+      internal::ReadMaskStoreManifest(dir.path()).ValueOrDie();
+  parsed.metas[0].height = 16;  // the blob holds 8 rows
+  MS_ASSERT_OK(internal::WriteMaskStoreManifest(
+      dir.path(), parsed.kind, parsed.num_shards, parsed.metas,
+      parsed.offsets, parsed.sizes));
+
+  MaskStore::Options cached;
+  cached.cache_budget_bytes = 1 << 20;
+  for (const bool with_cache : {false, true}) {
+    SCOPED_TRACE(with_cache ? "cached" : "uncached");
+    auto store = MaskStore::Open(dir.path(), with_cache ? cached
+                                                        : MaskStore::Options{})
+                     .ValueOrDie();
+    EXPECT_TRUE(store->LoadMask(0).status().IsCorruption());
+    EXPECT_TRUE(store->LoadMaskBatch({1, 0}).status().IsCorruption());
+    EXPECT_TRUE(store->LoadMaskRows(0, 8, 16).status().IsCorruption());
+    EXPECT_TRUE(store->LoadMaskRows(0, 0, 8).status().IsCorruption());
+    EXPECT_TRUE(store->LoadMaskWindows({1, 0}, {{0, 8}, {8, 16}})
+                    .status()
+                    .IsCorruption());
+    EXPECT_TRUE(store->LoadMaskWindows({0}, {{0, 16}}).status().IsCorruption());
+    // The healthy mask still reads.
+    auto rows = store->LoadMaskRows(1, 2, 4);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(rows->at(0, 0), 0.9f);
+  }
+}
+
 TEST(MaskStoreTest, OutOfRangeIdIsNotFound) {
   TempDir dir("store");
   Rng rng(7);

@@ -114,6 +114,49 @@ void ExpectParity(StorageKind kind, int32_t num_shards, ThreadPool* io_pool) {
     EXPECT_LE(sharded->bytes_read(),
               single->bytes_read() + single->TotalDataBytes());
   }
+
+  // Random windowed batches: entry i equals LoadMaskRows(ids[i], windows[i])
+  // on the single file (whole masks on compressed stores), with duplicate
+  // entries and overlapping windows of one mask, in coalesced runs.
+  const bool raw = kind == StorageKind::kRawFloat32;
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<MaskId> ids;
+    std::vector<RowWindow> windows;
+    const int len = 1 + static_cast<int>(rng.NextU64() % (2 * kCount));
+    for (int i = 0; i < len; ++i) {
+      const MaskId id = static_cast<MaskId>(rng.NextU64() % kCount);
+      const int32_t h = single->meta(id).height;
+      const int32_t y0 = raw ? static_cast<int32_t>(rng.NextU64() % h) : 0;
+      const int32_t y1 =
+          raw ? y0 + 1 + static_cast<int32_t>(rng.NextU64() % (h - y0)) : h;
+      ids.push_back(id);
+      windows.push_back(RowWindow{y0, y1});
+      if (i == 0) {  // the same entry twice, and the mask whole
+        ids.push_back(id);
+        windows.push_back(windows.back());
+        ids.push_back(id);
+        windows.push_back(RowWindow::Whole(single->meta(id)));
+      }
+    }
+    sharded->ResetCounters();
+    auto b = sharded->LoadMaskWindows(ids, windows);
+    ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_EQ(b->size(), ids.size());
+    EXPECT_EQ(sharded->masks_loaded(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto a = raw ? single->LoadMaskRows(ids[i], windows[i].y0, windows[i].y1)
+                   : single->LoadMask(ids[i]);
+      ASSERT_TRUE(a.ok()) << a.status();
+      EXPECT_EQ((*b)[i].height(), windows[i].rows());
+      EXPECT_EQ(a->data(), (*b)[i].data())
+          << "trial " << trial << " slot " << i;
+    }
+  }
+  if (!raw) {
+    EXPECT_TRUE(sharded->LoadMaskWindows({0}, {RowWindow{0, 1}})
+                    .status()
+                    .IsNotImplemented());
+  }
 }
 
 TEST(ShardedStoreTest, ParityRawSequential) {
@@ -148,6 +191,39 @@ TEST(ShardedStoreTest, BatchRequestCountsOneRunPerShard) {
   EXPECT_EQ(opts.throttle->total_requests(), 4u);
   EXPECT_EQ(opts.throttle->total_bytes(), store->TotalDataBytes());
   EXPECT_EQ(store->bytes_read(), store->TotalDataBytes());
+}
+
+TEST(ShardedStoreTest, WindowedBatchReadsOnlyWindowBytes) {
+  // Rows [2, 5) of every mask of a 4-shard store: each window is its own
+  // request without gap coalescing; with it, one request per shard spans
+  // from the shard's first window to its last.
+  const uint64_t row = 12 * sizeof(float);
+  const uint64_t blob = 10 * row;
+  std::vector<MaskId> all(16);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<MaskId>(i);
+  const std::vector<RowWindow> windows(all.size(), RowWindow{2, 5});
+  for (const uint64_t gap : {uint64_t{0}, uint64_t{64 * 1024}}) {
+    TempDir dir("sharded");
+    WriteStore(dir.path(), 16, 4, StorageKind::kRawFloat32);
+    ThreadPool io_pool(2);
+    MaskStore::Options opts;
+    opts.throttle = std::make_shared<DiskThrottle>(0.0);  // accounting only
+    opts.batch_gap_bytes = gap;
+    opts.io_pool = &io_pool;
+    auto store = MaskStore::Open(dir.path(), opts).ValueOrDie();
+    EXPECT_TRUE(store->ReadsRowWindows());
+    auto masks = store->LoadMaskWindows(all, windows);
+    ASSERT_TRUE(masks.ok()) << masks.status();
+    EXPECT_EQ(store->masks_loaded(), 16u);
+    if (gap == 0) {
+      EXPECT_EQ(opts.throttle->total_requests(), 16u);
+      EXPECT_EQ(store->bytes_read(), 16 * 3 * row);
+    } else {
+      EXPECT_EQ(opts.throttle->total_requests(), 4u);
+      EXPECT_EQ(store->bytes_read(), 4 * (3 * blob + 3 * row));
+    }
+    EXPECT_EQ(opts.throttle->total_bytes(), store->bytes_read());
+  }
 }
 
 TEST(ShardedStoreTest, LoadMaskRowsMatchesSingleFile) {

@@ -6,12 +6,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "masksearch/common/random.h"
+#include "masksearch/common/serialize.h"
+#include "masksearch/index/chi.h"
+#include "masksearch/query/expression.h"
 #include "masksearch/storage/mask.h"
 #include "masksearch/storage/mask_store.h"
 #include "masksearch/workload/synthetic.h"
@@ -99,6 +107,142 @@ inline std::unique_ptr<MaskStore> MakeStore(const std::string& dir,
   }
   writer->Finish().CheckOK();
   return MaskStore::Open(dir).ValueOrDie();
+}
+
+/// Writes `src`'s masks, quantized by the default codec, as a raw store at
+/// `raw_dir` and a compressed store at `compressed_dir`. Quantized values
+/// survive encode + decode bit for bit, so both stores hold the same masks
+/// and every query must answer identically on either.
+inline void WriteQuantizedTwins(const MaskStore& src,
+                                const std::string& raw_dir,
+                                const std::string& compressed_dir) {
+  MaskStoreWriter::Options copts;
+  copts.kind = StorageKind::kCompressed;
+  auto raw = MaskStoreWriter::Create(raw_dir).ValueOrDie();
+  auto compressed = MaskStoreWriter::Create(compressed_dir, copts).ValueOrDie();
+  for (MaskId id = 0; id < src.num_masks(); ++id) {
+    const Mask q =
+        DecodeMask(EncodeMask(src.LoadMask(id).ValueOrDie())).ValueOrDie();
+    raw->Append(src.meta(id), q).ValueOrDie();
+    compressed->Append(src.meta(id), q).ValueOrDie();
+  }
+  raw->Finish().CheckOK();
+  compressed->Finish().CheckOK();
+}
+
+/// Forwards every read to `inner` (row windows included) and records each
+/// loaded entry as (id, rows read). `on_load`, if set, runs at every load
+/// call — e.g. to cancel a query from inside its first verification batch.
+class ForwardingStore final : public MaskStore {
+ public:
+  explicit ForwardingStore(const MaskStore& inner,
+                           std::function<void()> on_load = nullptr)
+      : MaskStore(inner.dir(), inner.options(), inner.kind(), inner.metas(),
+                  Sizes(inner)),
+        inner_(inner),
+        on_load_(std::move(on_load)) {}
+
+  int32_t num_shards() const override { return inner_.num_shards(); }
+  Result<Mask> LoadMask(MaskId id) const override {
+    Record({id}, nullptr);
+    return inner_.LoadMask(id);
+  }
+  Result<std::vector<Mask>> LoadMaskBatch(
+      const std::vector<MaskId>& ids) const override {
+    Record(ids, nullptr);
+    return inner_.LoadMaskBatch(ids);
+  }
+  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override {
+    const RowWindow w{y0, y1};
+    Record({id}, &w);
+    return inner_.LoadMaskRows(id, y0, y1);
+  }
+  Result<std::vector<Mask>> LoadMaskWindows(
+      const std::vector<MaskId>& ids,
+      const std::vector<RowWindow>& windows) const override {
+    Record(ids, windows.data());
+    return inner_.LoadMaskWindows(ids, windows);
+  }
+  bool ReadsRowWindows() const override { return inner_.ReadsRowWindows(); }
+  size_t CountResident(const std::vector<MaskId>& ids) const override {
+    return inner_.CountResident(ids);
+  }
+  Status ReadBlob(MaskId id, std::string* out) const override {
+    return inner_.ReadBlob(id, out);
+  }
+  uint64_t masks_loaded() const override { return inner_.masks_loaded(); }
+  uint64_t bytes_read() const override { return inner_.bytes_read(); }
+
+  /// The loads recorded since the last call, in no particular order.
+  std::vector<std::pair<MaskId, RowWindow>> TakeLoads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(loads_);
+  }
+
+ private:
+  static std::vector<uint64_t> Sizes(const MaskStore& store) {
+    std::vector<uint64_t> sizes;
+    for (MaskId id = 0; id < store.num_masks(); ++id) {
+      sizes.push_back(store.BlobSize(id));
+    }
+    return sizes;
+  }
+
+  void Record(const std::vector<MaskId>& ids, const RowWindow* windows) const {
+    if (on_load_) on_load_();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const bool valid = ids[i] >= 0 && ids[i] < num_masks();
+      loads_.emplace_back(ids[i], windows != nullptr ? windows[i]
+                                  : valid ? RowWindow::Whole(meta(ids[i]))
+                                          : RowWindow{});
+    }
+  }
+
+  const MaskStore& inner_;
+  std::function<void()> on_load_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::pair<MaskId, RowWindow>> loads_;
+};
+
+/// The rows the clamped ROIs of `terms` cover in `meta`'s mask (their
+/// hull), or the whole mask when all are empty: the window a raw uncached
+/// store's verification load must read.
+inline RowWindow RoiRows(const MaskMeta& meta,
+                         const std::vector<CpTerm>& terms) {
+  int32_t y0 = meta.height, y1 = 0;
+  for (const CpTerm& t : terms) {
+    const ROI r = ResolveRoi(t, meta).ClampTo(meta.width, meta.height);
+    if (r.Empty()) continue;
+    y0 = std::min(y0, r.y0);
+    y1 = std::max(y1, r.y1);
+  }
+  return y0 < y1 ? RowWindow{y0, y1} : RowWindow::Whole(meta);
+}
+
+/// Checks the loads `store` recorded since the last call: each read the
+/// whole mask, or, when `windowed`, exactly RoiRows(terms); and `bytes`
+/// (an ExecStats::bytes_read) is their byte total.
+inline void ExpectLoadedRows(ForwardingStore* store,
+                             const std::vector<CpTerm>& terms, bool windowed,
+                             int64_t bytes) {
+  int64_t want = 0;
+  for (const auto& [id, w] : store->TakeLoads()) {
+    const MaskMeta& m = store->meta(id);
+    const RowWindow rows = windowed ? RoiRows(m, terms) : RowWindow::Whole(m);
+    EXPECT_EQ(w.y0, rows.y0) << "mask " << id;
+    EXPECT_EQ(w.y1, rows.y1) << "mask " << id;
+    want += w.IsWhole(m) ? static_cast<int64_t>(store->BlobSize(id))
+                         : int64_t{w.rows()} * m.width * 4;
+  }
+  EXPECT_EQ(bytes, want);
+}
+
+/// A CHI's serialized bytes, for exact comparison.
+inline std::string ChiBytes(const Chi& chi) {
+  BufferWriter w;
+  chi.Serialize(&w);
+  return w.buffer();
 }
 
 }  // namespace testing_util

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "masksearch/baselines/full_scan.h"
+#include "masksearch/cache/buffer_pool.h"
 #include "masksearch/exec/topk_executor.h"
+#include "masksearch/obs/trace.h"
 #include "masksearch/workload/query_gen.h"
 #include "test_util.h"
 
@@ -168,21 +173,100 @@ TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
   EXPECT_LT(second->stats.masks_loaded, first->stats.masks_loaded);
 }
 
+// Random queries, DESC and ASC, on four stores holding the same masks —
+// raw uncached, raw cached cold and warm, compressed — match the full-scan
+// reference with equal stats on every store. The raw uncached store reads
+// only the rows of each loaded mask's ROIs; the others read whole masks.
 TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
-  FullScanBaseline reference(store_.get());
+  TempDir raw_dir("topk_raw");
+  TempDir compressed_dir("topk_compressed");
+  testing_util::WriteQuantizedTwins(*store_, raw_dir.path(),
+                                    compressed_dir.path());
+  auto raw = MaskStore::Open(raw_dir.path()).ValueOrDie();
+  auto compressed = MaskStore::Open(compressed_dir.path()).ValueOrDie();
+  IndexManager index(raw->num_masks(), TestConfig());
+  MS_ASSERT_OK(index.BuildAll(*raw));
+  BufferPool::Options popts;
+  popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
+  auto open_cached = [&] {
+    MaskStore::Options copts;
+    copts.cache = std::make_shared<BufferPool>(popts);
+    return MaskStore::Open(raw_dir.path(), copts).ValueOrDie();
+  };
+  auto warm = open_cached();
+  std::vector<MaskId> all;
+  for (MaskId id = 0; id < warm->num_masks(); ++id) all.push_back(id);
+  MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
+  enum Kind { kUncached, kCold, kWarm, kCompressed, kNumKinds };
+
+  FullScanBaseline reference(raw.get());
   Rng rng(31337);
   for (int i = 0; i < 25; ++i) {
-    const TopKQuery q = GenerateTopKQuery(&rng, *store_);
-    auto got = ExecuteTopK(*store_, index_.get(), q);
-    ASSERT_TRUE(got.ok());
-    auto want = reference.TopK(q);
-    ASSERT_TRUE(want.ok());
-    ASSERT_EQ(got->items.size(), want->items.size()) << "query " << i;
-    for (size_t j = 0; j < got->items.size(); ++j) {
-      ASSERT_EQ(got->items[j].mask_id, want->items[j].mask_id)
-          << "query " << i << " rank " << j;
+    TopKQuery q = GenerateTopKQuery(&rng, *raw);
+    for (const bool descending : {true, false}) {
+      q.descending = descending;
+      auto want = reference.TopK(q);
+      ASSERT_TRUE(want.ok());
+      std::optional<ExecStats> first;
+      for (int kind = 0; kind < kNumKinds; ++kind) {
+        SCOPED_TRACE("query " + std::to_string(i) + " desc " +
+                     std::to_string(descending) + " store " +
+                     std::to_string(kind));
+        std::unique_ptr<MaskStore> cold =
+            kind == kCold ? open_cached() : nullptr;
+        testing_util::ForwardingStore store(kind == kUncached ? *raw
+                                            : kind == kCold   ? *cold
+                                            : kind == kWarm   ? *warm
+                                                              : *compressed);
+        auto got = ExecuteTopK(store, &index, q);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(got->items.size(), want->items.size());
+        for (size_t j = 0; j < got->items.size(); ++j) {
+          ASSERT_EQ(got->items[j].mask_id, want->items[j].mask_id)
+              << "rank " << j;
+          ASSERT_EQ(got->items[j].value, want->items[j].value) << "rank " << j;
+        }
+        const ExecStats& s = got->stats;
+        if (!first) first = s;
+        EXPECT_EQ(s.masks_loaded, first->masks_loaded);
+        EXPECT_EQ(s.pruned, first->pruned);
+        EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
+        EXPECT_EQ(s.candidates, first->candidates);
+        testing_util::ExpectLoadedRows(&store, q.terms, kind == kUncached,
+                                       s.bytes_read);
+      }
     }
   }
+}
+
+// A traced top-k on a raw uncached store attributes its windowed loads: the
+// storage read span is recorded and its byte count is the window bytes.
+TEST_F(TopKExecutorTest, TracedWindowedLoadsAreAttributed) {
+  const TopKQuery q = ConstantRoiQuery(5, /*descending=*/true);
+  testing_util::ForwardingStore store(*store_);
+  obs::Trace trace(1);
+  Result<TopKResult> got = Status::Internal("not run");
+  {
+    obs::TraceScope scope(&trace);
+    got = ExecuteTopK(store, index_.get(), q);
+  }
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_GT(got->stats.masks_loaded, 0);
+  // ROI rows 10..40 of 48: a window, not the whole mask.
+  EXPECT_EQ(got->stats.bytes_read,
+            got->stats.masks_loaded * 30 * 48 * int64_t{sizeof(float)});
+  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
+                                 got->stats.bytes_read);
+  uint64_t span_count = 0;
+  for (const obs::Trace::Span& s : trace.spans()) {
+    if (s.name == "shard_read") span_count = s.count;
+  }
+  EXPECT_EQ(span_count, static_cast<uint64_t>(got->stats.masks_loaded));
+  uint64_t traced_bytes = 0;
+  for (const auto& [name, n] : trace.counts()) {
+    if (name == "storage_bytes_read") traced_bytes = n;
+  }
+  EXPECT_EQ(traced_bytes, static_cast<uint64_t>(got->stats.bytes_read));
 }
 
 TEST_F(TopKExecutorTest, InvalidQueriesRejected) {
