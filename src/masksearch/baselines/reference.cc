@@ -24,11 +24,6 @@ std::vector<double> ExactTerms(const Mask& mask, const MaskMeta& meta,
   return out;
 }
 
-bool BetterMask(bool descending, const ScoredMask& a, const ScoredMask& b) {
-  if (a.value != b.value) return descending ? a.value > b.value : a.value < b.value;
-  return a.mask_id < b.mask_id;
-}
-
 bool BetterGroup(bool descending, const ScoredGroup& a, const ScoredGroup& b) {
   if (a.value != b.value) return descending ? a.value > b.value : a.value < b.value;
   return a.group < b.group;
@@ -96,7 +91,7 @@ Result<TopKResult> ReferenceEvaluator::TopK(const TopKQuery& q) const {
   }
   std::sort(scored.begin(), scored.end(),
             [&](const ScoredMask& a, const ScoredMask& b) {
-              return BetterMask(q.descending, a, b);
+              return MaskRanksBefore(q.descending, a, b);
             });
   if (scored.size() > q.k) scored.resize(q.k);
   result.items = std::move(scored);

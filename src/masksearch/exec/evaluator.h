@@ -160,23 +160,6 @@ inline int64_t WindowBytes(const MaskStore& store, MaskId id,
          static_cast<int64_t>(sizeof(float));
 }
 
-/// \brief Loads `window` of a mask (counted in `stats`) and, when the
-/// window is whole, retains its CHI per RetainChiAfterLoad.
-inline Result<Mask> LoadForVerification(const MaskStore& store,
-                                        IndexManager* index,
-                                        const EngineOptions& opts, MaskId id,
-                                        const RowWindow& window,
-                                        ExecStats* stats) {
-  const bool whole = window.IsWhole(store.meta(id));
-  MS_ASSIGN_OR_RETURN(Mask mask,
-                      whole ? store.LoadMask(id)
-                            : store.LoadMaskRows(id, window.y0, window.y1));
-  stats->masks_loaded += 1;
-  stats->bytes_read += WindowBytes(store, id, window);
-  if (whole) stats->chis_built += RetainChiAfterLoad(index, opts, id, mask);
-  return mask;
-}
-
 }  // namespace internal
 }  // namespace masksearch
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
@@ -71,14 +72,19 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
     if (outcomes[i] == Outcome::kVerifiedFail) verify_idx.push_back(i);
   }
 
-  // Verification stage: the undecided masks in fixed slices, one load unit
-  // per slice, each slice evaluated across the pool. A mask's window is the
-  // rows of all the predicate's terms.
+  // Verification stage: the undecided masks in fixed slices, each slice
+  // evaluated across the pool. With io_pool a slice loads as one contiguous
+  // unit per io_pool thread (at most one per mask), each its own io_pool
+  // task, so that many reads are in flight; without io_pool as one unit. A
+  // mask's window is the rows of all the predicate's terms.
   const size_t batch =
       opts.verify_batch > 0
           ? opts.verify_batch
           : std::max<size_t>(
                 64, opts.pool != nullptr ? opts.pool->num_threads() * 4 : 0);
+  const size_t max_units =
+      opts.io_pool != nullptr ? std::max<size_t>(1, opts.io_pool->num_threads())
+                              : 1;
   FilterResult result;
   size_t next = 0;
   auto next_batch = [&] {
@@ -87,27 +93,32 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
     if (take == 0) return b;
     b.items.assign(verify_idx.begin() + next, verify_idx.begin() + next + take);
     next += take;
-    internal::LoadUnit& unit = b.units.emplace_back();
-    for (size_t i : b.items) {
-      unit.ids.push_back(ids[i]);
-      unit.windows.push_back(
-          internal::TermRows(store.meta(ids[i]), query.terms));
+    const size_t units = std::min(take, max_units);
+    for (size_t u = 0; u < units; ++u) {
+      internal::LoadUnit& unit = b.units.emplace_back();
+      for (size_t j = take * u / units; j < take * (u + 1) / units; ++j) {
+        const MaskId id = ids[b.items[j]];
+        unit.ids.push_back(id);
+        unit.windows.push_back(internal::TermRows(store.meta(id), query.terms));
+      }
     }
     return b;
   };
   auto verify = [&](const internal::VerifyBatch& b,
                     const std::vector<std::vector<Mask>>& masks) {
-    const std::vector<Mask>& loaded = masks[0];
-    ParallelFor(loaded.size() > 1 ? opts.pool : nullptr, loaded.size(),
-                [&](size_t j) {
-                  const size_t i = b.items[j];
-                  const std::vector<double> exact = internal::TermExactFromMask(
-                      loaded[j], store.meta(ids[i]), query.terms,
-                      b.units[0].windows[j]);
-                  outcomes[i] = query.predicate.EvalExact(exact)
-                                    ? Outcome::kVerifiedPass
-                                    : Outcome::kVerifiedFail;
-                });
+    // (unit, position in unit) of each of the batch's masks, in item order.
+    std::vector<std::pair<size_t, size_t>> at;
+    for (size_t u = 0; u < masks.size(); ++u) {
+      for (size_t p = 0; p < masks[u].size(); ++p) at.emplace_back(u, p);
+    }
+    ParallelFor(at.size() > 1 ? opts.pool : nullptr, at.size(), [&](size_t j) {
+      const auto [u, p] = at[j];
+      const size_t i = b.items[j];
+      const std::vector<double> exact = internal::TermExactFromMask(
+          masks[u][p], store.meta(ids[i]), query.terms, b.units[u].windows[p]);
+      outcomes[i] = query.predicate.EvalExact(exact) ? Outcome::kVerifiedPass
+                                                     : Outcome::kVerifiedFail;
+    });
     return Status::OK();
   };
   MS_RETURN_NOT_OK(internal::RunVerifyPipeline(

@@ -16,9 +16,9 @@ class ChiCache;
 /// \brief Per-request cancellation + deadline state (docs/SERVING.md).
 ///
 /// Executors poll Check() at batch boundaries — between batches of the
-/// verification pipeline (filter, scalar aggregation, mask-agg), every 32
-/// masks in top-k — and abort with a typed DeadlineExceeded / Cancelled
-/// status. Polling at batch granularity keeps
+/// verification pipeline, which every executor (filter, top-k, scalar
+/// aggregation, mask-agg) runs through — and abort with a typed
+/// DeadlineExceeded / Cancelled status. Polling at batch granularity keeps
 /// the hot per-pixel loops branch-free: a request overruns its deadline by
 /// at most one batch of work. One QueryControl belongs to one request; it
 /// may be Cancel()ed from any thread while the request executes.
@@ -72,14 +72,16 @@ struct EngineOptions {
   /// order. The ablation bench quantifies the difference.
   bool sort_by_bound = true;
 
-  /// Verification batch size of the filter and aggregation executors: the
-  /// undecided masks (filter) or groups (scalar aggregation, mask-agg) are
-  /// loaded and verified in batches of this many, and QueryControl is
-  /// polled between batches. 0 = auto: filter max(64, 4 × pool threads);
-  /// aggregations 2 × pool threads, or 1 (the exact serial schedule)
-  /// without a pool. Results do not depend on it; an aggregation top-k may
-  /// verify a few extra groups with larger batches, because pruning uses
-  /// the heap as of batch formation.
+  /// Verification batch size: the undecided masks (filter, top-k) or groups
+  /// (scalar aggregation, mask-agg) are loaded and verified in batches of
+  /// this many, and QueryControl is polled between batches. 0 = auto:
+  /// filter max(64, 4 × pool threads); top-k io_pool threads, or 1 (the
+  /// exact serial schedule) without io_pool; aggregations 2 × pool
+  /// threads, or 1 without a pool. With io_pool a filter batch loads as
+  /// min(batch, io_pool threads) contiguous units, top-k as one unit per
+  /// mask, each its own io_pool task. Results do not depend on it; a top-k
+  /// (masks or groups) may verify a few extra with larger batches, because
+  /// pruning uses the heap as of batch formation.
   size_t verify_batch = 0;
 
   /// I/O pool of the verification pipeline: while one batch is verified on

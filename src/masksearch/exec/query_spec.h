@@ -7,6 +7,7 @@
 #ifndef MASKSEARCH_EXEC_QUERY_SPEC_H_
 #define MASKSEARCH_EXEC_QUERY_SPEC_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -101,8 +102,23 @@ struct ScoredMask {
   double value = 0.0;
 };
 
+/// \brief The top-k ranking of masks, shared by the executor and the
+/// reference: true when `a` ranks before `b`. DESC ranks larger values
+/// first, ASC smaller; NaN (e.g. 0 / 0 in a ratio) ranks last either way;
+/// ties break toward the smaller mask_id. A strict total order, so a sort
+/// or a heap over it is well defined whatever the values.
+inline bool MaskRanksBefore(bool descending, const ScoredMask& a,
+                            const ScoredMask& b) {
+  const bool a_nan = std::isnan(a.value);
+  if (a_nan != std::isnan(b.value)) return !a_nan;
+  if (!a_nan && a.value != b.value) {
+    return descending ? a.value > b.value : a.value < b.value;
+  }
+  return a.mask_id < b.mask_id;
+}
+
 struct TopKResult {
-  /// Sorted by (value, tie: mask_id ascending); best first.
+  /// Best first, by MaskRanksBefore.
   std::vector<ScoredMask> items;
   ExecStats stats;
 };

@@ -7,6 +7,7 @@
 
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
+#include "masksearch/exec/verify_pipeline.h"
 #include "masksearch/obs/trace.h"
 
 namespace masksearch {
@@ -14,18 +15,6 @@ namespace masksearch {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Total order over results: best first. DESC ranks larger values first;
-/// ties always break toward the smaller mask_id.
-struct Better {
-  bool descending;
-  bool operator()(const ScoredMask& a, const ScoredMask& b) const {
-    if (a.value != b.value) {
-      return descending ? a.value > b.value : a.value < b.value;
-    }
-    return a.mask_id < b.mask_id;
-  }
-};
 
 }  // namespace
 
@@ -47,7 +36,10 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
 
   Stopwatch timer;
   const std::vector<MaskId> ids = ResolveSelection(store, query.selection);
-  const Better better{query.descending};
+  // Total order over results: best first.
+  auto better = [&](const ScoredMask& a, const ScoredMask& b) {
+    return MaskRanksBefore(query.descending, a, b);
+  };
 
   TopKResult result;
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
@@ -81,56 +73,80 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
     });
   }
 
-  // Pass 2: sequential scan maintaining the running top-k set R (Eq. 15).
-  MS_TRACE_SPAN("topk_scan");
-  std::set<ScoredMask, Better> heap(better);
-  IndexManager* const retain_into = opts.use_index ? index : nullptr;
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    // This executor has no batches; a stride of masks is its boundary for
-    // deadline/cancel checks (prunes are branch-only, loads dominate).
-    if ((oi & 31) == 0) MS_RETURN_NOT_OK(CheckControl(opts.control));
-    const size_t i = order[oi];
-    const MaskId id = ids[i];
-    const Interval& iv = intervals[i];
-    const double optimistic = query.descending ? iv.hi : iv.lo;
-
-    if (heap.size() >= query.k) {
-      const ScoredMask& worst = *heap.rbegin();
-      // Prune iff even the optimistic value cannot outrank the k-th result.
-      if (!better(ScoredMask{id, optimistic}, worst)) {
-        ++result.stats.pruned;
-        continue;
-      }
-    }
-
-    double value;
-    if (iv.Tight() && std::isfinite(iv.lo)) {
-      // Bounds pin the exact value: no disk access needed.
-      value = iv.lo;
-      ++result.stats.accepted_by_bounds;
-    } else {
-      ++result.stats.candidates;
-      // The window covers every term the order expression reads.
-      const MaskMeta& meta = store.meta(id);
-      const RowWindow window = internal::VerifyWindow(
-          store, retain_into, opts, id, internal::TermRows(meta, query.terms));
-      MS_ASSIGN_OR_RETURN(Mask mask,
-                          internal::LoadForVerification(
-                              store, retain_into, opts, id, window,
-                              &result.stats));
-      const std::vector<double> exact =
-          internal::TermExactFromMask(mask, meta, query.terms, window);
-      value = query.order_expr.EvalExact(exact);
-    }
-
-    const ScoredMask cand{id, value};
+  // Pass 2: the running top-k set R (Eq. 15), fed in bound order through
+  // the verification pipeline. A batch holds verify_batch masks, else one
+  // per io_pool thread so that many reads are in flight, else 1: the
+  // paper's sequential scan.
+  const size_t batch = opts.verify_batch > 0 ? opts.verify_batch
+                       : opts.io_pool != nullptr
+                           ? std::max<size_t>(1, opts.io_pool->num_threads())
+                           : 1;
+  std::set<ScoredMask, decltype(better)> heap(better);
+  auto Fold = [&](const ScoredMask& cand) {
     if (heap.size() < query.k) {
       heap.insert(cand);
     } else if (better(cand, *heap.rbegin())) {
       heap.erase(std::prev(heap.end()));
       heap.insert(cand);
     }
-  }
+  };
+  // Admission of mask i to the batch being formed. The heap only tightens
+  // and exact values never leave their bounds, so deciding against the heap
+  // as of batch formation is conservative: a stale heap can admit masks the
+  // serial scan prunes but never prunes one it keeps, so results equal the
+  // serial schedule's. With batch 1 and no io_pool this is that schedule.
+  auto Admit = [&](size_t i) {
+    const Interval& iv = intervals[i];
+    const double optimistic = query.descending ? iv.hi : iv.lo;
+    // Prune iff even the optimistic value cannot outrank the k-th result.
+    if (heap.size() >= query.k &&
+        !better(ScoredMask{ids[i], optimistic}, *heap.rbegin())) {
+      ++result.stats.pruned;
+      return false;
+    }
+    if (iv.Tight() && std::isfinite(iv.lo)) {
+      // Bounds pin the exact value: no disk access needed.
+      ++result.stats.accepted_by_bounds;
+      Fold(ScoredMask{ids[i], iv.lo});
+      return false;
+    }
+    ++result.stats.candidates;
+    return true;
+  };
+  size_t cursor = 0;
+  auto next_batch = [&] {
+    internal::VerifyBatch b;
+    while (cursor < order.size() && b.items.size() < batch) {
+      const size_t i = order[cursor++];
+      if (!Admit(i)) continue;
+      b.items.push_back(i);
+      // One unit per mask, so each is its own read; its window covers
+      // every term the order expression reads.
+      b.units.push_back(internal::LoadUnit{
+          {ids[i]}, {internal::TermRows(store.meta(ids[i]), query.terms)}});
+    }
+    return b;
+  };
+  // A batch's exact values are computed across the pool, then folded in
+  // batch order.
+  auto verify = [&](const internal::VerifyBatch& b,
+                    const std::vector<std::vector<Mask>>& masks) {
+    std::vector<double> values(b.items.size());
+    ParallelFor(values.size() > 1 ? opts.pool : nullptr, values.size(),
+                [&](size_t j) {
+                  const MaskId id = ids[b.items[j]];
+                  values[j] = query.order_expr.EvalExact(
+                      internal::TermExactFromMask(masks[j][0], store.meta(id),
+                                                  query.terms,
+                                                  b.units[j].windows[0]));
+                });
+    for (size_t j = 0; j < values.size(); ++j) {
+      Fold(ScoredMask{ids[b.items[j]], values[j]});
+    }
+    return Status::OK();
+  };
+  MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
+      store, index, opts, "topk_scan", next_batch, verify, &result.stats));
 
   result.items.assign(heap.begin(), heap.end());
   result.stats.seconds = timer.ElapsedSeconds();

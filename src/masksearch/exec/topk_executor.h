@@ -2,10 +2,13 @@
 // the running top-k set R. A mask is pruned when its bound proves it cannot
 // beat the current k-th result (Eq. 15); otherwise its exact value is
 // obtained — from its bounds when they are tight, else by loading the mask.
+// Masks are decided in bound order, in batches that load and verify through
+// the verification pipeline (verify_pipeline.h), one load unit per mask.
 //
-// Determinism: results are totally ordered by (value, tie-break mask_id
-// ascending); pruning respects the same order, so the returned set equals
-// the brute-force top-k exactly.
+// Determinism: results are totally ordered by MaskRanksBefore (value, NaN
+// last, tie-break mask_id ascending); pruning respects the same order and
+// a batch is pruned against the heap as of its formation, so the returned
+// set equals the brute-force top-k exactly under every schedule.
 
 #ifndef MASKSEARCH_EXEC_TOPK_EXECUTOR_H_
 #define MASKSEARCH_EXEC_TOPK_EXECUTOR_H_

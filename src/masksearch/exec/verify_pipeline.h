@@ -1,17 +1,19 @@
-// The verification stage shared by the filter executor and the group driver
-// of the scalar- and mask-aggregation executors (§3.2): masks the filter
-// stage could not decide stream through here in batches. Top-k does not use
-// it yet. Internal; not part of the public API.
+// The verification stage of every executor — filter, top-k, and the group
+// driver of the scalar- and mask-aggregation executors (§3.2): masks the
+// filter stage could not decide stream through here in batches. Internal;
+// not part of the public API.
 //
 // A batch is a list of load units, each read with one
 // MaskStore::LoadMaskWindows (offset-sorted, coalesced, shard-parallel
-// reads). The filter gives one unit per batch, the aggregations one per
-// group, so each keeps its own I/O request pattern. A unit carries a row
-// window per mask: the rows its terms' ROIs touch. Before loading, the
-// pipeline widens each to the whole mask where evaluator.h's VerifyWindow
-// says so (compressed or cached store, or a CHI to retain), so on a raw
-// uncached store only the windows' bytes are read, and a CHI is only ever
-// built from a whole mask.
+// reads). The filter gives one contiguous unit per io_pool thread (one per
+// batch without io_pool), top-k one per mask, the aggregations one per
+// group. With io_pool every unit is its own io_pool task, so several reads
+// are in flight and a device queue stays busy while the host copies and
+// verifies. A unit carries a row window per mask: the rows its terms' ROIs
+// touch. Before loading, the pipeline widens each to the whole mask where
+// evaluator.h's VerifyWindow says so (compressed or cached store, or a CHI
+// to retain), so on a raw uncached store only the windows' bytes are read,
+// and a CHI is only ever built from a whole mask.
 //
 // With EngineOptions::io_pool set the pipeline is two batches deep: batch
 // k+1's units load on io_pool while batch k is verified on

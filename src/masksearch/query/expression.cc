@@ -1,13 +1,27 @@
 #include "masksearch/query/expression.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace masksearch {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The interval spanned by an operation's four endpoint combinations. A NaN
+/// among them (0 × ±inf, ±inf / ±inf) makes the result unbounded, never a
+/// NaN bound: an infinite endpoint comes from dividing by an interval that
+/// touches 0, whose exact quotient may be ±inf or NaN. (Taking 0 × ±inf as
+/// 0 would pin [0, 0] × (-inf, +inf) to [0, 0], though 0 × (x / 0) is NaN.)
+Interval Hull(const std::array<double, 4>& c) {
+  if (std::any_of(c.begin(), c.end(), [](double v) { return std::isnan(v); })) {
+    return {-kInf, kInf};
+  }
+  return {*std::min_element(c.begin(), c.end()),
+          *std::max_element(c.begin(), c.end())};
 }
+}  // namespace
 
 std::string CpTerm::ToString() const {
   std::string roi;
@@ -48,15 +62,13 @@ Interval operator-(const Interval& a, const Interval& b) {
   return {a.lo - b.hi, a.hi - b.lo};
 }
 Interval operator*(const Interval& a, const Interval& b) {
-  double c[4] = {a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi};
-  return {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+  return Hull({a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi});
 }
 Interval operator/(const Interval& a, const Interval& b) {
   if (b.lo <= 0.0 && b.hi >= 0.0) {
     return {-kInf, kInf};
   }
-  double c[4] = {a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi};
-  return {*std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+  return Hull({a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi});
 }
 
 CpExpr CpExpr::Term(int32_t term_index) {

@@ -55,6 +55,8 @@ struct Interval {
 
 Interval operator+(const Interval& a, const Interval& b);
 Interval operator-(const Interval& a, const Interval& b);
+/// Product; (-inf, +inf) when an endpoint product is 0 × ±inf, because the
+/// unbounded factor's exact value may be ±inf or NaN. Never a NaN bound.
 Interval operator*(const Interval& a, const Interval& b);
 /// Division; if b straddles or touches 0 the result is (-inf, +inf) — the
 /// executor then treats the mask as "uncertain", preserving correctness.

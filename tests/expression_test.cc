@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "masksearch/common/random.h"
 #include "masksearch/query/expression.h"
@@ -40,6 +41,23 @@ TEST(IntervalTest, DivisionStraddlingZeroIsUnbounded) {
   EXPECT_TRUE(std::isinf(r.hi));
   const Interval rz = Interval{1, 2} / Interval{0, 3};
   EXPECT_TRUE(std::isinf(rz.lo) || std::isinf(rz.hi));
+}
+
+// 0 × ±inf makes a product unbounded, never NaN and never [0, 0]: the
+// unbounded factor is a quotient whose exact value may be ±inf or NaN.
+TEST(IntervalTest, ZeroTimesUnboundedIsUnbounded) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Interval unbounded = Interval{1, 2} / Interval{0, 3};
+  for (const Interval& zero : {Interval{0, 0}, Interval{0, 5}}) {
+    for (const Interval& r : {zero * unbounded, unbounded * zero,
+                              zero * Interval{-inf, inf}}) {
+      EXPECT_EQ(r.lo, -inf);
+      EXPECT_EQ(r.hi, inf);
+    }
+  }
+  const Interval half = Interval{2, 3} * Interval{5, inf};
+  EXPECT_DOUBLE_EQ(half.lo, 10);
+  EXPECT_EQ(half.hi, inf);
 }
 
 TEST(IntervalTest, FromBoundsAndTight) {

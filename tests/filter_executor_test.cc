@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -383,9 +384,15 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
             if (p.io_pool == nullptr || kind != kWarm) {
               EXPECT_EQ(s.prefetch_skipped, 0);
             } else {
+              // Every unit is resident: a batch of m masks loads as
+              // min(m, io_pool threads) units.
               const int64_t b =
                   batch > 0 ? static_cast<int64_t>(batch) : int64_t{64};
-              EXPECT_EQ(s.prefetch_skipped, (s.candidates + b - 1) / b);
+              const int64_t n =
+                  static_cast<int64_t>(p.io_pool->num_threads());
+              const int64_t rest = s.candidates % b;
+              EXPECT_EQ(s.prefetch_skipped,
+                        s.candidates / b * std::min(b, n) + std::min(rest, n));
             }
             if (kind == kWarm) {
               EXPECT_EQ(store.masks_loaded(), physical_before);
@@ -423,6 +430,73 @@ TEST_F(FilterExecutorTest, StagedPathOnShardedStoreMatchesReference) {
     auto want = reference.Filter(q);
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(got->mask_ids, want->mask_ids) << "threshold " << threshold;
+  }
+}
+
+// With an io_pool of N threads, a verification batch of m masks loads as
+// min(m, N) LoadMaskWindows calls whose ids and windows partition the
+// batch into contiguous runs; without io_pool it is one call per batch.
+TEST_F(FilterExecutorTest, BatchesLoadAsConcurrentUnits) {
+  FilterQuery q = ObjectQuery(0.6, 1.0, 200.0);
+  q.terms.push_back(q.terms[0]);
+  q.terms[1].roi_source = RoiSource::kConstant;
+  q.terms[1].constant_roi = ROI(0, 30, 48, 40);
+  q.predicate = Predicate::Compare(CpExpr::Term(0) + CpExpr::Term(1),
+                                   CompareOp::kGt, 200.0);
+  FullScanBaseline reference(store_.get());
+  auto want = reference.Filter(q);
+  ASSERT_TRUE(want.ok());
+  ThreadPool pool(2);
+  ThreadPool io3(3);
+  ThreadPool io8(8);
+  for (ThreadPool* io_pool : {static_cast<ThreadPool*>(nullptr), &io3, &io8}) {
+    for (size_t batch : {size_t{1}, size_t{2}, size_t{7}, size_t{0}}) {
+      SCOPED_TRACE("io threads " +
+                   std::to_string(io_pool ? io_pool->num_threads() : 0) +
+                   " batch " + std::to_string(batch));
+      testing_util::ForwardingStore store(*store_);
+      EngineOptions opts;
+      opts.pool = &pool;
+      opts.io_pool = io_pool;
+      opts.verify_batch = batch;
+      opts.use_index = false;  // every mask is undecided
+      auto got = ExecuteFilter(store, nullptr, q, opts);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->mask_ids, want->mask_ids);
+
+      std::vector<std::vector<testing_util::ForwardingStore::Load>> calls =
+          store.TakeCalls();
+      auto first_id = [](const auto& call) {
+        return call.empty() ? MaskId{-1} : call[0].first;
+      };
+      std::sort(calls.begin(), calls.end(),
+                [&](const auto& a, const auto& b) {
+                  return first_id(a) < first_id(b);
+                });
+      const size_t m = batch > 0 ? batch : 64;
+      const size_t n = io_pool != nullptr ? io_pool->num_threads() : 1;
+      const size_t total = static_cast<size_t>(store_->num_masks());
+      size_t c = 0;
+      for (size_t first = 0; first < total; first += m) {
+        // Batch [first, end): min(size, n) calls of consecutive ids.
+        const size_t end = std::min(total, first + m);
+        const size_t units = std::min(end - first, n);
+        size_t next = first;
+        for (size_t u = 0; u < units; ++u, ++c) {
+          ASSERT_LT(c, calls.size());
+          ASSERT_FALSE(calls[c].empty());
+          for (const auto& [id, window] : calls[c]) {
+            EXPECT_EQ(id, static_cast<MaskId>(next++));
+            const RowWindow rows =
+                testing_util::RoiRows(store_->meta(id), q.terms);
+            EXPECT_EQ(window.y0, rows.y0) << "mask " << id;
+            EXPECT_EQ(window.y1, rows.y1) << "mask " << id;
+          }
+        }
+        EXPECT_EQ(next, end);
+      }
+      EXPECT_EQ(c, calls.size());
+    }
   }
 }
 

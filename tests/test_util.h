@@ -131,8 +131,9 @@ inline void WriteQuantizedTwins(const MaskStore& src,
 }
 
 /// Forwards every read to `inner` (row windows included) and records each
-/// loaded entry as (id, rows read). `on_load`, if set, runs at every load
-/// call — e.g. to cancel a query from inside its first verification batch.
+/// load call as its entries (id, rows read). `on_load`, if set, runs at
+/// every load call — e.g. to cancel a query from inside its first
+/// verification batch.
 class ForwardingStore final : public MaskStore {
  public:
   explicit ForwardingStore(const MaskStore& inner,
@@ -173,10 +174,22 @@ class ForwardingStore final : public MaskStore {
   uint64_t masks_loaded() const override { return inner_.masks_loaded(); }
   uint64_t bytes_read() const override { return inner_.bytes_read(); }
 
-  /// The loads recorded since the last call, in no particular order.
-  std::vector<std::pair<MaskId, RowWindow>> TakeLoads() {
+  using Load = std::pair<MaskId, RowWindow>;
+
+  /// The load calls recorded since the last Take*, in no particular order;
+  /// each holds its entries in call order.
+  std::vector<std::vector<Load>> TakeCalls() {
     std::lock_guard<std::mutex> lock(mu_);
-    return std::move(loads_);
+    return std::move(calls_);
+  }
+
+  /// The entries of TakeCalls(), flattened.
+  std::vector<Load> TakeLoads() {
+    std::vector<Load> loads;
+    for (std::vector<Load>& call : TakeCalls()) {
+      loads.insert(loads.end(), call.begin(), call.end());
+    }
+    return loads;
   }
 
  private:
@@ -190,19 +203,21 @@ class ForwardingStore final : public MaskStore {
 
   void Record(const std::vector<MaskId>& ids, const RowWindow* windows) const {
     if (on_load_) on_load_();
-    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Load> call;
     for (size_t i = 0; i < ids.size(); ++i) {
       const bool valid = ids[i] >= 0 && ids[i] < num_masks();
-      loads_.emplace_back(ids[i], windows != nullptr ? windows[i]
-                                  : valid ? RowWindow::Whole(meta(ids[i]))
-                                          : RowWindow{});
+      call.emplace_back(ids[i], windows != nullptr ? windows[i]
+                                : valid ? RowWindow::Whole(meta(ids[i]))
+                                        : RowWindow{});
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back(std::move(call));
   }
 
   const MaskStore& inner_;
   std::function<void()> on_load_;
   mutable std::mutex mu_;
-  mutable std::vector<std::pair<MaskId, RowWindow>> loads_;
+  mutable std::vector<std::vector<Load>> calls_;
 };
 
 /// The rows the clamped ROIs of `terms` cover in `meta`'s mask (their

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <optional>
 #include <string>
 
 #include "masksearch/baselines/full_scan.h"
 #include "masksearch/cache/buffer_pool.h"
+#include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/topk_executor.h"
 #include "masksearch/obs/trace.h"
 #include "masksearch/workload/query_gen.h"
@@ -59,7 +62,11 @@ void ExpectSameItems(const TopKResult& got, const TopKResult& want) {
   ASSERT_EQ(got.items.size(), want.items.size());
   for (size_t i = 0; i < got.items.size(); ++i) {
     EXPECT_EQ(got.items[i].mask_id, want.items[i].mask_id) << "rank " << i;
-    EXPECT_DOUBLE_EQ(got.items[i].value, want.items[i].value) << "rank " << i;
+    if (std::isnan(want.items[i].value)) {
+      EXPECT_TRUE(std::isnan(got.items[i].value)) << "rank " << i;
+    } else {
+      EXPECT_DOUBLE_EQ(got.items[i].value, want.items[i].value) << "rank " << i;
+    }
   }
 }
 
@@ -136,27 +143,55 @@ TEST_F(TopKExecutorTest, SequentialOrderSameResult) {
 
 TEST_F(TopKExecutorTest, RatioExpressionTopK) {
   // Example 1: top-k lowest ratio of salient pixels inside the object box to
-  // salient pixels overall.
-  TopKQuery q;
+  // salient pixels overall, with the denominator guarded (+1) and not. A
+  // mask with no pixel in (0.8, 1.0) then scores 0 / 0 = NaN, which ranks
+  // last in either direction. (A NaN in the running heap once made every
+  // value compare equivalent, leaving a single entry.)
   CpTerm obj;
   obj.roi_source = RoiSource::kObjectBox;
-  obj.range = ValueRange(0.85, 1.0);
+  obj.range = ValueRange(0.8, 1.0);
   CpTerm full;
   full.roi_source = RoiSource::kFullMask;
-  full.range = ValueRange(0.85, 1.0);
+  full.range = ValueRange(0.8, 1.0);
+  TopKQuery q;
   q.terms = {obj, full};
-  // Guard the denominator: ratio = obj / (full + 1).
-  q.order_expr =
-      CpExpr::Term(0) / (CpExpr::Term(1) + CpExpr::Constant(1.0));
-  q.k = 25;
-  q.descending = false;
+  FullScanBaseline reference(store_.get());
+  for (const double guard : {1.0, 0.0}) {
+    q.order_expr =
+        CpExpr::Term(0) / (CpExpr::Term(1) + CpExpr::Constant(guard));
+    for (const size_t k : {size_t{5}, size_t{25}}) {
+      for (const bool descending : {false, true}) {
+        SCOPED_TRACE("guard " + std::to_string(guard) + " k " +
+                     std::to_string(k) + " desc " +
+                     std::to_string(descending));
+        q.k = k;
+        q.descending = descending;
+        auto want = reference.TopK(q);
+        ASSERT_TRUE(want.ok());
+        auto got = ExecuteTopK(*store_, index_.get(), q);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ExpectSameItems(*got, *want);
+      }
+    }
+  }
 
+  // Every mask kept: the NaN-valued ones form the tail, by ascending id.
+  q.k = static_cast<size_t>(store_->num_masks());
+  q.descending = false;
   auto got = ExecuteTopK(*store_, index_.get(), q);
   ASSERT_TRUE(got.ok()) << got.status();
-  FullScanBaseline reference(store_.get());
-  auto want = reference.TopK(q);
-  ASSERT_TRUE(want.ok());
-  ExpectSameItems(*got, *want);
+  ASSERT_EQ(got->items.size(), q.k);
+  size_t first_nan = 0;
+  while (first_nan < q.k && !std::isnan(got->items[first_nan].value)) {
+    ++first_nan;
+  }
+  EXPECT_LT(first_nan, q.k);
+  for (size_t j = first_nan; j < q.k; ++j) {
+    EXPECT_TRUE(std::isnan(got->items[j].value)) << "rank " << j;
+    if (j > first_nan) {
+      EXPECT_GT(got->items[j].mask_id, got->items[j - 1].mask_id);
+    }
+  }
 }
 
 TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
@@ -174,9 +209,12 @@ TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
 }
 
 // Random queries, DESC and ASC, on four stores holding the same masks —
-// raw uncached, raw cached cold and warm, compressed — match the full-scan
-// reference with equal stats on every store. The raw uncached store reads
-// only the rows of each loaded mask's ROIs; the others read whole masks.
+// raw uncached, raw cached cold and warm, compressed — under every pool set
+// and batch size match the full-scan reference. Per schedule, stats are
+// equal on every store. The raw uncached store reads only the rows of each
+// loaded mask's ROIs; the others read whole masks. Batches are pruned
+// against the heap as of their formation, so they may load more masks than
+// the serial schedule (no io_pool, batch 1), never fewer.
 TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
   TempDir raw_dir("topk_raw");
   TempDir compressed_dir("topk_compressed");
@@ -199,6 +237,14 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
   MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
   enum Kind { kUncached, kCold, kWarm, kCompressed, kNumKinds };
 
+  ThreadPool pool(4);
+  ThreadPool io_pool(3);
+  struct Pools {
+    ThreadPool* pool;
+    ThreadPool* io_pool;
+  };
+  const Pools pool_sets[] = {
+      {nullptr, nullptr}, {&pool, nullptr}, {&pool, &io_pool}, {&pool, &pool}};
   FullScanBaseline reference(raw.get());
   Rng rng(31337);
   for (int i = 0; i < 25; ++i) {
@@ -207,36 +253,113 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
       q.descending = descending;
       auto want = reference.TopK(q);
       ASSERT_TRUE(want.ok());
-      std::optional<ExecStats> first;
-      for (int kind = 0; kind < kNumKinds; ++kind) {
-        SCOPED_TRACE("query " + std::to_string(i) + " desc " +
-                     std::to_string(descending) + " store " +
-                     std::to_string(kind));
-        std::unique_ptr<MaskStore> cold =
-            kind == kCold ? open_cached() : nullptr;
-        testing_util::ForwardingStore store(kind == kUncached ? *raw
-                                            : kind == kCold   ? *cold
-                                            : kind == kWarm   ? *warm
-                                                              : *compressed);
-        auto got = ExecuteTopK(store, &index, q);
-        ASSERT_TRUE(got.ok()) << got.status();
-        ASSERT_EQ(got->items.size(), want->items.size());
-        for (size_t j = 0; j < got->items.size(); ++j) {
-          ASSERT_EQ(got->items[j].mask_id, want->items[j].mask_id)
-              << "rank " << j;
-          ASSERT_EQ(got->items[j].value, want->items[j].value) << "rank " << j;
+      std::optional<ExecStats> serial;
+      for (const Pools& p : pool_sets) {
+        for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
+          std::optional<ExecStats> first;
+          for (int kind = 0; kind < kNumKinds; ++kind) {
+            SCOPED_TRACE("query " + std::to_string(i) + " desc " +
+                         std::to_string(descending) + " store " +
+                         std::to_string(kind) + " pools " +
+                         std::to_string(p.pool != nullptr) +
+                         std::to_string(p.io_pool != nullptr) + " batch " +
+                         std::to_string(batch));
+            std::unique_ptr<MaskStore> cold =
+                kind == kCold ? open_cached() : nullptr;
+            testing_util::ForwardingStore store(kind == kUncached ? *raw
+                                                : kind == kCold   ? *cold
+                                                : kind == kWarm   ? *warm
+                                                                  : *compressed);
+            EngineOptions opts;
+            opts.pool = p.pool;
+            opts.io_pool = p.io_pool;
+            opts.verify_batch = batch;
+            auto got = ExecuteTopK(store, &index, q, opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ASSERT_EQ(got->items.size(), want->items.size());
+            for (size_t j = 0; j < got->items.size(); ++j) {
+              ASSERT_EQ(got->items[j].mask_id, want->items[j].mask_id)
+                  << "rank " << j;
+              ASSERT_EQ(got->items[j].value, want->items[j].value)
+                  << "rank " << j;
+            }
+            const ExecStats& s = got->stats;
+            EXPECT_EQ(s.pruned + s.accepted_by_bounds + s.candidates,
+                      s.masks_targeted);
+            EXPECT_EQ(s.masks_loaded, s.candidates);
+            if (!serial) serial = s;  // the first schedule is the serial one
+            EXPECT_GE(s.masks_loaded, serial->masks_loaded);
+            if (p.io_pool == nullptr && batch != 3) {  // 0 means 1 here
+              EXPECT_EQ(s.masks_loaded, serial->masks_loaded);
+            }
+            if (!first) first = s;
+            EXPECT_EQ(s.masks_loaded, first->masks_loaded);
+            EXPECT_EQ(s.pruned, first->pruned);
+            EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
+            EXPECT_EQ(s.candidates, first->candidates);
+            testing_util::ExpectLoadedRows(&store, q.terms, kind == kUncached,
+                                           s.bytes_read);
+          }
         }
-        const ExecStats& s = got->stats;
-        if (!first) first = s;
-        EXPECT_EQ(s.masks_loaded, first->masks_loaded);
-        EXPECT_EQ(s.pruned, first->pruned);
-        EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
-        EXPECT_EQ(s.candidates, first->candidates);
-        testing_util::ExpectLoadedRows(&store, q.terms, kind == kUncached,
-                                       s.bytes_read);
       }
     }
   }
+}
+
+// A cancel that arrives while a batch loads ends the query with kCancelled
+// at the next batch boundary: without io_pool after that one load, with it
+// before a third batch is formed.
+TEST_F(TopKExecutorTest, CancelMidQueryStopsAtBatchBoundary) {
+  ThreadPool pool(2);
+  for (ThreadPool* io_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    QueryControl control;
+    testing_util::ForwardingStore store(*store_, [&] { control.Cancel(); });
+    EngineOptions opts;
+    opts.pool = &pool;
+    opts.io_pool = io_pool;
+    opts.use_index = false;  // every mask is loaded: many batches
+    opts.control = &control;
+    auto r = ExecuteTopK(store, nullptr, ConstantRoiQuery(5, true), opts);
+    EXPECT_TRUE(r.status().IsCancelled()) << r.status();
+    const size_t calls = store.TakeCalls().size();
+    if (io_pool == nullptr) {
+      EXPECT_EQ(calls, 1u);
+    } else {
+      EXPECT_GE(calls, 1u);
+      EXPECT_LE(calls, 2 * pool.num_threads());  // two batches in flight
+    }
+  }
+}
+
+// A traced top-k records its verify span topk_scan and the pipeline's
+// io_wait once per batch, on the calling thread and never nested: with
+// topk_bounds they sum to at most the call's wall time.
+TEST_F(TopKExecutorTest, TracedQueryRecordsPipelineSpans) {
+  ThreadPool pool(2);
+  EngineOptions opts;
+  opts.pool = &pool;
+  opts.io_pool = &pool;
+  opts.verify_batch = 3;
+  const TopKQuery q = ConstantRoiQuery(5, /*descending=*/true);
+  obs::Trace trace(1);
+  Result<TopKResult> got = Status::Internal("not run");
+  Stopwatch wall;
+  {
+    obs::TraceScope scope(&trace);
+    got = ExecuteTopK(*store_, index_.get(), q, opts);
+  }
+  const double wall_seconds = wall.ElapsedSeconds();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_GT(got->stats.candidates, 0);
+  const uint64_t batches = static_cast<uint64_t>(got->stats.candidates + 2) / 3;
+  std::map<std::string, obs::Trace::Span> spans;
+  for (const obs::Trace::Span& s : trace.spans()) spans[s.name] = s;
+  EXPECT_EQ(spans["topk_scan"].count, batches);
+  EXPECT_EQ(spans["io_wait"].count, batches);
+  EXPECT_EQ(spans["topk_bounds"].count, 1u);
+  EXPECT_LE(spans["topk_scan"].total_seconds + spans["io_wait"].total_seconds +
+                spans["topk_bounds"].total_seconds,
+            wall_seconds);
 }
 
 // A traced top-k on a raw uncached store attributes its windowed loads: the
@@ -267,6 +390,57 @@ TEST_F(TopKExecutorTest, TracedWindowedLoadsAreAttributed) {
     if (name == "storage_bytes_read") traced_bytes = n;
   }
   EXPECT_EQ(traced_bytes, static_cast<uint64_t>(got->stats.bytes_read));
+}
+
+// A factor bounded by [0, 0] times a quotient whose divisor bound touches 0
+// (unbounded) once gave NaN bounds, which misordered the bound sort and
+// pruned masks wrongly although every exact value is finite (divisor
+// CP - 0.5). The product's bounds are unbounded, not [0, 0]: with divisor
+// CP, a mask whose divisor is exactly 0 scores 0 × (x / 0) = NaN, and
+// [0, 0] would accept it by bounds at value 0.
+TEST(TopKExecutorNaNBoundsTest, ZeroTimesUnboundedQuotientMatchesReference) {
+  TempDir dir("topk_nan_bounds");
+  auto store = MakeStore(dir.path(), 40, 2, 48, 48, /*seed=*/21);
+  IndexManager index(store->num_masks(), TestConfig());
+  MS_ASSERT_OK(index.BuildAll(*store));
+  FullScanBaseline reference(store.get());
+  auto term = [](RoiSource source, double lv) {
+    CpTerm t;
+    t.roi_source = source;
+    t.range = ValueRange(lv, 1.0);
+    return t;
+  };
+  int queries = 0;
+  for (const double offset : {0.5, 0.0}) {
+    for (const double obj_lv : {0.6, 0.75, 0.9}) {
+      for (const double den_lv : {0.8, 0.9}) {
+        for (const size_t k : {size_t{1}, size_t{3}, size_t{8}}) {
+          for (const bool descending : {false, true}) {
+            SCOPED_TRACE("offset " + std::to_string(offset) + " obj " +
+                         std::to_string(obj_lv) + " den " +
+                         std::to_string(den_lv) + " k " + std::to_string(k) +
+                         " desc " + std::to_string(descending));
+            TopKQuery q;
+            q.terms = {term(RoiSource::kObjectBox, obj_lv),
+                       term(RoiSource::kFullMask, 0.5),
+                       term(RoiSource::kFullMask, den_lv)};
+            q.order_expr = CpExpr::Term(0) *
+                           (CpExpr::Term(1) /
+                            (CpExpr::Term(2) - CpExpr::Constant(offset)));
+            q.k = k;
+            q.descending = descending;
+            auto want = reference.TopK(q);
+            ASSERT_TRUE(want.ok());
+            auto got = ExecuteTopK(*store, &index, q);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ExpectSameItems(*got, *want);
+            ++queries;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(queries, 72);
 }
 
 TEST_F(TopKExecutorTest, InvalidQueriesRejected) {
