@@ -81,8 +81,7 @@ void RunTopKOrder(const BenchData& data, IndexManager* index,
   for (int i = 0; i < queries; ++i) {
     const TopKQuery q = GenerateTopKQuery(&rng, *data.store);
     EngineOptions sorted;
-    sorted.build_missing = false;
-    EngineOptions sequential = sorted;
+    EngineOptions sequential;
     sequential.sort_by_bound = false;
     auto a = ExecuteTopK(*data.store, index, q, sorted);
     a.status().CheckOK();

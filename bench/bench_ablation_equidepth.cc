@@ -42,14 +42,12 @@ void Run(const BenchFlags& flags) {
       {"high ranges (lv >= 0.4)", 10.0},
   };
 
-  EngineOptions opts;
-  opts.build_missing = false;
   Rng rng(1212);
   for (int i = 0; i < flags.queries * 2; ++i) {
     const FilterQuery q = GenerateFilterQuery(&rng, *data.store);
-    auto rw = ExecuteFilter(*data.store, &width_idx, q, opts);
+    auto rw = ExecuteFilter(*data.store, &width_idx, q);
     rw.status().CheckOK();
-    auto rd = ExecuteFilter(*data.store, &depth_idx, q, opts);
+    auto rd = ExecuteFilter(*data.store, &depth_idx, q);
     rd.status().CheckOK();
     const double lv = q.terms[0].range.lv;
     Bucket& b = buckets[lv < 0.4 ? 0 : 1];

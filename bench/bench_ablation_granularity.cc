@@ -39,15 +39,13 @@ void Run(const BenchFlags& flags) {
     IndexManager index(n, cfg);
     index.BuildAll(*data.etl_store).CheckOK();
 
-    EngineOptions opts;
-    opts.build_missing = false;
     Rng rng(909);  // identical query stream for every config
     std::vector<double> seconds;
     double fml_sum = 0;
     for (int i = 0; i < flags.queries; ++i) {
       const FilterQuery q = GenerateFilterQuery(&rng, *data.store);
       Stopwatch t;
-      auto res = ExecuteFilter(*data.store, &index, q, opts);
+      auto res = ExecuteFilter(*data.store, &index, q);
       res.status().CheckOK();
       seconds.push_back(t.ElapsedSeconds());
       fml_sum += res->stats.FML();

@@ -45,19 +45,17 @@ CumulativeSeries RunMs(const BenchData& data, const Workload& workload,
     index.BuildAll(*data.store).CheckOK();
     total += t.ElapsedSeconds();
   }
-  EngineOptions opts;
-  opts.build_missing = incremental;
   // Warm runs (--warmup-passes with --cache-mib): the working set is
   // already resident in the buffer pool when measurement starts, modeling
   // the steady state of a long-lived serving session.
   for (int w = 0; w < warmup_passes; ++w) {
     for (const FilterQuery& q : workload.queries) {
-      ExecuteFilter(*data.store, &index, q, opts).status().CheckOK();
+      ExecuteFilter(*data.store, &index, q).status().CheckOK();
     }
   }
   for (const FilterQuery& q : workload.queries) {
     Stopwatch t;
-    ExecuteFilter(*data.store, &index, q, opts).status().CheckOK();
+    ExecuteFilter(*data.store, &index, q).status().CheckOK();
     total += t.ElapsedSeconds();
     series.cumulative_seconds.push_back(total);
   }

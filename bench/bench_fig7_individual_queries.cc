@@ -77,33 +77,31 @@ Row RunMaskSearch(const BenchData& data, IndexManager* index) {
   const int32_t h = data.spec.saliency.height;
   Row row;
   row.system = "MaskSearch";
-  EngineOptions opts;
-  opts.build_missing = false;  // vanilla MS: indexes prebuilt
 
   {
     Stopwatch t;
-    auto r = ExecuteFilter(*data.store, index, MakeQ1(w, h), opts);
+    auto r = ExecuteFilter(*data.store, index, MakeQ1(w, h));
     r.status().CheckOK();
     row.seconds[0] = t.ElapsedSeconds();
     row.loaded[0] = r->stats.masks_loaded;
   }
   {
     Stopwatch t;
-    auto r = ExecuteFilter(*data.store, index, MakeQ2(w, h), opts);
+    auto r = ExecuteFilter(*data.store, index, MakeQ2(w, h));
     r.status().CheckOK();
     row.seconds[1] = t.ElapsedSeconds();
     row.loaded[1] = r->stats.masks_loaded;
   }
   {
     Stopwatch t;
-    auto r = ExecuteTopK(*data.store, index, MakeQ3(w, h), opts);
+    auto r = ExecuteTopK(*data.store, index, MakeQ3(w, h));
     r.status().CheckOK();
     row.seconds[2] = t.ElapsedSeconds();
     row.loaded[2] = r->stats.masks_loaded;
   }
   {
     Stopwatch t;
-    auto r = ExecuteAggregation(*data.store, index, MakeQ4(), opts);
+    auto r = ExecuteAggregation(*data.store, index, MakeQ4());
     r.status().CheckOK();
     row.seconds[3] = t.ElapsedSeconds();
     row.loaded[3] = r->stats.masks_loaded;
@@ -111,7 +109,7 @@ Row RunMaskSearch(const BenchData& data, IndexManager* index) {
   {
     DerivedIndexCache cache(index->config());
     Stopwatch t;
-    auto r = ExecuteMaskAgg(*data.store, index, &cache, MakeQ5(), opts);
+    auto r = ExecuteMaskAgg(*data.store, index, &cache, MakeQ5());
     r.status().CheckOK();
     row.seconds[4] = t.ElapsedSeconds();
     row.loaded[4] = r->stats.masks_loaded;

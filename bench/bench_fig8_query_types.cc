@@ -16,8 +16,6 @@ namespace {
 void RunDataset(BenchDataset d, const BenchFlags& flags) {
   BenchData data = OpenDataset(d, flags);
   auto index = BuildOrLoadIndex(data);
-  EngineOptions opts;
-  opts.build_missing = false;
 
   std::printf("\n--- dataset %s (%d randomized queries per type) ---\n",
               DatasetName(d), flags.queries);
@@ -37,7 +35,7 @@ void RunDataset(BenchDataset d, const BenchFlags& flags) {
     for (int i = 0; i < flags.queries; ++i) {
       const FilterQuery q = GenerateFilterQuery(&rng, *data.store);
       Stopwatch t;
-      auto res = ExecuteFilter(*data.store, index.get(), q, opts);
+      auto res = ExecuteFilter(*data.store, index.get(), q);
       res.status().CheckOK();
       r.seconds.push_back(t.ElapsedSeconds());
       r.pruned.push_back(res->stats.pruned + res->stats.accepted_by_bounds);
@@ -50,7 +48,7 @@ void RunDataset(BenchDataset d, const BenchFlags& flags) {
     for (int i = 0; i < flags.queries; ++i) {
       const TopKQuery q = GenerateTopKQuery(&rng, *data.store);
       Stopwatch t;
-      auto res = ExecuteTopK(*data.store, index.get(), q, opts);
+      auto res = ExecuteTopK(*data.store, index.get(), q);
       res.status().CheckOK();
       r.seconds.push_back(t.ElapsedSeconds());
       r.pruned.push_back(res->stats.pruned + res->stats.accepted_by_bounds);
@@ -63,7 +61,7 @@ void RunDataset(BenchDataset d, const BenchFlags& flags) {
     for (int i = 0; i < flags.queries; ++i) {
       const AggregationQuery q = GenerateAggQuery(&rng, *data.store);
       Stopwatch t;
-      auto res = ExecuteAggregation(*data.store, index.get(), q, opts);
+      auto res = ExecuteAggregation(*data.store, index.get(), q);
       res.status().CheckOK();
       r.seconds.push_back(t.ElapsedSeconds());
       // Group-level prunes; scale to masks for comparability.

@@ -14,8 +14,6 @@ namespace {
 void RunDataset(BenchDataset d, const BenchFlags& flags) {
   BenchData data = OpenDataset(d, flags);
   auto index = BuildOrLoadIndex(data);
-  EngineOptions opts;
-  opts.build_missing = false;
 
   std::vector<double> seconds;
   std::vector<double> fml;
@@ -23,7 +21,7 @@ void RunDataset(BenchDataset d, const BenchFlags& flags) {
   for (int i = 0; i < flags.queries; ++i) {
     const FilterQuery q = GenerateFilterQuery(&rng, *data.store);
     Stopwatch t;
-    auto res = ExecuteFilter(*data.store, index.get(), q, opts);
+    auto res = ExecuteFilter(*data.store, index.get(), q);
     res.status().CheckOK();
     seconds.push_back(t.ElapsedSeconds());
     fml.push_back(res->stats.FML());

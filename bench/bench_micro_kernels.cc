@@ -469,9 +469,9 @@ void BM_CachedBatchLoadWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedBatchLoadWarm)->Unit(benchmark::kMillisecond);
 
-// Repeated filter workload through the full cache stack: no IndexManager,
-// the bounded chi_cache supplying bounds and the mask-blob cache feeding
-// verification — the steady state of a fig11-style exploration session.
+// Repeated filter workload through the full cache stack: a ChiCache as the
+// CHI source supplying bounds and the mask-blob cache feeding verification
+// — the steady state of a fig11-style exploration session.
 // arg 0: cold (pool cleared each iteration; every pass reloads + rebuilds).
 // arg 1: warm (one unmeasured pass, then every measured pass runs at
 //        memory latency, mostly bound-decided).
@@ -482,8 +482,6 @@ void BM_RepeatedFilterWarmCache(benchmark::State& state) {
   cfg.cell_width = cfg.cell_height = 14;
   cfg.num_bins = 16;
   ChiCache chi_cache(s.pool, cfg);
-  EngineOptions opts;
-  opts.chi_cache = &chi_cache;
 
   FilterQuery q;
   q.terms.push_back(
@@ -491,7 +489,7 @@ void BM_RepeatedFilterWarmCache(benchmark::State& state) {
   q.predicate = Predicate::Compare(CpExpr::Term(0), CompareOp::kGt,
                                    112.0 * 112.0 * 0.55);
   if (warm) {
-    ExecuteFilter(*s.store, nullptr, q, opts).status().CheckOK();
+    ExecuteFilter(*s.store, &chi_cache, q).status().CheckOK();
   }
   for (auto _ : state) {
     if (!warm) {
@@ -499,7 +497,7 @@ void BM_RepeatedFilterWarmCache(benchmark::State& state) {
       s.pool->Clear();
       state.ResumeTiming();
     }
-    auto r = ExecuteFilter(*s.store, nullptr, q, opts);
+    auto r = ExecuteFilter(*s.store, &chi_cache, q);
     r.status().CheckOK();
     benchmark::DoNotOptimize(r->mask_ids.data());
   }

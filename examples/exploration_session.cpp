@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   auto session = Session::Open(store.get(), opts).ValueOrDie();
   std::printf("session opened with %zu of %lld CHIs prebuilt "
               "(persisted by previous sessions)\n",
-              session->index().num_built(),
+              session->index()->num_built(),
               static_cast<long long>(store->num_masks()));
 
   // A §4.5-style exploration: 12 queries drifting across the dataset with
@@ -59,13 +59,13 @@ int main(int argc, char** argv) {
                 r->mask_ids.size(),
                 static_cast<long long>(r->stats.masks_loaded),
                 static_cast<long long>(r->stats.chis_built),
-                session->index().num_built());
+                session->index()->num_built());
   }
 
   std::printf("\nindex now covers %zu masks (%.2f MiB); only masks the "
               "session actually touched were indexed\n",
-              session->index().num_built(),
-              session->index().MemoryBytes() / 1048576.0);
+              session->index()->num_built(),
+              session->index()->MemoryBytes() / 1048576.0);
 
   session->Save().CheckOK();
   std::printf("persisted CHI set to %s — rerun this example to start from a "

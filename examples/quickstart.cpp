@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   auto session = Session::Open(store.get(), opts).ValueOrDie();
   std::printf("index built in %.2fs, %.2f MiB in memory (%.1f%% of data)\n",
               session->index_build_seconds(),
-              session->index().MemoryBytes() / 1048576.0,
-              100.0 * session->index().MemoryBytes() / store->TotalDataBytes());
+              session->index()->MemoryBytes() / 1048576.0,
+              100.0 * session->index()->MemoryBytes() / store->TotalDataBytes());
 
   // 3. Query: masks whose foreground object contains more than 800 salient
   //    pixels — written in the paper's SQL dialect.

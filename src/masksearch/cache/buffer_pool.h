@@ -160,9 +160,9 @@ class BufferPool {
   static uint64_t NewOwnerId();
 
   /// \brief Resolves the "shared pool or private-pool knobs" configuration
-  /// pattern every surface exposes (MaskStore::Options, SessionOptions, the
-  /// CLI and bench flags): returns `shared` when set, a fresh pool built
-  /// from the knobs when budget_bytes > 0, null otherwise.
+  /// pattern of IngestorOptions and the CLI and bench flags: returns
+  /// `shared` when set, a fresh pool built from the knobs when
+  /// budget_bytes > 0, null otherwise.
   static std::shared_ptr<BufferPool> MaybeCreate(
       std::shared_ptr<BufferPool> shared, uint64_t budget_bytes,
       int32_t shards, CacheAdmission admission);

@@ -1,9 +1,9 @@
 // CachedMaskStore: a buffer-pool caching decorator over any MaskStore.
 //
-// Returned by MaskStore::Open when Options::cache (or cache_budget_bytes)
-// is set. Serves repeated LoadMask / LoadMaskBatch requests for *decoded*
-// masks from the pool — a warm pass over a previously touched working set
-// costs memory-copy time instead of the (modeled) disk plus decode.
+// Returned by MaskStore::Open when Options::cache is set. Serves repeated
+// LoadMask / LoadMaskBatch requests for *decoded* masks from the pool — a
+// warm pass over a previously touched working set costs memory-copy time
+// instead of the (modeled) disk plus decode.
 //
 // Pinning protocol (docs/CACHING.md): LoadMaskBatch pins every entry it
 // touches — hits up front, misses as their loads complete — and copies the

@@ -1,19 +1,28 @@
 #include "masksearch/cache/chi_cache.h"
 
+#include <limits>
 #include <utility>
 
 namespace masksearch {
 
+namespace {
+
+std::shared_ptr<BufferPool> UnboundedPool() {
+  BufferPool::Options opts;
+  opts.budget_bytes = std::numeric_limits<uint64_t>::max();
+  return std::make_shared<BufferPool>(opts);
+}
+
+}  // namespace
+
 ChiCache::ChiCache(std::shared_ptr<BufferPool> pool, ChiConfig config,
                    CacheSpace space)
-    : pool_(std::move(pool)),
+    : pool_(pool != nullptr ? std::move(pool) : UnboundedPool()),
       config_(std::move(config)),
       space_(space),
       owner_(BufferPool::NewOwnerId()) {}
 
-ChiCache::~ChiCache() {
-  if (pool_ != nullptr) pool_->EraseOwner(owner_);
-}
+ChiCache::~ChiCache() { pool_->EraseOwner(owner_); }
 
 std::shared_ptr<const Chi> ChiCache::Get(int64_t key) const {
   BufferPool::Pin pin = pool_->Lookup(KeyFor(key));

@@ -117,7 +117,7 @@ Result<std::unique_ptr<Dataset>> Catalog::OpenDataset(
   // several stores stays distinguishable.
   const std::string label = obs::Label("dataset", name);
   std::shared_ptr<BufferPool> pool = config.store.cache;
-  ChiCache* chi = dataset->session_->chi_cache();
+  const ChiSource* chi = dataset->session_->chis();
   dataset->metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
       [label, pool, chi](obs::MetricSink& sink) {
         const CacheStats s = pool != nullptr ? pool->Stats() : CacheStats{};
@@ -172,9 +172,9 @@ Result<std::unique_ptr<Dataset>> Catalog::OpenLiveDataset(
         sink.Gauge("ms_live_epoch" + label,
                    static_cast<double>(ingestor->epoch()));
         std::shared_ptr<const Snapshot> snap = ingestor->snapshot();
-        const ChiCache* chi = snap != nullptr && snap->session() != nullptr
-                                  ? snap->session()->chi_cache()
-                                  : nullptr;
+        const ChiSource* chi = snap != nullptr && snap->session() != nullptr
+                                   ? snap->session()->chis()
+                                   : nullptr;
         sink.Gauge("ms_cache_chi_resident" + label,
                    chi != nullptr ? static_cast<double>(chi->size()) : 0.0);
       });

@@ -43,7 +43,7 @@ Interval Combine(ScalarAggOp op, const std::vector<Interval>& members) {
 }  // namespace
 
 Result<AggResult> ExecuteAggregation(const MaskStore& store,
-                                     IndexManager* index,
+                                     ChiSource* chis,
                                      const AggregationQuery& query,
                                      const EngineOptions& opts) {
   auto roi = [&](MaskId id) { return ResolveRoi(query.term, store.meta(id)); };
@@ -60,12 +60,11 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
   ops.bounds = [&](const std::vector<internal::AggGroup>& groups) {
     member_bounds.assign(groups.size(), {});
     std::vector<Interval> out(groups.size(), Interval{-kInf, kInf});
-    if (!opts.use_index) return out;
+    if (chis == nullptr) return out;
     for (size_t i = 0; i < groups.size(); ++i) {
       std::vector<Interval>& mb = member_bounds[i];
       for (MaskId id : groups[i].members) {
-        const std::shared_ptr<const Chi> chi =
-            internal::ChiForBounds(index, opts.chi_cache, id);
+        const std::shared_ptr<const Chi> chi = chis->Find(id);
         if (chi == nullptr) {
           mb.clear();
           break;
@@ -107,7 +106,7 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
     }
     return Combine(query.op, values).lo;
   };
-  return internal::RunGroupAggregation(store, index, opts, query, ops);
+  return internal::RunGroupAggregation(store, chis, opts, query, ops);
 }
 
 }  // namespace masksearch

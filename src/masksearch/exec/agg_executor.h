@@ -19,7 +19,8 @@ namespace masksearch {
 /// LIMIT].
 ///
 /// Runs on the group driver shared with ExecuteMaskAgg (group_driver.h).
-/// Member bounds come from the IndexManager, else EngineOptions::chi_cache.
+/// Member bounds come from `chis`, the session's CHI source (null = no
+/// index).
 /// Each undecidable group is one load unit of the verification pipeline
 /// (verify_pipeline.h): its members whose bounds are not tight, read with
 /// one MaskStore::LoadMaskBatch. Batches of EngineOptions::verify_batch
@@ -36,7 +37,7 @@ namespace masksearch {
 /// groups carry value = NaN unless their bounds were tight (the paper's
 /// Case-2 masks are returned without being loaded, §3.2.1).
 Result<AggResult> ExecuteAggregation(const MaskStore& store,
-                                     IndexManager* index,
+                                     ChiSource* chis,
                                      const AggregationQuery& query,
                                      const EngineOptions& opts = {});
 

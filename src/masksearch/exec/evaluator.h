@@ -5,10 +5,10 @@
 // ROIs touch (TermRows), as one RowWindow per mask. It reads the whole mask
 // instead on a store whose LoadMaskWindows does not save I/O (compressed,
 // or a whole-mask cache in front: MaskStore::ReadsRowWindows) and whenever
-// the load would retain the mask's CHI (RetainsChi), because a CHI is
-// built from the whole mask, never from a slice. VerifyWindow applies both
-// rules; the verify kernels shift each ROI by the window's first row
-// (WindowRoi).
+// the session's ChiSource would retain the mask's CHI (ChiSource::Retains),
+// because a CHI is built from the whole mask, never from a slice.
+// VerifyWindow applies both rules; the verify kernels shift each ROI by the
+// window's first row (WindowRoi).
 
 #ifndef MASKSEARCH_EXEC_EVALUATOR_H_
 #define MASKSEARCH_EXEC_EVALUATOR_H_
@@ -18,13 +18,10 @@
 #include <optional>
 #include <vector>
 
-#include "masksearch/cache/chi_cache.h"
-#include "masksearch/exec/options.h"
 #include "masksearch/exec/query_spec.h"
 #include "masksearch/index/bounds.h"
 #include "masksearch/index/chi.h"
-#include "masksearch/index/chi_builder.h"
-#include "masksearch/index/index_manager.h"
+#include "masksearch/index/chi_source.h"
 #include "masksearch/query/cp.h"
 
 namespace masksearch {
@@ -85,66 +82,14 @@ inline std::vector<double> TermExactFromMask(const Mask& mask,
   return out;
 }
 
-/// \brief CHI used for filter-stage bounds: the IndexManager's when it has
-/// one, else the bounded EngineOptions::chi_cache's. IndexManager CHIs are
-/// returned as non-owning aliases (they are resident for the manager's
-/// lifetime); cache CHIs share ownership, so a concurrent eviction cannot
-/// dangle the caller. Bounds from either source are equally sound — the
-/// cache only restores pruning power the unbounded regimes would have had.
-inline std::shared_ptr<const Chi> ChiForBounds(const IndexManager* index,
-                                               ChiCache* chi_cache,
-                                               MaskId id) {
-  if (index != nullptr) {
-    if (const Chi* chi = index->Get(id)) {
-      return std::shared_ptr<const Chi>(std::shared_ptr<const void>(), chi);
-    }
-  }
-  if (chi_cache != nullptr) return chi_cache->Get(id);
-  return nullptr;
-}
-
-/// \brief Retains the CHI of a verification-loaded whole mask per the
-/// engine configuration: into the IndexManager under incremental indexing
-/// (§3.6, unbounded — the paper's MS-II), else into the bounded chi_cache
-/// when one is configured. `index` must already be gated on opts.use_index
-/// by the caller. Returns the number of CHIs built (0 or 1) for stats.
-/// Callers never pass a row window's slice: its CHI would be wrong.
-inline int64_t RetainChiAfterLoad(IndexManager* index,
-                                  const EngineOptions& opts, MaskId id,
-                                  const Mask& mask) {
-  if (opts.build_missing && index != nullptr && !index->Has(id)) {
-    index->BuildAndPut(id, mask);
-    return 1;
-  }
-  if (opts.use_index && opts.chi_cache != nullptr &&
-      (index == nullptr || !index->IsResident(id)) &&
-      !opts.chi_cache->Contains(id)) {
-    opts.chi_cache->Put(id, BuildChi(mask, opts.chi_cache->config()));
-    return 1;
-  }
-  return 0;
-}
-
-/// \brief True when RetainChiAfterLoad would build mask `id`'s CHI from its
-/// load now (same gating of `index`).
-inline bool RetainsChi(const IndexManager* index, const EngineOptions& opts,
-                       MaskId id) {
-  return (opts.build_missing && index != nullptr && !index->Has(id)) ||
-         (opts.use_index && opts.chi_cache != nullptr &&
-          (index == nullptr || !index->IsResident(id)) &&
-          !opts.chi_cache->Contains(id));
-}
-
 /// \brief The window a verification load of mask `id` reads, given the
 /// `rows` its terms touch: `rows`, or the whole mask when the store does
-/// not read row windows or the load would retain the CHI (RetainsChi; a
-/// chi_cache entry evicted after this decision only means the whole-mask
-/// retention is skipped). `index` is gated as for RetainChiAfterLoad.
-inline RowWindow VerifyWindow(const MaskStore& store,
-                              const IndexManager* index,
-                              const EngineOptions& opts, MaskId id,
-                              const RowWindow& rows) {
-  if (!store.ReadsRowWindows() || RetainsChi(index, opts, id)) {
+/// not read row windows or `chis` (null = no index) would retain the CHI.
+/// A ChiCache entry evicted after this decision only means the whole-mask
+/// retention is skipped.
+inline RowWindow VerifyWindow(const MaskStore& store, const ChiSource* chis,
+                              MaskId id, const RowWindow& rows) {
+  if (!store.ReadsRowWindows() || (chis != nullptr && chis->Retains(id))) {
     return RowWindow::Whole(store.meta(id));
   }
   return rows;

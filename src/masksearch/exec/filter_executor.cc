@@ -18,12 +18,10 @@ enum class Outcome : uint8_t { kPruned, kAccepted, kVerifiedPass, kVerifiedFail 
 /// Classifies mask i from its CHI bounds alone (no I/O). Returns kPruned /
 /// kAccepted when the predicate is decided, kVerifiedFail as the "must
 /// verify" placeholder otherwise.
-Outcome ClassifyFromBounds(const MaskStore& store, IndexManager* index,
-                           const FilterQuery& query, const EngineOptions& opts,
-                           MaskId id) {
-  if (opts.use_index) {
-    if (const std::shared_ptr<const Chi> chi =
-            internal::ChiForBounds(index, opts.chi_cache, id)) {
+Outcome ClassifyFromBounds(const MaskStore& store, const ChiSource* chis,
+                           const FilterQuery& query, MaskId id) {
+  if (chis != nullptr) {
+    if (const std::shared_ptr<const Chi> chi = chis->Find(id)) {
       const std::vector<Interval> bounds =
           internal::TermBoundsFromChi(*chi, store.meta(id), query.terms);
       switch (query.predicate.EvalBounds(bounds)) {
@@ -41,7 +39,7 @@ Outcome ClassifyFromBounds(const MaskStore& store, IndexManager* index,
 
 }  // namespace
 
-Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
+Result<FilterResult> ExecuteFilter(const MaskStore& store, ChiSource* chis,
                                    const FilterQuery& query,
                                    const EngineOptions& opts) {
   if (query.predicate.Empty()) {
@@ -64,7 +62,7 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
   {
     MS_TRACE_SPAN("filter_classify");
     ParallelFor(opts.pool, ids.size(), [&](size_t i) {
-      outcomes[i] = ClassifyFromBounds(store, index, query, opts, ids[i]);
+      outcomes[i] = ClassifyFromBounds(store, chis, query, ids[i]);
     });
   }
   std::vector<size_t> verify_idx;
@@ -122,7 +120,7 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
     return Status::OK();
   };
   MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
-      store, index, opts, "filter_verify", next_batch, verify, &result.stats));
+      store, chis, opts, "filter_verify", next_batch, verify, &result.stats));
 
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {

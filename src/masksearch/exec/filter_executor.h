@@ -23,10 +23,11 @@
 
 namespace masksearch {
 
-/// \brief Executes a filter query. `index` may be null (or empty) — masks
-/// without a CHI fall back to load-and-scan, which is also how MS-II handles
-/// not-yet-indexed masks (§3.6).
-Result<FilterResult> ExecuteFilter(const MaskStore& store, IndexManager* index,
+/// \brief Executes a filter query. `chis` is the session's CHI source
+/// (an IndexManager converts implicitly); null means no index. Masks
+/// without a CHI fall back to load-and-scan and have their CHI retained,
+/// which is also how MS-II handles not-yet-indexed masks (§3.6).
+Result<FilterResult> ExecuteFilter(const MaskStore& store, ChiSource* chis,
                                    const FilterQuery& query,
                                    const EngineOptions& opts = {});
 

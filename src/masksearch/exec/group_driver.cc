@@ -31,7 +31,7 @@ std::vector<AggGroup> ResolveGroups(const MaskStore& store,
 
 template <typename Query>
 Result<AggResult> RunGroupAggregation(const MaskStore& store,
-                                      IndexManager* index,
+                                      ChiSource* chis,
                                       const EngineOptions& opts,
                                       const Query& q, const GroupOps& ops) {
   if ((!q.k.has_value() && !q.having_op.has_value()) ||
@@ -167,7 +167,7 @@ Result<AggResult> RunGroupAggregation(const MaskStore& store,
     }
     return Status::OK();
   };
-  MS_RETURN_NOT_OK(RunVerifyPipeline(store, index, opts, "agg_verify",
+  MS_RETURN_NOT_OK(RunVerifyPipeline(store, chis, opts, "agg_verify",
                                      FormNextBatch, verify, &result.stats));
 
   if (top_k) {
@@ -190,12 +190,12 @@ Result<AggResult> RunGroupAggregation(const MaskStore& store,
 }
 
 template Result<AggResult> RunGroupAggregation(const MaskStore&,
-                                               IndexManager*,
+                                               ChiSource*,
                                                const EngineOptions&,
                                                const AggregationQuery&,
                                                const GroupOps&);
 template Result<AggResult> RunGroupAggregation(const MaskStore&,
-                                               IndexManager*,
+                                               ChiSource*,
                                                const EngineOptions&,
                                                const MaskAggQuery&,
                                                const GroupOps&);

@@ -15,7 +15,7 @@
 #include "masksearch/exec/options.h"
 #include "masksearch/exec/query_spec.h"
 #include "masksearch/exec/verify_pipeline.h"
-#include "masksearch/index/index_manager.h"
+#include "masksearch/index/chi_source.h"
 
 namespace masksearch {
 namespace internal {
@@ -61,7 +61,7 @@ struct GroupOps {
 /// prunes, because it is formed against the heap as of its formation.
 template <typename Query>
 Result<AggResult> RunGroupAggregation(const MaskStore& store,
-                                      IndexManager* index,
+                                      ChiSource* chis,
                                       const EngineOptions& opts,
                                       const Query& q, const GroupOps& ops);
 

@@ -48,16 +48,14 @@ std::vector<const float*> MaskPointers(const std::vector<Mask>& masks) {
   return ptrs;
 }
 
-/// Bounds on CP(derived, roi, range) from the members' individual CHIs —
-/// the IndexManager's or the bounded chi_cache's (docs/CACHING.md) — for
-/// thresholded INTERSECT / UNION (§3.4's monotone-aggregation extension).
-/// Returns an unbounded interval when the aggregation is not count-monotone
-/// or a member CHI is missing.
+/// Bounds on CP(derived, roi, range) from the members' individual CHIs in
+/// `chis` for thresholded INTERSECT / UNION (§3.4's monotone-aggregation
+/// extension). Returns an unbounded interval when the aggregation is not
+/// count-monotone, there is no source, or a member CHI is missing.
 Interval BoundsFromMembers(const MaskAggQuery& query, const MaskStore& store,
-                           IndexManager* index, const EngineOptions& opts,
+                           const ChiSource* chis,
                            const std::vector<MaskId>& members) {
-  if (query.op == MaskAggOp::kAverage ||
-      (index == nullptr && opts.chi_cache == nullptr)) {
+  if (query.op == MaskAggOp::kAverage || chis == nullptr) {
     return Interval{-kInf, kInf};
   }
   const MaskMeta& first = store.meta(members.front());
@@ -72,8 +70,7 @@ Interval BoundsFromMembers(const MaskAggQuery& query, const MaskStore& store,
   int64_t sum_lower = 0;
   int64_t sum_upper = 0;
   for (MaskId id : members) {
-    const std::shared_ptr<const Chi> chi =
-        internal::ChiForBounds(index, opts.chi_cache, id);
+    const std::shared_ptr<const Chi> chi = chis->Find(id);
     if (chi == nullptr) return Interval{-kInf, kInf};
     const CpBounds b = ComputeCpBounds(*chi, roi, above);
     min_upper = std::min(min_upper, b.upper);
@@ -122,36 +119,10 @@ Result<Mask> ComputeDerivedMask(MaskAggOp op, double threshold,
   return out;
 }
 
-std::shared_ptr<const Chi> DerivedIndexCache::Get(
-    const std::vector<MaskId>& members) const {
-  const int64_t slot = Slot(members);
-  if (pooled_ != nullptr) return pooled_->Get(slot);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = chis_.find(slot);
-  return it == chis_.end() ? nullptr : it->second;
-}
-
-void DerivedIndexCache::Put(const std::vector<MaskId>& members, Chi chi) {
-  const int64_t slot = Slot(members);
-  if (pooled_ != nullptr) {
-    pooled_->Put(slot, std::move(chi));
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = chis_[slot];
-  if (entry == nullptr) entry = std::make_shared<const Chi>(std::move(chi));
-}
-
 int64_t DerivedIndexCache::Slot(const std::vector<MaskId>& members) const {
   std::lock_guard<std::mutex> lock(mu_);
   return slots_.try_emplace(members, static_cast<int64_t>(slots_.size()))
       .first->second;
-}
-
-size_t DerivedIndexCache::size() const {
-  if (pooled_ != nullptr) return pooled_->size();
-  std::lock_guard<std::mutex> lock(mu_);
-  return chis_.size();
 }
 
 Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
@@ -169,11 +140,10 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
   return Status::OK();
 }
 
-Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
-                                 DerivedIndexCache* derived_cache,
+Result<AggResult> ExecuteMaskAgg(const MaskStore& store, ChiSource* chis,
+                                 DerivedIndexCache* cache,
                                  const MaskAggQuery& query,
                                  const EngineOptions& opts) {
-  DerivedIndexCache* const cache = opts.use_index ? derived_cache : nullptr;
   auto roi = [&](const internal::AggGroup& g) {
     return ResolveRoi(query.term, store.meta(g.members.front()));
   };
@@ -181,7 +151,6 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
   internal::GroupOps ops;
   ops.bounds = [&](const std::vector<internal::AggGroup>& groups) {
     std::vector<Interval> out(groups.size(), Interval{-kInf, kInf});
-    if (!opts.use_index) return out;
     for (size_t i = 0; i < groups.size(); ++i) {
       // Prefer the derived mask's own CHI; fall back to member-CHI bounds.
       const std::shared_ptr<const Chi> dchi =
@@ -189,8 +158,7 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
       out[i] = dchi != nullptr
                    ? Interval::FromBounds(ComputeCpBounds(
                          *dchi, roi(groups[i]), query.term.range))
-                   : BoundsFromMembers(query, store, index, opts,
-                                       groups[i].members);
+                   : BoundsFromMembers(query, store, chis, groups[i].members);
     }
     return out;
   };
@@ -228,7 +196,7 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
   };
 
   MS_ASSIGN_OR_RETURN(AggResult result, internal::RunGroupAggregation(
-                                              store, index, opts, query, ops));
+                                              store, chis, opts, query, ops));
   result.stats.chis_built += built.load();
   return result;
 }

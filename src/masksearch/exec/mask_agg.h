@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "masksearch/cache/chi_cache.h"
@@ -35,39 +36,34 @@ Result<Mask> ComputeDerivedMask(MaskAggOp op, double threshold,
 /// GROUP BY key, and never by a group whose members differ. The Session
 /// keeps caches across queries to amortize builds.
 ///
-/// Two backings: the default is an unbounded map (every derived CHI stays
-/// for the cache's lifetime — the pre-cache-subsystem behavior). With a
-/// BufferPool the entries are capacity-bounded and evicted under memory
-/// pressure (docs/CACHING.md); Get returns shared ownership, so a CHI
-/// remains valid for the caller even if it is evicted mid-use. First Put
-/// wins in both modes (builds are deterministic, the race is benign).
+/// The entries live in a ChiCache (CacheSpace::kDerivedChi) in `pool`,
+/// under its byte budget (docs/CACHING.md); without a pool, in a private
+/// pool with no byte limit, so nothing is evicted. Get returns shared
+/// ownership, so a CHI remains valid for the caller even if it is evicted
+/// mid-use. First Put wins (builds are deterministic, the race is benign).
 class DerivedIndexCache {
  public:
-  explicit DerivedIndexCache(ChiConfig config) : config_(config) {}
-  DerivedIndexCache(ChiConfig config, std::shared_ptr<BufferPool> pool)
-      : config_(config),
-        pooled_(pool == nullptr
-                    ? nullptr
-                    : std::make_unique<ChiCache>(std::move(pool), config,
-                                                 CacheSpace::kDerivedChi)) {}
+  explicit DerivedIndexCache(ChiConfig config,
+                             std::shared_ptr<BufferPool> pool = nullptr)
+      : chis_(std::move(pool), config, CacheSpace::kDerivedChi) {}
 
-  const ChiConfig& config() const { return config_; }
+  const ChiConfig& config() const { return chis_.config(); }
   /// \brief The derived CHI of the group of `members` (ascending ids).
-  std::shared_ptr<const Chi> Get(const std::vector<MaskId>& members) const;
-  void Put(const std::vector<MaskId>& members, Chi chi);
-  size_t size() const;
-  /// \brief Pool-backed (capacity-bounded) mode?
-  bool bounded() const { return pooled_ != nullptr; }
+  std::shared_ptr<const Chi> Get(const std::vector<MaskId>& members) const {
+    return chis_.Get(Slot(members));
+  }
+  void Put(const std::vector<MaskId>& members, Chi chi) {
+    chis_.Put(Slot(members), std::move(chi));
+  }
+  size_t size() const { return chis_.size(); }
 
  private:
   /// The entry key of a member set: numbered on first sight, never reused.
   int64_t Slot(const std::vector<MaskId>& members) const;
 
-  ChiConfig config_;
-  std::unique_ptr<ChiCache> pooled_;  ///< null = unbounded map backing
+  ChiCache chis_;
   mutable std::mutex mu_;
   mutable std::map<std::vector<MaskId>, int64_t> slots_;
-  std::map<int64_t, std::shared_ptr<const Chi>> chis_;
 };
 
 /// \brief Ahead-of-time derived-index construction (§3.4: "the index for
@@ -83,8 +79,9 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
 /// ORDER BY LIMIT].
 ///
 /// `derived_cache` may be null (every undecidable group is then verified by
-/// loading its members). `index` supplies individual-mask CHIs for the
-/// monotone-aggregation bounds.
+/// loading its members). `chis`, the session's CHI source (null = no
+/// index), supplies individual-mask CHIs for the monotone-aggregation
+/// bounds.
 ///
 /// Runs on the group driver shared with ExecuteAggregation (group_driver.h):
 /// undecidable groups are verified across opts.pool in batches through the
@@ -96,7 +93,7 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
 /// never fewer, and never different values. When only the count is needed
 /// (derived CHI already cached or no cache supplied), the fused derived-CP
 /// kernel answers without materializing the derived mask.
-Result<AggResult> ExecuteMaskAgg(const MaskStore& store, IndexManager* index,
+Result<AggResult> ExecuteMaskAgg(const MaskStore& store, ChiSource* chis,
                                  DerivedIndexCache* derived_cache,
                                  const MaskAggQuery& query,
                                  const EngineOptions& opts = {});

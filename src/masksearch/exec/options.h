@@ -11,8 +11,6 @@
 
 namespace masksearch {
 
-class ChiCache;
-
 /// \brief Per-request cancellation + deadline state (docs/SERVING.md).
 ///
 /// Executors poll Check() at batch boundaries — between batches of the
@@ -50,21 +48,12 @@ inline Status CheckControl(const QueryControl* control) {
   return control == nullptr ? Status::OK() : control->Check();
 }
 
-/// \brief Knobs selecting between the paper's execution regimes.
+/// \brief Knobs of the executors. The CHIs they prune with are not a knob:
+/// each executor takes the session's ChiSource (index/chi_source.h), and a
+/// null source runs the baselines' load-and-scan through the same code.
 struct EngineOptions {
   /// Thread pool for the parallel filter stage (§3.2.1); null = inline.
   ThreadPool* pool = nullptr;
-
-  /// If false, the filter stage is skipped entirely and every targeted mask
-  /// is loaded and evaluated — the behaviour of the baselines. Used to run
-  /// apples-to-apples comparisons through the same executor code.
-  bool use_index = true;
-
-  /// Incremental indexing (§3.6): when a mask without a CHI must be loaded
-  /// anyway, build and register its CHI for future queries (MS-II). When
-  /// false, masks without CHIs are still answered correctly (loaded and
-  /// scanned) but no index is built.
-  bool build_missing = true;
 
   /// Top-k processing order: when true, masks are processed in decreasing
   /// upper-bound order (increasing lower bound for ASC queries), which
@@ -89,16 +78,6 @@ struct EngineOptions {
   /// Null = every batch loads when it is verified. May alias `pool`;
   /// ParallelFor's caller participation keeps nested use deadlock-free.
   ThreadPool* io_pool = nullptr;
-
-  /// Capacity-bounded individual-mask CHI cache (docs/CACHING.md). When
-  /// set, every executor falls back to it for bounds when the IndexManager
-  /// has no CHI, and verification retains a loaded mask's CHI here when incremental
-  /// indexing (build_missing) is off — bounded incremental indexing.
-  /// Bounds stay sound regardless of evictions, so query results are
-  /// byte-identical with or without the cache; only pruning stats and I/O
-  /// counts improve. Null = no bounded CHI cache. Typically owned by the
-  /// Session (SessionOptions::cache).
-  ChiCache* chi_cache = nullptr;
 
   /// Per-request deadline / cancellation state, polled at batch boundaries
   /// (see QueryControl). Null = the request can neither expire nor be

@@ -7,9 +7,8 @@
 
 namespace masksearch {
 
-Session::Session(const MaskStore* store, SessionOptions options,
-                 std::unique_ptr<IndexManager> index)
-    : store_(store), options_(std::move(options)), index_(std::move(index)) {}
+Session::Session(const MaskStore* store, SessionOptions options)
+    : store_(store), options_(std::move(options)) {}
 
 Result<std::unique_ptr<Session>> Session::Open(const MaskStore* store,
                                                const SessionOptions& options) {
@@ -18,75 +17,60 @@ Result<std::unique_ptr<Session>> Session::Open(const MaskStore* store,
     return Status::InvalidArgument("invalid CHI config: " +
                                    options.chi.ToString());
   }
-  auto index = std::make_unique<IndexManager>(store->num_masks(), options.chi);
-  auto session = std::unique_ptr<Session>(
-      new Session(store, options, std::move(index)));
-
-  // Memory subsystem (docs/CACHING.md): resolve the buffer pool and stand
-  // up the bounded per-mask CHI cache hook. Derived-index caches pick the
-  // pool up lazily in derived_cache().
-  session->cache_ = BufferPool::MaybeCreate(
-      options.cache, options.cache_budget_bytes, options.cache_shards,
-      options.cache_admission);
-  if (options.shared_chi_cache != nullptr &&
-      !(options.shared_chi_cache->config() == options.chi)) {
-    return Status::InvalidArgument(
-        "shared_chi_cache config differs from the session's ChiConfig");
+  auto session = std::unique_ptr<Session>(new Session(store, options));
+  if (options.shared_chis != nullptr) {
+    if (!(options.shared_chis->config() == options.chi)) {
+      return Status::InvalidArgument(
+          "shared_chis config differs from the session's ChiConfig");
+    }
+    if (options.use_index) session->chis_ = options.shared_chis;
+    return session;
   }
-  // Incremental (MS-II) sessions retain every CHI in the IndexManager, so
-  // the bounded per-mask cache would never be consulted usefully there.
-  // A shared external cache supersedes the private one.
-  if (session->cache_ != nullptr && options.use_index &&
-      options.shared_chi_cache == nullptr && !options.incremental) {
-    session->chi_cache_ = std::make_unique<ChiCache>(
-        session->cache_, options.chi, CacheSpace::kMaskChi);
+  session->index_ =
+      std::make_unique<IndexManager>(store->num_masks(), options.chi);
+  if (!options.use_index) return session;
+  session->chis_ = session->index_.get();
+  const bool have_file =
+      !options.index_path.empty() && PathExists(options.index_path);
+  if (options.attach_index) {
+    if (!have_file) {
+      return Status::InvalidArgument(
+          "attach_index requires an existing index_path file");
+    }
+    MS_RETURN_NOT_OK(session->index_->AttachFile(options.index_path));
+    return session;
   }
-
-  if (options.use_index) {
-    const bool have_file =
-        !options.index_path.empty() && PathExists(options.index_path);
-    if (options.attach_index) {
-      if (!have_file) {
-        return Status::InvalidArgument(
-            "attach_index requires an existing index_path file");
-      }
-      MS_RETURN_NOT_OK(session->index_->AttachFile(options.index_path));
-      return session;
-    }
-    if (have_file) {
-      MS_RETURN_NOT_OK(session->index_->LoadFromFile(options.index_path));
-    }
-    if (!options.incremental) {
-      Stopwatch timer;
-      MS_RETURN_NOT_OK(session->index_->BuildAll(*store, options.pool));
-      session->index_build_seconds_ = timer.ElapsedSeconds();
-    }
+  if (have_file) {
+    MS_RETURN_NOT_OK(session->index_->LoadFromFile(options.index_path));
+  }
+  if (!options.incremental) {
+    Stopwatch timer;
+    MS_RETURN_NOT_OK(session->index_->BuildAll(*store, options.pool));
+    session->index_build_seconds_ = timer.ElapsedSeconds();
   }
   return session;
 }
 
 Result<FilterResult> Session::Filter(const FilterQuery& q,
                                      const QueryControl* control) {
-  return ExecuteFilter(*store_, index_.get(), q, engine_options(control));
+  return ExecuteFilter(*store_, chis_, q, engine_options(control));
 }
 
 Result<TopKResult> Session::TopK(const TopKQuery& q,
                                  const QueryControl* control) {
-  return ExecuteTopK(*store_, index_.get(), q, engine_options(control));
+  return ExecuteTopK(*store_, chis_, q, engine_options(control));
 }
 
 Result<AggResult> Session::Aggregate(const AggregationQuery& q,
                                      const QueryControl* control) {
-  return ExecuteAggregation(*store_, index_.get(), q,
-                            engine_options(control));
+  return ExecuteAggregation(*store_, chis_, q, engine_options(control));
 }
 
 Result<AggResult> Session::MaskAggregate(const MaskAggQuery& q,
                                          const QueryControl* control) {
   DerivedIndexCache* cache =
       options_.use_index ? derived_cache(q.op, q.agg_threshold) : nullptr;
-  return ExecuteMaskAgg(*store_, index_.get(), cache, q,
-                        engine_options(control));
+  return ExecuteMaskAgg(*store_, chis_, cache, q, engine_options(control));
 }
 
 DerivedIndexCache* Session::derived_cache(MaskAggOp op, double threshold) {
@@ -96,13 +80,13 @@ DerivedIndexCache* Session::derived_cache(MaskAggOp op, double threshold) {
   std::lock_guard<std::mutex> lock(derived_mu_);
   auto& slot = derived_caches_[key];
   if (slot == nullptr) {
-    slot = std::make_unique<DerivedIndexCache>(options_.chi, cache_);
+    slot = std::make_unique<DerivedIndexCache>(options_.chi, options_.cache);
   }
   return slot.get();
 }
 
 Status Session::Save() {
-  if (options_.index_path.empty()) {
+  if (options_.index_path.empty() || index_ == nullptr) {
     return Status::InvalidArgument("session has no index_path configured");
   }
   return index_->SaveToFile(options_.index_path);

@@ -1,17 +1,19 @@
 // Session: the top-level MaskSearch handle.
 //
-// A session owns the in-memory CHI collection for a mask store and runs
-// queries through the filter–verification executors. It implements the three
-// regimes compared in the paper's evaluation:
+// A session has exactly one CHI source for a mask store — its own
+// IndexManager, or the external source of SessionOptions::shared_chis —
+// and runs queries through the filter–verification executors, which see
+// only that source.
+// It implements the three regimes compared in the paper's evaluation:
 //
 //   * vanilla MaskSearch (MS): indexes are bulk-built when the session opens
 //     (§3.1); the build cost is reported so multi-query experiments can
-//     amortize it (Figure 11).
+//     amortize it (Figure 11). A complete index never retains anything.
 //   * incremental MaskSearch (MS-II): the session starts with no indexes and
 //     builds the CHI of each mask the first time a query loads it (§3.6).
-//   * index-less execution (use_index = false): every query degenerates to
-//     load-and-scan — the behaviour of the NumPy/PostgreSQL baselines —
-//     through the exact same executor code.
+//   * index-less execution (use_index = false): the executors get no
+//     source, so every query degenerates to load-and-scan — the behaviour
+//     of the NumPy/PostgreSQL baselines — through the exact same code.
 //
 // Session end: Save() persists the CHI set for future sessions (§3.6).
 
@@ -25,7 +27,6 @@
 #include <utility>
 
 #include "masksearch/cache/buffer_pool.h"
-#include "masksearch/cache/chi_cache.h"
 #include "masksearch/exec/agg_executor.h"
 #include "masksearch/exec/filter_executor.h"
 #include "masksearch/exec/mask_agg.h"
@@ -40,7 +41,8 @@ struct SessionOptions {
   /// false: bulk-build all CHIs at open (MS). true: start empty and index
   /// incrementally (MS-II).
   bool incremental = false;
-  /// false: never consult or build indexes (baseline behaviour).
+  /// false: the executors get no CHI source (baseline behaviour). The
+  /// session's own IndexManager stays empty.
   bool use_index = true;
   ThreadPool* pool = nullptr;
   /// I/O pool for the overlapped verification pipeline (see
@@ -63,31 +65,27 @@ struct SessionOptions {
   /// into memory up front. No bulk index build happens at open.
   bool attach_index = false;
   /// Memory subsystem (docs/CACHING.md): buffer pool backing this session's
-  /// capacity-bounded CHI caches — the per-mask chi_cache hook
-  /// (EngineOptions::chi_cache) and the per-group derived-index caches.
-  /// Pass the same pool as MaskStore::Options::cache to run mask blobs and
-  /// CHIs under one byte budget. Null with cache_budget_bytes == 0 keeps
-  /// the unbounded legacy caches.
+  /// per-group derived-index caches. Pass the same pool as
+  /// MaskStore::Options::cache to run mask blobs and CHIs under one byte
+  /// budget. Null: the derived caches get a private pool with no byte
+  /// limit.
   std::shared_ptr<BufferPool> cache;
-  /// Convenience: with `cache` null and a budget > 0, Open creates a
-  /// private pool with these knobs.
-  uint64_t cache_budget_bytes = 0;
-  int32_t cache_shards = 8;
-  CacheAdmission cache_admission = CacheAdmission::kScanResistant;
-  /// External bounded per-mask CHI cache (caller-owned, must outlive the
-  /// session; its ChiConfig must equal `chi`). When set it becomes the
-  /// EngineOptions::chi_cache hook instead of a session-private cache — the
-  /// ingest layer shares one cache of ingest-built CHIs across every
-  /// epoch's snapshot session, so CHIs built at append time keep pruning
-  /// for all later epochs (docs/INGEST.md).
-  ChiCache* shared_chi_cache = nullptr;
+  /// External per-mask CHI source (caller-owned, must outlive the session;
+  /// its ChiConfig must equal `chi`). When set it replaces the session's
+  /// own IndexManager: nothing is loaded or bulk-built at open
+  /// (`incremental`, `index_path` and `attach_index` do not apply), and
+  /// verification retains the CHIs it builds into it. The ingest layer
+  /// passes the CHI index a snapshot was published with, so CHIs built at
+  /// append time or by any query keep pruning for every later epoch that
+  /// shares it (docs/INGEST.md).
+  ChiSource* shared_chis = nullptr;
 };
 
 /// Thread safety: after Open returns, the query methods (Filter / TopK /
 /// Aggregate / MaskAggregate) are safe to call concurrently from many
 /// threads — the serving layer (docs/SERVING.md) runs its executor slots
 /// against one shared Session. The shared state they touch is concurrency-
-/// safe by construction: MaskStore loads, IndexManager lookup/registration,
+/// safe by construction: MaskStore loads, ChiSource lookup/retention,
 /// the BufferPool-backed caches, and the (mutex-guarded) derived-cache
 /// registry. Save() and the accessors are not synchronized against
 /// concurrent queries; call them from one thread at a quiescent point.
@@ -115,7 +113,12 @@ class Session {
   Status Save();
 
   const MaskStore& store() const { return *store_; }
-  IndexManager& index() { return *index_; }
+  /// \brief The session's own IndexManager; null when shared_chis supplies
+  /// the source.
+  IndexManager* index() { return index_.get(); }
+  /// \brief The one per-mask CHI source every query of the session uses:
+  /// its own IndexManager or shared_chis; null when use_index is false.
+  ChiSource* chis() const { return chis_; }
   const SessionOptions& options() const { return options_; }
 
   /// \brief Derived-mask CHI cache for a MASK_AGG template; caches persist
@@ -126,37 +129,25 @@ class Session {
 
   /// \brief The session's buffer pool (null without one). Its CacheStats
   /// cover every cache sharing the pool, including a CachedMaskStore's.
-  BufferPool* cache() const { return cache_.get(); }
-  /// \brief The bounded per-mask CHI cache hook: the shared external cache
-  /// when SessionOptions::shared_chi_cache is set, else the session-private
-  /// one (null without a pool).
-  ChiCache* chi_cache() const {
-    return options_.shared_chi_cache != nullptr ? options_.shared_chi_cache
-                                                : chi_cache_.get();
-  }
+  BufferPool* cache() const { return options_.cache.get(); }
 
  private:
-  Session(const MaskStore* store, SessionOptions options,
-          std::unique_ptr<IndexManager> index);
+  Session(const MaskStore* store, SessionOptions options);
 
   EngineOptions engine_options(const QueryControl* control = nullptr) const {
     EngineOptions e;
     e.pool = options_.pool;
     e.io_pool = options_.io_pool;
-    e.use_index = options_.use_index;
-    e.build_missing = options_.use_index && options_.incremental;
     e.sort_by_bound = options_.sort_by_bound;
     e.verify_batch = options_.verify_batch;
-    e.chi_cache = chi_cache();
     e.control = control;
     return e;
   }
 
   const MaskStore* store_;
   SessionOptions options_;
-  std::unique_ptr<IndexManager> index_;
-  std::shared_ptr<BufferPool> cache_;
-  std::unique_ptr<ChiCache> chi_cache_;
+  std::unique_ptr<IndexManager> index_;  ///< null with shared_chis
+  ChiSource* chis_ = nullptr;
   std::mutex derived_mu_;  ///< guards derived_caches_ (concurrent MASK_AGG)
   std::map<std::pair<int, int64_t>, std::unique_ptr<DerivedIndexCache>>
       derived_caches_;

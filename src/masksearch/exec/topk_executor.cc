@@ -18,7 +18,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
+Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
                                const TopKQuery& query,
                                const EngineOptions& opts) {
   if (query.order_expr.Empty()) {
@@ -45,14 +45,12 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
   result.stats.masks_targeted = static_cast<int64_t>(ids.size());
 
   // Pass 1 (filter-side): compute the order-expression interval of every
-  // indexed mask in parallel, falling back to the bounded chi_cache when
-  // the IndexManager has no CHI. Masks without either get (-inf, +inf).
+  // mask with a CHI in parallel. Masks without one get (-inf, +inf).
   std::vector<Interval> intervals(ids.size(), Interval{-kInf, kInf});
-  if (opts.use_index && (index != nullptr || opts.chi_cache != nullptr)) {
+  if (chis != nullptr) {
     MS_TRACE_SPAN("topk_bounds");
     ParallelFor(opts.pool, ids.size(), [&](size_t i) {
-      if (const std::shared_ptr<const Chi> chi =
-              internal::ChiForBounds(index, opts.chi_cache, ids[i])) {
+      if (const std::shared_ptr<const Chi> chi = chis->Find(ids[i])) {
         const std::vector<Interval> tb =
             internal::TermBoundsFromChi(*chi, store.meta(ids[i]), query.terms);
         intervals[i] = query.order_expr.EvalBounds(tb);
@@ -146,7 +144,7 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
     return Status::OK();
   };
   MS_RETURN_NOT_OK(internal::RunVerifyPipeline(
-      store, index, opts, "topk_scan", next_batch, verify, &result.stats));
+      store, chis, opts, "topk_scan", next_batch, verify, &result.stats));
 
   result.items.assign(heap.begin(), heap.end());
   result.stats.seconds = timer.ElapsedSeconds();

@@ -19,8 +19,8 @@
 
 namespace masksearch {
 
-/// \brief Executes a top-k query over masks.
-Result<TopKResult> ExecuteTopK(const MaskStore& store, IndexManager* index,
+/// \brief Executes a top-k query over masks. `chis` as for ExecuteFilter.
+Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
                                const TopKQuery& query,
                                const EngineOptions& opts = {});
 

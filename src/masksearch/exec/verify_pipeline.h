@@ -12,8 +12,8 @@
 // verifies. A unit carries a row window per mask: the rows its terms' ROIs
 // touch. Before loading, the pipeline widens each to the whole mask where
 // evaluator.h's VerifyWindow says so (compressed or cached store, or a CHI
-// to retain), so on a raw uncached store only the windows' bytes are read,
-// and a CHI is only ever built from a whole mask.
+// the session's ChiSource retains), so on a raw uncached store only the
+// windows' bytes are read, and a CHI is only ever built from a whole mask.
 //
 // With EngineOptions::io_pool set the pipeline is two batches deep: batch
 // k+1's units load on io_pool while batch k is verified on
@@ -31,6 +31,7 @@
 
 #include "masksearch/common/latch.h"
 #include "masksearch/exec/evaluator.h"
+#include "masksearch/exec/options.h"
 #include "masksearch/obs/trace.h"
 
 namespace masksearch {
@@ -64,14 +65,15 @@ struct VerifyBatch {
 ///
 /// QueryControl is polled at every batch boundary, so a request overruns its
 /// deadline by at most one batch. Loads are counted into
-/// stats->masks_loaded / bytes_read (window bytes), whole masks' CHIs are
-/// retained per RetainChiAfterLoad (stats->chis_built), and a unit whose
+/// stats->masks_loaded / bytes_read (window bytes), `chis` (null = no index)
+/// retains the CHI of every whole mask it Retains (stats->chis_built), and
+/// a unit whose
 /// masks were all resident in the buffer pool is loaded at verify time
 /// instead of on io_pool (stats->prefetch_skipped, docs/CACHING.md). A load
 /// error ends the run with that error; in-flight loads are drained before
 /// any return.
 template <typename NextBatch, typename Verify>
-Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
+Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
                          const EngineOptions& opts, const char* verify_span,
                          NextBatch&& next_batch, Verify&& verify,
                          ExecStats* stats) {
@@ -90,7 +92,6 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
   // itself be an io_pool task.
   LatchDrainGuard drain_on_exit(opts.io_pool);
 
-  IndexManager* const retain_into = opts.use_index ? index : nullptr;
   auto start = [&](VerifyBatch batch) {
     auto s = std::make_shared<Stage>();
     s->batch = std::move(batch);
@@ -99,10 +100,9 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
       unit.windows.resize(unit.ids.size());
       for (size_t j = 0; j < unit.ids.size(); ++j) {
         const MaskId id = unit.ids[j];
-        unit.windows[j] =
-            requested ? VerifyWindow(store, retain_into, opts, id,
-                                     unit.windows[j])
-                      : RowWindow::Whole(store.meta(id));
+        unit.windows[j] = requested
+                              ? VerifyWindow(store, chis, id, unit.windows[j])
+                              : RowWindow::Whole(store.meta(id));
       }
     }
     const size_t n = s->batch.units.size();
@@ -173,16 +173,18 @@ Status RunVerifyPipeline(const MaskStore& store, IndexManager* index,
         }
       }
     }
-    // Incremental indexing (§3.6) or the bounded CHI cache, across the pool.
-    std::atomic<int64_t> built{0};
-    ParallelFor(loaded.size() > 1 ? opts.pool : nullptr, loaded.size(),
-                [&](size_t i) {
-                  built.fetch_add(
-                      RetainChiAfterLoad(retain_into, opts, loaded[i].first,
-                                         *loaded[i].second),
-                      std::memory_order_relaxed);
-                });
-    stats->chis_built += built.load();
+    // Incremental indexing (§3.6) into the session's source, across the pool.
+    if (chis != nullptr) {
+      std::atomic<int64_t> built{0};
+      ParallelFor(loaded.size() > 1 ? opts.pool : nullptr, loaded.size(),
+                  [&](size_t i) {
+                    const auto [id, mask] = loaded[i];
+                    if (!chis->Retains(id)) return;
+                    chis->Retain(id, *mask);
+                    built.fetch_add(1, std::memory_order_relaxed);
+                  });
+      stats->chis_built += built.load();
+    }
     return verify(s.batch, masks);
   };
 

@@ -29,7 +29,7 @@ void IndexManager::Put(MaskId id, Chi chi) {
   }
 }
 
-void IndexManager::BuildAndPut(MaskId id, const Mask& mask) {
+void IndexManager::Retain(MaskId id, const Mask& mask) {
   if (Has(id)) return;
   Put(id, BuildChi(mask, config_));
 }
@@ -50,7 +50,7 @@ Status IndexManager::BuildAll(const MaskStore& store, ThreadPool* pool) {
       failed.store(true, std::memory_order_relaxed);
       return;
     }
-    BuildAndPut(static_cast<MaskId>(i), *mask);
+    Retain(static_cast<MaskId>(i), *mask);
   });
   if (failed.load()) return Status::IOError("failed to load a mask during BuildAll");
   return Status::OK();

@@ -2,8 +2,10 @@
 //
 // Holds at most one CHI per mask_id. Supports the two indexing regimes of
 // the paper: bulk preprocessing (vanilla MaskSearch, §3.1) via BuildAll, and
-// incremental indexing (MS-II, §3.6) via Put from the query execution path.
-// Lookup is lock-free; registration is thread-safe.
+// incremental indexing (MS-II, §3.6) via Retain from the verification
+// pipeline: as a ChiSource it retains every CHI that is not resident, so a
+// bulk-built index never retains anything. Lookup is lock-free;
+// registration is thread-safe.
 
 #ifndef MASKSEARCH_INDEX_INDEX_MANAGER_H_
 #define MASKSEARCH_INDEX_INDEX_MANAGER_H_
@@ -18,21 +20,22 @@
 #include "masksearch/common/result.h"
 #include "masksearch/common/thread_pool.h"
 #include "masksearch/index/chi.h"
+#include "masksearch/index/chi_source.h"
 #include "masksearch/storage/mask.h"
 #include "masksearch/storage/mask_store.h"
 
 namespace masksearch {
 
-class IndexManager {
+class IndexManager final : public ChiSource {
  public:
   IndexManager(int64_t num_masks, ChiConfig config);
-  ~IndexManager();
+  ~IndexManager() override;
 
   IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
 
   int64_t num_masks() const { return static_cast<int64_t>(slots_.size()); }
-  const ChiConfig& config() const { return config_; }
+  const ChiConfig& config() const override { return config_; }
 
   /// \brief The CHI of mask `id`, or nullptr if not available. Lock-free on
   /// the resident fast path; with an attached file (§3.2 on-demand mode) a
@@ -51,14 +54,21 @@ class IndexManager {
            slots_[id].load(std::memory_order_acquire) != nullptr;
   }
 
+  /// \brief Get() as a non-owning alias: resident CHIs live as long as the
+  /// manager.
+  std::shared_ptr<const Chi> Find(MaskId id) const override {
+    return std::shared_ptr<const Chi>(std::shared_ptr<const void>(), Get(id));
+  }
+  bool Retains(MaskId id) const override { return !IsResident(id); }
+
   /// \brief Registers the CHI for mask `id`. If a CHI is already present the
   /// new one is discarded (first build wins; builds are deterministic so the
   /// race is benign).
   void Put(MaskId id, Chi chi);
 
-  /// \brief Builds and registers the CHI of `mask` (convenience for the
-  /// incremental path).
-  void BuildAndPut(MaskId id, const Mask& mask);
+  /// \brief Builds and registers the CHI of `mask` unless mask `id` already
+  /// has one (the incremental path).
+  void Retain(MaskId id, const Mask& mask) override;
 
   /// \brief Bulk preprocessing: builds the CHI of every mask in `store`
   /// (loading each mask once). The vanilla-MaskSearch start-up cost whose
@@ -67,6 +77,7 @@ class IndexManager {
 
   /// \brief Number of CHIs currently built.
   size_t num_built() const { return num_built_.load(std::memory_order_acquire); }
+  size_t size() const override { return num_built(); }
 
   /// \brief Total in-memory footprint of all built CHIs.
   size_t MemoryBytes() const;

@@ -130,6 +130,7 @@ std::string IngestStats::ToString() const {
 
 Ingestor::Ingestor(std::string dir, IngestorOptions opts)
     : dir_(std::move(dir)), opts_(std::move(opts)), kind_(opts_.kind) {
+  RotateChiCacheLocked();  // the first CHI index; nothing to lock yet
   metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
       [this](obs::MetricSink& sink) {
         sink.Counter("ms_ingest_masks_appended_total", masks_appended_.load());
@@ -174,10 +175,6 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Create(const std::string& dir,
   }
   ing->pool_ = BufferPool::MaybeCreate(opts.cache, opts.cache_budget_bytes,
                                        opts.cache_shards, opts.cache_admission);
-  if (ing->pool_ != nullptr && opts.build_chi_on_ingest) {
-    ing->chi_cache_ = std::make_shared<ChiCache>(ing->pool_, opts.chi,
-                                                 CacheSpace::kMaskChi);
-  }
   ing->live_ = std::make_shared<std::atomic<int64_t>>(0);
   ing->gen_handle_ =
       std::make_shared<GenerationHandle>(dir, 0, opts.num_shards);
@@ -278,10 +275,6 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Open(const std::string& dir,
 
   ing->pool_ = BufferPool::MaybeCreate(opts.cache, opts.cache_budget_bytes,
                                        opts.cache_shards, opts.cache_admission);
-  if (ing->pool_ != nullptr && opts.build_chi_on_ingest) {
-    ing->chi_cache_ = std::make_shared<ChiCache>(ing->pool_, opts.chi,
-                                                 CacheSpace::kMaskChi);
-  }
   ing->live_ = std::make_shared<std::atomic<int64_t>>(0);
   ing->gen_handle_ =
       std::make_shared<GenerationHandle>(gen_root, gen, parsed.num_shards);
@@ -291,6 +284,7 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Open(const std::string& dir,
   ing->sizes_ = std::move(parsed.sizes);
   ing->appended_.store(static_cast<int64_t>(ing->metas_.size()),
                        std::memory_order_release);
+  ing->RotateChiCacheLocked();  // sized to the recovered masks
 
   // Install the recovered snapshot without republishing: the on-disk state
   // already is the last durable epoch.
@@ -324,7 +318,7 @@ Result<std::unique_ptr<Ingestor>> Ingestor::OpenOrCreate(
 Result<MaskId> Ingestor::AppendEncoded(MaskMeta meta,
                                        const std::string& payload,
                                        MaskId* visible_id,
-                                       std::shared_ptr<ChiCache>* chi) {
+                                       std::shared_ptr<IndexManager>* chis) {
   if (payload.empty()) {
     return Status::InvalidArgument("cannot append empty blob");
   }
@@ -342,16 +336,16 @@ Result<MaskId> Ingestor::AppendEncoded(MaskMeta meta,
                   std::memory_order_release);
   // The visible id this mask will carry at the next publish: all current
   // tombstones sit below it, so the dense renumbering subtracts their
-  // count. Captured with the CHI cache under the same lock — a racing
-  // Delete rotates the cache, orphaning (not corrupting) this build.
-  if (visible_id != nullptr) {
-    *visible_id = meta.mask_id - static_cast<MaskId>(tombstones_.size());
-  }
-  if (chi != nullptr) *chi = chi_cache_;
+  // count. Captured with the CHI index under the same lock — a racing
+  // Delete rotates the index, orphaning (not corrupting) this build.
+  const MaskId visible = meta.mask_id - static_cast<MaskId>(tombstones_.size());
+  if (visible >= chis_->num_masks()) RotateChiCacheLocked();
+  if (visible_id != nullptr) *visible_id = visible;
+  if (chis != nullptr && opts_.build_chi_on_ingest) *chis = chis_;
   return meta.mask_id;
 }
 
-void Ingestor::BuildIngestChi(const std::shared_ptr<ChiCache>& chi,
+void Ingestor::BuildIngestChi(const std::shared_ptr<IndexManager>& chi,
                               MaskId visible_id, const Mask& mask) {
   if (chi == nullptr) return;
   chi->Put(visible_id, BuildChi(mask, opts_.chi));
@@ -371,7 +365,7 @@ Result<MaskId> Ingestor::Append(MaskMeta meta, const Mask& mask) {
     payload = EncodeMask(mask, opts_.codec);
   }
   MaskId visible_id = 0;
-  std::shared_ptr<ChiCache> chi;
+  std::shared_ptr<IndexManager> chi;
   MS_ASSIGN_OR_RETURN(MaskId id,
                       AppendEncoded(meta, payload, &visible_id, &chi));
   // CHI build on ingest (§3.6 at the write path): the pixels are already in
@@ -388,7 +382,7 @@ Result<MaskId> Ingestor::AppendBlob(MaskMeta meta, const std::string& blob) {
         "raw blob size does not match meta width x height");
   }
   MaskId visible_id = 0;
-  std::shared_ptr<ChiCache> chi;
+  std::shared_ptr<IndexManager> chi;
   MS_ASSIGN_OR_RETURN(MaskId id, AppendEncoded(meta, blob, &visible_id, &chi));
   if (chi != nullptr) {
     // Decode to index. A blob that does not decode is still appended
@@ -442,9 +436,10 @@ Result<MaskMeta> Ingestor::AppendedMeta(MaskId id) const {
 }
 
 void Ingestor::RotateChiCacheLocked() {
-  if (chi_cache_ == nullptr) return;
-  chi_cache_ =
-      std::make_shared<ChiCache>(pool_, opts_.chi, CacheSpace::kMaskChi);
+  constexpr int64_t kMinChiSlots = 1024;
+  chis_ = std::make_shared<IndexManager>(
+      std::max(kMinChiSlots, 2 * static_cast<int64_t>(metas_.size())),
+      opts_.chi);
 }
 
 Result<std::shared_ptr<const Snapshot>> Ingestor::BuildSnapshot(
@@ -455,7 +450,6 @@ Result<std::shared_ptr<const Snapshot>> Ingestor::BuildSnapshot(
       phys_end - static_cast<int64_t>(tombstones.size());
   MaskStore::Options store_opts = opts_.store;
   store_opts.cache = nullptr;  // wrapping is done here, not by Open
-  store_opts.cache_budget_bytes = 0;
   MS_ASSIGN_OR_RETURN(
       std::unique_ptr<MaskStore> store,
       ShardedMaskStore::Create(gen_dir_, store_opts, kind_, num_shards(),
@@ -479,14 +473,12 @@ Result<std::shared_ptr<const Snapshot>> Ingestor::BuildSnapshot(
     has_blob_owner = true;
   }
 
+  // The snapshot's one CHI source is the cache it is published with: no
+  // IndexManager, and the CHIs its queries build outlive the epoch.
   SessionOptions sess = opts_.session;
   sess.chi = opts_.chi;
-  sess.incremental = true;  // never bulk-build at snapshot open
-  sess.index_path.clear();
-  sess.attach_index = false;
   sess.cache = pool_;
-  sess.cache_budget_bytes = 0;
-  sess.shared_chi_cache = chi_cache_.get();
+  sess.shared_chis = chis_.get();
   MS_ASSIGN_OR_RETURN(std::unique_ptr<Session> session,
                       Session::Open(store.get(), sess));
 
@@ -498,7 +490,7 @@ Result<std::shared_ptr<const Snapshot>> Ingestor::BuildSnapshot(
   snap->tombstones_ = std::move(tombstones);
   snap->store_ = std::move(store);
   snap->session_ = std::move(session);
-  snap->chi_ = chi_cache_;
+  snap->chis_ = chis_;
   snap->pool_ = pool_;
   snap->blob_owner_ = blob_owner;
   snap->has_blob_owner_ = has_blob_owner;

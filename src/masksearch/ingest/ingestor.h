@@ -15,15 +15,18 @@
 // leaves at most a torn *unpublished* tail, which Open() truncates away —
 // recovery lands exactly on the last durable epoch.
 //
-// Index maintenance: each appended mask's CHI is built at ingest time into
-// a shared, capacity-bounded ChiCache (the bounded incremental-indexing
-// machinery of docs/CACHING.md). CHIs are keyed by mask id and mask blobs
-// are immutable once appended, so entries never go stale across epochs —
-// the cache-invalidation rule is per *store generation*, not per epoch:
-// each epoch's CachedMaskStore opens under a fresh BufferPool owner id
-// (cold blob cache, conservative under future compaction), while the CHI
-// cache's owner survives until a compaction rewrites mask ids (the
-// follow-up seam).
+// Index maintenance: the ingestor keeps one IndexManager of per-mask CHIs,
+// keyed by visible mask id: lock-free reads, because every query looks up
+// the CHI of every mask it targets. Each appended mask's CHI is built into
+// it at ingest time (build_chi_on_ingest), and it is the one CHI source of
+// every snapshot session published with it: a query retains the CHI of
+// each whole mask it loads there, so query-built CHIs outlive the epoch
+// too. Every snapshot published with one index numbers masks by the same
+// tombstone set; only Delete and a compaction swap change that set, and
+// both rotate the index (pinned snapshots keep theirs). The index is sized
+// to twice the appended masks and rotated when an append outgrows it. Each
+// epoch's CachedMaskStore opens under a fresh BufferPool owner id (cold
+// blob cache, conservative under compaction).
 //
 // Thread safety: Append/AppendBlob/Publish may be called from many writer
 // threads; snapshot()/epoch()/watermark()/Stats() from any thread.
@@ -40,7 +43,6 @@
 #include <vector>
 
 #include "masksearch/cache/buffer_pool.h"
-#include "masksearch/cache/chi_cache.h"
 #include "masksearch/common/result.h"
 #include "masksearch/exec/session.h"
 #include "masksearch/storage/mask_store.h"
@@ -113,8 +115,9 @@ class Snapshot {
   /// \brief The byte-stable read surface (a CachedMaskStore when the
   /// ingestor has a buffer pool).
   const MaskStore& store() const { return *store_; }
-  /// \brief Execution handle over store(): incremental mode (no bulk
-  /// build), sharing the ingestor's buffer pool and ingest-built CHI cache.
+  /// \brief Execution handle over store(). Its one CHI source is the
+  /// ingestor's CHI index the snapshot was published with (no index of its
+  /// own, no bulk build); it shares the ingestor's buffer pool.
   Session* session() const { return session_.get(); }
 
  private:
@@ -133,10 +136,10 @@ class Snapshot {
   std::vector<MaskId> tombstones_;
   std::unique_ptr<MaskStore> store_;
   std::unique_ptr<Session> session_;
-  /// Keep-alive for the raw shared_chi_cache pointer session_ holds: the
-  /// ingestor rotates its CHI cache on deletes/compactions, and the old
-  /// cache must outlive every pinned session still reading through it.
-  std::shared_ptr<ChiCache> chi_;
+  /// Keep-alive for the raw shared_chis pointer session_ holds: the
+  /// ingestor rotates its CHI index on deletes/compactions, and the old
+  /// index must outlive every pinned session still reading through it.
+  std::shared_ptr<IndexManager> chis_;
   /// Pool + blob-cache owner id of store_'s CachedMaskStore wrapper. The
   /// destructor erases the owner *after* store_ is destroyed — entries a
   /// racing batch held pinned while the wrapper's own erase ran are swept
@@ -157,16 +160,15 @@ struct IngestorOptions {
 
   /// CHI geometry of the ingest-built indexes and every snapshot session.
   ChiConfig chi;
-  /// Build each appended mask's CHI into the shared ChiCache at ingest time
+  /// Build each appended mask's CHI into the ingest CHI index at ingest time
   /// (MS-II at the write path: the one-pass build cost is paid while the
-  /// mask bytes are already in memory). Requires a buffer pool; with
-  /// neither `cache` nor a budget configured no CHIs are built on ingest
-  /// and queries fall back to building them on first load.
+  /// mask bytes are already in memory). When false, queries build each
+  /// mask's CHI into the same index the first time they load it whole.
   bool build_chi_on_ingest = true;
 
-  /// Shared buffer pool: snapshot mask-blob caches + the ingest CHI cache
-  /// run under this one byte budget. Null with a budget > 0 creates a
-  /// private pool (the MaybeCreate pattern every surface uses).
+  /// Buffer pool of the snapshots' mask-blob caches. Null with a budget > 0
+  /// creates a private pool (BufferPool::MaybeCreate); with neither, blobs
+  /// are not cached.
   std::shared_ptr<BufferPool> cache;
   uint64_t cache_budget_bytes = 256ull << 20;
   int32_t cache_shards = 8;
@@ -176,9 +178,9 @@ struct IngestorOptions {
   /// knobs). The cache fields are overridden by the shared pool above.
   MaskStore::Options store;
   /// Template for each snapshot's Session (thread pools, verify batches).
-  /// chi / incremental / index_path / cache fields are overridden: snapshot
-  /// sessions always open incrementally (no bulk build) over the shared
-  /// pool and CHI cache.
+  /// chi / cache / shared_chis are overridden: snapshot sessions open over
+  /// the shared pool with the ingest CHI index as their one CHI source, so
+  /// incremental / index_path / attach_index do not apply.
   SessionOptions session;
 };
 
@@ -296,14 +298,6 @@ class Ingestor {
   StorageKind kind() const { return kind_; }
   int32_t num_shards() const { return static_cast<int32_t>(shards_.size()); }
   BufferPool* cache() const { return pool_.get(); }
-  /// \brief The shared ingest-built CHI cache (null without a pool).
-  /// Rotated — replaced with a fresh, empty cache — whenever a delete or a
-  /// compaction changes the visible-id mapping; pinned snapshots keep the
-  /// cache object they were published with.
-  ChiCache* chi_cache() const {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    return chi_cache_.get();
-  }
 
  private:
   friend class Compactor;
@@ -312,16 +306,16 @@ class Ingestor {
 
   /// Appends `payload` for `meta` under the write lock; returns the
   /// physical id. `visible_id` (the id the mask will carry at the next
-  /// publish, given the tombstones known now) and `chi` (the CHI cache
-  /// current at append time) are captured under the same lock so the
-  /// ingest-time CHI build stays consistent with a racing Delete's cache
-  /// rotation.
+  /// publish, given the tombstones known now) and `chis` (the CHI index
+  /// current at append time; null unless build_chi_on_ingest) are captured
+  /// under the same lock so the ingest-time CHI build stays consistent with
+  /// a racing Delete's index rotation.
   Result<MaskId> AppendEncoded(MaskMeta meta, const std::string& payload,
                                MaskId* visible_id,
-                               std::shared_ptr<ChiCache>* chi);
-  /// Builds `mask`'s CHI keyed by `visible_id` into `chi` (no-op if null).
-  void BuildIngestChi(const std::shared_ptr<ChiCache>& chi, MaskId visible_id,
-                      const Mask& mask);
+                               std::shared_ptr<IndexManager>* chis);
+  /// Builds `mask`'s CHI keyed by `visible_id` into `chis` (no-op if null).
+  void BuildIngestChi(const std::shared_ptr<IndexManager>& chis,
+                      MaskId visible_id, const Mask& mask);
   /// Publishes the tables as `next_epoch` and installs the snapshot.
   /// Caller holds write_mu_.
   Status PublishLocked(int64_t next_epoch);
@@ -331,7 +325,8 @@ class Ingestor {
       int64_t epoch, std::vector<MaskMeta> metas,
       std::vector<uint64_t> offsets, std::vector<uint64_t> sizes,
       std::vector<MaskId> tombstones) const;
-  /// Replaces chi_cache_ with a fresh empty cache (caller holds write_mu_).
+  /// Replaces chis_ with a fresh empty index of twice the appended masks
+  /// (caller holds write_mu_).
   /// Old caches stay alive through the snapshots that hold them.
   void RotateChiCacheLocked();
   /// Compaction phase B (called by Compactor with no locks held): under
@@ -339,7 +334,7 @@ class Ingestor {
   /// `base` into `writer` (skipping tombstones), finishes the new
   /// generation at `dst_dir`, flips the generation sidecar (the atomic
   /// swap point), swaps the in-memory writer state over to the new
-  /// generation, retires the old GenerationHandle, rotates the CHI cache,
+  /// generation, retires the old GenerationHandle, rotates the CHI index,
   /// and publishes the next epoch. On success fills `catchup_copied` /
   /// `catchup_bytes` / `dropped` / `reclaimed_bytes` with the catch-up
   /// counts and the dead weight the swap shed.
@@ -366,7 +361,7 @@ class Ingestor {
   bool tombstones_dirty_ = false;  ///< sidecar rewrite needed at publish
   std::string gen_dir_;            ///< current generation root
   std::shared_ptr<GenerationHandle> gen_handle_;
-  std::shared_ptr<ChiCache> chi_cache_;  ///< under write_mu_ (rotated)
+  std::shared_ptr<IndexManager> chis_;  ///< under write_mu_ (rotated)
 
   /// Published state: the current snapshot, swapped whole at Publish.
   mutable std::mutex snap_mu_;

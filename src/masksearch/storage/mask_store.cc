@@ -316,11 +316,8 @@ Result<std::unique_ptr<MaskStore>> MaskStore::Open(const std::string& dir,
 
   // Memory subsystem (docs/CACHING.md): with a pool configured, hand back
   // the caching decorator instead of the raw store.
-  std::shared_ptr<BufferPool> pool =
-      BufferPool::MaybeCreate(opts.cache, opts.cache_budget_bytes,
-                              opts.cache_shards, opts.cache_admission);
-  if (pool != nullptr) {
-    return CachedMaskStore::Wrap(std::move(store), std::move(pool));
+  if (opts.cache != nullptr) {
+    return CachedMaskStore::Wrap(std::move(store), opts.cache);
   }
   return store;
 }

@@ -148,14 +148,6 @@ class MaskStore {
     /// repeated loads from memory; sharing one pool across stores and a
     /// Session's CHI caches runs them all under a single byte budget.
     std::shared_ptr<BufferPool> cache;
-    /// Convenience: with `cache` null and a budget > 0, Open creates a
-    /// private pool with the knobs below and wraps the store in it.
-    uint64_t cache_budget_bytes = 0;
-    /// Lock stripes of the private pool (see BufferPool::Options::shards).
-    int32_t cache_shards = 8;
-    /// Admission policy of the private pool: kScanResistant keeps one-touch
-    /// full scans from flushing the re-referenced working set.
-    CacheAdmission cache_admission = CacheAdmission::kScanResistant;
     /// Open-time extent check: every manifested blob must fit inside its
     /// shard file, else Open fails with a typed Corruption. Off by default
     /// — the lazy contract lets a store with one damaged shard keep serving
@@ -167,7 +159,7 @@ class MaskStore {
 
   /// \brief Opens a store, sniffing the manifest version: v1 single-file
   /// stores (the pre-sharding format) open unchanged as 1-shard stores.
-  /// With Options::cache (or cache_budget_bytes) set, the returned store is
+  /// With Options::cache set, the returned store is
   /// wrapped in a CachedMaskStore decorator (docs/CACHING.md).
   static Result<std::unique_ptr<MaskStore>> Open(const std::string& dir,
                                                  const Options& opts);

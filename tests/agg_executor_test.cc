@@ -135,12 +135,10 @@ TEST_F(AggExecutorTest, GroupByModelId) {
 
 TEST_F(AggExecutorTest, IncrementalIndexingStillExact) {
   IndexManager empty(store_->num_masks(), TestConfig());
-  EngineOptions opts;
-  opts.build_missing = true;
   const AggregationQuery q = MeanQuery(5, true);
-  auto first = ExecuteAggregation(*store_, &empty, q, opts);
+  auto first = ExecuteAggregation(*store_, &empty, q);
   ASSERT_TRUE(first.ok());
-  auto second = ExecuteAggregation(*store_, &empty, q, opts);
+  auto second = ExecuteAggregation(*store_, &empty, q);
   ASSERT_TRUE(second.ok());
   ExpectSameGroups(*first, *second);
   EXPECT_LE(second->stats.masks_loaded, first->stats.masks_loaded);
@@ -172,7 +170,6 @@ TEST_F(AggExecutorTest, TracedQueryRecordsPipelineSpans) {
   EngineOptions opts;
   opts.pool = &pool;
   opts.io_pool = &pool;
-  opts.use_index = false;  // every group is verified
   AggregationQuery q = MeanQuery(0, true);
   q.k.reset();
   q.having_op = CompareOp::kGt;
@@ -181,7 +178,8 @@ TEST_F(AggExecutorTest, TracedQueryRecordsPipelineSpans) {
   obs::Trace trace(1);
   {
     obs::TraceScope scope(&trace);
-    auto r = ExecuteAggregation(*store_, index_.get(), q, opts);
+    // No index: every group is verified.
+    auto r = ExecuteAggregation(*store_, nullptr, q, opts);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(r->stats.masks_loaded, store_->num_masks());
   }

@@ -1,9 +1,9 @@
 // Executor-level tests of the memory subsystem (docs/CACHING.md):
 // cached-vs-uncached byte parity on filter / top-k / scalar-agg / mask-agg
-// queries (warm passes and thrashing budgets included), the bounded
-// per-mask CHI-cache hook (EngineOptions::chi_cache), Session cache
-// threading, and a pin-safety stress under the concurrent overlapped
-// ExecuteMaskAgg pipelines (the TSan lane runs this suite).
+// queries (warm passes and thrashing budgets included), a bounded ChiCache
+// as the per-mask CHI source, Session cache threading, and a pin-safety
+// stress under the concurrent overlapped ExecuteMaskAgg pipelines (the TSan
+// lane runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -164,28 +164,26 @@ TEST_F(CachedExecTest, WarmPassAvoidsPhysicalIo) {
   }
 }
 
-// --- the bounded per-mask CHI-cache hook ---
+// --- a bounded ChiCache as the per-mask CHI source ---
 
 TEST_F(CachedExecTest, ChiCacheSuppliesBoundsOnSecondPass) {
   // No IndexManager at all: the first pass must verify everything; the
-  // second pass gets bounds from the chi_cache and prunes/accepts whatever
+  // second pass gets bounds from the ChiCache and prunes/accepts whatever
   // is bound-decidable — with byte-identical result sets.
   ChiCache chi_cache(pool_, TestConfig());
-  EngineOptions opts;
-  opts.chi_cache = &chi_cache;
 
   const FilterQuery q = MakeFilter();
   const FilterResult want = ExecuteFilter(*plain_, nullptr, q).ValueOrDie();
 
   const FilterResult first =
-      ExecuteFilter(*cached_, nullptr, q, opts).ValueOrDie();
+      ExecuteFilter(*cached_, &chi_cache, q).ValueOrDie();
   EXPECT_EQ(first.mask_ids, want.mask_ids);
   EXPECT_EQ(first.stats.candidates, first.stats.masks_targeted);
   EXPECT_EQ(first.stats.chis_built, first.stats.masks_targeted);
   EXPECT_EQ(static_cast<int64_t>(chi_cache.size()), first.stats.chis_built);
 
   const FilterResult second =
-      ExecuteFilter(*cached_, nullptr, q, opts).ValueOrDie();
+      ExecuteFilter(*cached_, &chi_cache, q).ValueOrDie();
   EXPECT_EQ(second.mask_ids, want.mask_ids);
   EXPECT_EQ(second.stats.chis_built, 0);  // already cached, never rebuilt
   EXPECT_LE(second.stats.candidates, first.stats.candidates);
@@ -195,7 +193,7 @@ TEST_F(CachedExecTest, ChiCacheSuppliesBoundsOnSecondPass) {
   const TopKQuery tq = MakeTopK();
   const TopKResult twant = ExecuteTopK(*plain_, nullptr, tq).ValueOrDie();
   const TopKResult tgot =
-      ExecuteTopK(*cached_, nullptr, tq, opts).ValueOrDie();
+      ExecuteTopK(*cached_, &chi_cache, tq).ValueOrDie();
   ASSERT_EQ(tgot.items.size(), twant.items.size());
   for (size_t i = 0; i < twant.items.size(); ++i) {
     EXPECT_EQ(tgot.items[i].mask_id, twant.items[i].mask_id);
@@ -208,14 +206,14 @@ TEST_F(CachedExecTest, SessionThreadsCacheThroughQueries) {
   sopts.chi = TestConfig();
   sopts.cache = pool_;
   auto session = Session::Open(cached_.get(), sopts).ValueOrDie();
-  ASSERT_NE(session->cache(), nullptr);
-  ASSERT_NE(session->chi_cache(), nullptr);
+  ASSERT_EQ(session->cache(), pool_.get());
+  // The bulk-built IndexManager is the session's one CHI source.
+  ASSERT_EQ(session->chis(), session->index());
 
   const MaskAggQuery q = MakeMaskAgg();
   const AggResult first = session->MaskAggregate(q).ValueOrDie();
-  // Derived CHIs land in the pool-backed per-template cache.
+  // Derived CHIs land in the session pool's per-template cache.
   auto* derived = session->derived_cache(q.op, q.agg_threshold);
-  EXPECT_TRUE(derived->bounded());
   EXPECT_GT(derived->size(), 0u);
 
   cached_->ResetCounters();
@@ -228,26 +226,22 @@ TEST_F(CachedExecTest, SessionThreadsCacheThroughQueries) {
   // The repeat run answers from derived CHIs + cached blobs: no storage.
   EXPECT_EQ(cached_->masks_loaded(), 0u);
 
-  // A session without a pool keeps the legacy unbounded caches.
-  SessionOptions legacy;
-  legacy.chi = TestConfig();
-  auto plain_session = Session::Open(plain_.get(), legacy).ValueOrDie();
+  // A session without a pool keeps derived CHIs in a private pool with no
+  // byte limit: the same answers, nothing in the shared pool.
+  SessionOptions plain_opts;
+  plain_opts.chi = TestConfig();
+  auto plain_session = Session::Open(plain_.get(), plain_opts).ValueOrDie();
   EXPECT_EQ(plain_session->cache(), nullptr);
-  EXPECT_FALSE(
-      plain_session->derived_cache(q.op, q.agg_threshold)->bounded());
-}
-
-TEST_F(CachedExecTest, SessionBudgetKnobCreatesPrivatePool) {
-  SessionOptions sopts;
-  sopts.chi = TestConfig();
-  sopts.cache_budget_bytes = 8ull << 20;
-  sopts.cache_shards = 2;
-  auto session = Session::Open(plain_.get(), sopts).ValueOrDie();
-  ASSERT_NE(session->cache(), nullptr);
-  EXPECT_EQ(session->cache()->options().budget_bytes, 8ull << 20);
-  EXPECT_EQ(session->cache()->options().shards, 2);
-  (void)session->MaskAggregate(MakeMaskAgg()).ValueOrDie();
-  EXPECT_GT(session->cache()->Stats().insertions, 0u);
+  const uint64_t shared_before = pool_->Stats().insertions;
+  const AggResult plain = plain_session->MaskAggregate(q).ValueOrDie();
+  ASSERT_EQ(plain.groups.size(), first.groups.size());
+  for (size_t i = 0; i < first.groups.size(); ++i) {
+    EXPECT_EQ(plain.groups[i].group, first.groups[i].group);
+    EXPECT_EQ(plain.groups[i].value, first.groups[i].value);
+  }
+  EXPECT_EQ(plain_session->derived_cache(q.op, q.agg_threshold)->size(),
+            derived->size());
+  EXPECT_EQ(pool_->Stats().insertions, shared_before);
 }
 
 // --- pin-safety stress under the concurrent overlapped pipelines ---
@@ -342,8 +336,7 @@ TEST(CachePrefetchTest, WarmCacheSkipsPrefetchBatchLoads) {
   auto cached = MaskStore::Open(dir.path(), copts).ValueOrDie();
 
   ThreadPool io(2);
-  EngineOptions opts;
-  opts.use_index = false;  // every mask verifies: maximal batch traffic
+  EngineOptions opts;  // no index: every mask verifies, maximal batch traffic
   opts.io_pool = &io;
   opts.verify_batch = 4;
 

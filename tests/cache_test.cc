@@ -297,12 +297,6 @@ TEST(CachedMaskStoreTest, OpenWrapsWhenCacheConfigured) {
   StorePair p = MakePair(6, 1, StorageKind::kRawFloat32);
   EXPECT_NE(dynamic_cast<CachedMaskStore*>(p.cached.get()), nullptr);
   EXPECT_EQ(dynamic_cast<CachedMaskStore*>(p.plain.get()), nullptr);
-
-  // The budget knob alone also wraps (private pool).
-  MaskStore::Options opts;
-  opts.cache_budget_bytes = 1 << 20;
-  auto store = MaskStore::Open(p.dir->path(), opts).ValueOrDie();
-  EXPECT_NE(dynamic_cast<CachedMaskStore*>(store.get()), nullptr);
 }
 
 TEST(CachedMaskStoreTest, LoadMaskParityColdAndWarm) {

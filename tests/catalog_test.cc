@@ -389,6 +389,24 @@ TEST(CatalogTest, DatasetLabelIsEscapedInTheExposition) {
   catalog.ShutdownAll();
 }
 
+// The CHI residency gauge reads the session's one CHI source: a bulk-built
+// index holds every mask's CHI.
+TEST(CatalogTest, ChiResidentGaugeCountsTheBulkBuiltIndex) {
+  TempDir dir("cat_chi_gauge");
+  { auto s = MakeStore(dir.path(), 6, 2, 16, 16); }
+  Catalog catalog;
+  Dataset* ds =
+      catalog.Register("chi_gauge", dir.path(), SmallConfig()).ValueOrDie();
+  double resident = -1;
+  for (const auto& sample : obs::MetricsRegistry::Default().Samples()) {
+    if (sample.name == "ms_cache_chi_resident{dataset=\"chi_gauge\"}") {
+      resident = sample.value;
+    }
+  }
+  EXPECT_EQ(resident, static_cast<double>(ds->store().num_masks()));
+  catalog.ShutdownAll();
+}
+
 TEST(CatalogTest, OpenFailureRegistersNothing) {
   Catalog catalog;
   EXPECT_FALSE(

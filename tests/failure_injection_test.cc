@@ -163,7 +163,7 @@ TEST(ConcurrencyTest, IncrementalIndexingUnderConcurrentQueries) {
   }
   for (auto& th : threads) th.join();
   for (size_t t = 1; t < 4; ++t) EXPECT_EQ(results[t], results[0]);
-  EXPECT_EQ(static_cast<int64_t>(session->index().num_built()),
+  EXPECT_EQ(static_cast<int64_t>(session->index()->num_built()),
             store->num_masks());
 }
 

@@ -85,9 +85,7 @@ TEST_F(FilterExecutorTest, IndexReducesLoadsButNotResults) {
   auto with_index = ExecuteFilter(*store_, index_.get(), q);
   ASSERT_TRUE(with_index.ok());
 
-  EngineOptions no_index;
-  no_index.use_index = false;
-  auto without = ExecuteFilter(*store_, nullptr, q, no_index);
+  auto without = ExecuteFilter(*store_, nullptr, q);
   ASSERT_TRUE(without.ok());
 
   EXPECT_EQ(with_index->mask_ids, without->mask_ids);
@@ -97,10 +95,8 @@ TEST_F(FilterExecutorTest, IndexReducesLoadsButNotResults) {
 
 TEST_F(FilterExecutorTest, IncrementalIndexingBuildsOnlyLoadedMasks) {
   IndexManager empty(store_->num_masks(), TestConfig());
-  EngineOptions opts;
-  opts.build_missing = true;
   const FilterQuery q = ObjectQuery(0.6, 1.0, 100.0);
-  auto first = ExecuteFilter(*store_, &empty, q, opts);
+  auto first = ExecuteFilter(*store_, &empty, q);
   ASSERT_TRUE(first.ok());
   // No index yet: every mask is loaded and indexed (§3.6).
   EXPECT_EQ(first->stats.masks_loaded, store_->num_masks());
@@ -119,7 +115,7 @@ TEST_F(FilterExecutorTest, IncrementalIndexingBuildsOnlyLoadedMasks) {
   // Second identical query now benefits from the incrementally built index,
   // and with every CHI built it reads only the object boxes' rows.
   testing_util::ForwardingStore store(*store_);
-  auto second = ExecuteFilter(store, &empty, q, opts);
+  auto second = ExecuteFilter(store, &empty, q);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->mask_ids, first->mask_ids);
   EXPECT_LT(second->stats.masks_loaded, first->stats.masks_loaded);
@@ -128,18 +124,16 @@ TEST_F(FilterExecutorTest, IncrementalIndexingBuildsOnlyLoadedMasks) {
                                  second->stats.bytes_read);
 }
 
-// Bounded incremental indexing: a mask missing from the chi_cache is read
-// whole and its CHI retained; once cached, its loads read only ROI rows.
+// Bounded incremental indexing: with a ChiCache as the source, a mask
+// missing from it is read whole and its CHI retained; once cached, its
+// loads read only ROI rows.
 TEST_F(FilterExecutorTest, ChiCacheRetentionBuildsFromWholeMasks) {
   BufferPool::Options popts;
   popts.budget_bytes = 64ull << 20;
   ChiCache cache(std::make_shared<BufferPool>(popts), TestConfig());
-  EngineOptions opts;
-  opts.build_missing = false;
-  opts.chi_cache = &cache;
   const FilterQuery q = ObjectQuery(0.6, 1.0, 100.0);
   testing_util::ForwardingStore store(*store_);
-  auto first = ExecuteFilter(store, nullptr, q, opts);
+  auto first = ExecuteFilter(store, &cache, q);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->stats.chis_built, store_->num_masks());
   testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/false,
@@ -151,7 +145,7 @@ TEST_F(FilterExecutorTest, ChiCacheRetentionBuildsFromWholeMasks) {
                   BuildChi(store_->LoadMask(id).ValueOrDie(), TestConfig())))
         << "mask " << id;
   }
-  auto second = ExecuteFilter(store, nullptr, q, opts);
+  auto second = ExecuteFilter(store, &cache, q);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->mask_ids, first->mask_ids);
   EXPECT_EQ(second->stats.chis_built, 0);
@@ -266,7 +260,8 @@ TEST_F(FilterExecutorTest, RandomizedQueriesMatchReference) {
 
 // Every pipeline configuration — store {raw uncached, raw cached cold, raw
 // cached warm, compressed} x pools {none, pool, pool + io_pool, io_pool
-// aliased to pool} x verify_batch {1, 5, auto} x {indexed, no index} —
+// aliased to pool} x verify_batch {1, 5, auto} x CHI source {IndexManager,
+// shared ChiCache, none} —
 // returns the reference answer with identical per-mask stats. The queries
 // cover one object-box term, two disjoint ROIs (object box + a rectangle),
 // an ROI partly outside the mask, and an empty ROI. The raw uncached store
@@ -283,6 +278,8 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
   auto compressed = MaskStore::Open(compressed_dir.path()).ValueOrDie();
   IndexManager index(raw->num_masks(), TestConfig());
   MS_ASSERT_OK(index.BuildAll(*raw));
+  const std::unique_ptr<ChiCache> shared = testing_util::CopyToChiCache(index);
+  ChiSource* const sources[] = {&index, shared.get(), nullptr};
   BufferPool::Options popts;
   popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
   auto open_cached = [&] {
@@ -342,7 +339,7 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
     const FilterQuery& q = queries[qi];
     auto want = reference.Filter(q);
     ASSERT_TRUE(want.ok());
-    for (const bool use_index : {true, false}) {
+    for (ChiSource* chis : sources) {
       std::optional<ExecStats> first;
       std::optional<int64_t> bytes[kNumKinds];
       for (int kind = 0; kind < kNumKinds; ++kind) {
@@ -359,13 +356,14 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
             opts.pool = p.pool;
             opts.io_pool = p.io_pool;
             opts.verify_batch = batch;
-            opts.use_index = use_index;
             const uint64_t physical_before = store.masks_loaded();
-            auto got = ExecuteFilter(store, use_index ? &index : nullptr, q,
-                                     opts);
+            auto got = ExecuteFilter(store, chis, q, opts);
             ASSERT_TRUE(got.ok()) << got.status();
-            SCOPED_TRACE("query " + std::to_string(qi) + " index " +
-                         std::to_string(use_index) + " store " +
+            SCOPED_TRACE("query " + std::to_string(qi) + " source " +
+                         std::to_string(chis == nullptr         ? 0
+                                        : chis == shared.get() ? 2
+                                                               : 1) +
+                         " store " +
                          std::to_string(kind) + " pools " +
                          std::to_string(p.pool != nullptr) +
                          std::to_string(p.io_pool != nullptr) + " batch " +
@@ -459,8 +457,7 @@ TEST_F(FilterExecutorTest, BatchesLoadAsConcurrentUnits) {
       opts.pool = &pool;
       opts.io_pool = io_pool;
       opts.verify_batch = batch;
-      opts.use_index = false;  // every mask is undecided
-      auto got = ExecuteFilter(store, nullptr, q, opts);
+      auto got = ExecuteFilter(store, nullptr, q, opts);  // all undecided
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got->mask_ids, want->mask_ids);
 

@@ -123,8 +123,8 @@ TEST(IndexManagerTest, PartialSaveLoad) {
   TempDir dir("idx");
   auto store = MakeStore(dir.path(), 4, 1, 16, 16);
   IndexManager mgr(4, SmallConfig());
-  mgr.BuildAndPut(1, store->LoadMask(1).ValueOrDie());
-  mgr.BuildAndPut(3, store->LoadMask(3).ValueOrDie());
+  mgr.Retain(1, store->LoadMask(1).ValueOrDie());
+  mgr.Retain(3, store->LoadMask(3).ValueOrDie());
   const std::string path = dir.file("partial.idx");
   MS_ASSERT_OK(mgr.SaveToFile(path));
 
@@ -197,7 +197,7 @@ TEST(IndexManagerTest, AttachFilePartialSet) {
   const std::string path = dir.file("partial.chi");
   {
     IndexManager mgr(4, SmallConfig());
-    mgr.BuildAndPut(1, store->LoadMask(1).ValueOrDie());
+    mgr.Retain(1, store->LoadMask(1).ValueOrDie());
     MS_ASSERT_OK(mgr.SaveToFile(path));
   }
   IndexManager lazy(4, SmallConfig());

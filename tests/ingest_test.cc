@@ -344,7 +344,7 @@ TEST(IngestTest, CatalogRegisterLiveServesInserts) {
 }
 
 // Scalar aggregation on a snapshot session takes member bounds from the
-// CHIs built at ingest time (the shared ChiCache), like every other
+// CHIs built at ingest time (the ingestor's CHI index), like every other
 // executor: a HAVING clause the bounds refute prunes every group without
 // loading a mask, and a splitting one answers like the reference.
 TEST(IngestTest, ScalarAggregationPrunesWithIngestBuiltChis) {
@@ -399,6 +399,55 @@ TEST(IngestTest, ScalarAggregationPrunesWithIngestBuiltChis) {
   for (size_t i = 0; i < top.groups.size(); ++i) {
     EXPECT_EQ(top.groups[i].group, all.groups[i].group);
     EXPECT_EQ(top.groups[i].value, all.groups[i].value);
+  }
+}
+
+// A snapshot's one CHI source is the ingest CHI cache it was published
+// with, so CHIs a query builds outlive its epoch: after a Delete + Publish
+// the first query builds each visible mask's CHI once, and a later epoch
+// reuses every one (no loads with the tight whole-ROI bounds). A snapshot
+// pinned before the delete numbers masks the old way and retains into the
+// pre-delete cache. With and without CHI builds at ingest time.
+TEST(IngestTest, QueryBuiltChisOutliveEpochs) {
+  const FilterQuery q = WholeRoiFilter();
+  auto check = [&](const Snapshot& snap) {
+    EXPECT_EQ(snap.session()->index(), nullptr);
+    const FilterResult got = snap.session()->Filter(q).ValueOrDie();
+    FullScanBaseline reference(&snap.store());
+    EXPECT_EQ(got.mask_ids, reference.Filter(q).ValueOrDie().mask_ids);
+    return got.stats;
+  };
+  for (const bool on_ingest : {true, false}) {
+    SCOPED_TRACE(on_ingest ? "CHIs built on ingest" : "no ingest CHIs");
+    TempDir dir("ingest_chi_epochs");
+    IngestorOptions opts = TestIngestOptions();
+    opts.build_chi_on_ingest = on_ingest;
+    auto ingestor = Ingestor::Create(dir.path(), opts).ValueOrDie();
+    Rng rng(41);
+    AppendMasks(ingestor.get(), &rng, 40, 0);
+    MS_ASSERT_OK(ingestor->Publish());
+    const std::shared_ptr<const Snapshot> before = ingestor->snapshot();
+    MS_ASSERT_OK(ingestor->Delete(3));
+    MS_ASSERT_OK(ingestor->Publish());
+    const std::shared_ptr<const Snapshot> first = ingestor->snapshot();
+
+    // The pinned pre-delete snapshot first: its CHIs go to its own cache,
+    // never into the one the renumbered epochs read.
+    const ExecStats old = check(*before);
+    EXPECT_EQ(old.masks_targeted, 40);
+    EXPECT_EQ(old.chis_built, on_ingest ? 0 : 40);
+    EXPECT_EQ(check(*before).masks_loaded, 0);
+
+    const ExecStats built = check(*first);
+    EXPECT_EQ(built.masks_loaded, 39);
+    EXPECT_EQ(built.chis_built, 39);
+
+    MS_ASSERT_OK(ingestor->Publish());
+    const std::shared_ptr<const Snapshot> later = ingestor->snapshot();
+    EXPECT_EQ(later->session()->chis(), first->session()->chis());
+    const ExecStats reused = check(*later);
+    EXPECT_EQ(reused.masks_loaded, 0);
+    EXPECT_EQ(reused.chis_built, 0);
   }
 }
 

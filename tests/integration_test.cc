@@ -170,7 +170,7 @@ TEST_F(IntegrationTest, MultiQueryWorkloadMsEqualsMsii) {
     ASSERT_EQ(a->mask_ids, b->mask_ids) << "workload query " << i;
   }
   // MS-II never indexed more masks than the workload touched.
-  EXPECT_LE(static_cast<int64_t>(msii->index().num_built()),
+  EXPECT_LE(static_cast<int64_t>(msii->index()->num_built()),
             workload.distinct_targeted);
 }
 

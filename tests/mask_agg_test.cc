@@ -78,10 +78,9 @@ TEST(DerivedIndexCacheTest, PutGetAndFirstWins) {
   BufferPool::Options popts;
   popts.budget_bytes = 1ull << 20;
   for (const bool pooled : {false, true}) {
-    SCOPED_TRACE(pooled ? "pool-backed" : "unbounded");
+    SCOPED_TRACE(pooled ? "pool-backed" : "private pool");
     DerivedIndexCache cache(
         TestConfig(), pooled ? std::make_shared<BufferPool>(popts) : nullptr);
-    EXPECT_EQ(cache.bounded(), pooled);
     EXPECT_EQ(cache.Get({7}), nullptr);
     Rng rng(1);
     Mask m = RandomMask(&rng, 16, 16);
@@ -257,9 +256,10 @@ TEST_F(MaskAggExecTest, InvalidQueriesRejected) {
 // candidates (stale heap at decision time — strictly conservative).
 class MaskAggParallelTest : public MaskAggExecTest {
  protected:
-  /// Runs the query under `parallel` and compares against the exact serial
-  /// schedule on the same store.
-  void ExpectMatchesSerial(const MaskStore& store, const MaskAggQuery& q,
+  /// Runs the query under `parallel` with the CHIs of `chis` and compares
+  /// against the exact serial schedule on the same store with index_.
+  void ExpectMatchesSerial(const MaskStore& store, ChiSource* chis,
+                           const MaskAggQuery& q,
                            const EngineOptions& parallel) {
     EngineOptions serial;
     serial.pool = nullptr;  // batch size degenerates to 1: exact serial path
@@ -268,8 +268,7 @@ class MaskAggParallelTest : public MaskAggExecTest {
     ASSERT_TRUE(want.ok()) << want.status();
 
     DerivedIndexCache parallel_cache(TestConfig());
-    auto got =
-        ExecuteMaskAgg(store, index_.get(), &parallel_cache, q, parallel);
+    auto got = ExecuteMaskAgg(store, chis, &parallel_cache, q, parallel);
     ASSERT_TRUE(got.ok()) << got.status();
 
     ASSERT_EQ(got->groups.size(), want->groups.size());
@@ -299,7 +298,7 @@ class MaskAggParallelTest : public MaskAggExecTest {
     EngineOptions parallel;
     parallel.pool = &pool;
     parallel.verify_batch = 8;
-    ExpectMatchesSerial(*store_, q, parallel);
+    ExpectMatchesSerial(*store_, index_.get(), q, parallel);
   }
 
   /// The overlapped pipeline (io_pool, depth 2) over a sharded copy of the
@@ -318,13 +317,13 @@ class MaskAggParallelTest : public MaskAggExecTest {
     overlapped.pool = &pool;
     overlapped.io_pool = &io_pool;
     overlapped.verify_batch = 4;
-    ExpectMatchesSerial(*sharded, q, overlapped);
+    ExpectMatchesSerial(*sharded, index_.get(), q, overlapped);
 
     // io_pool aliasing the compute pool must also be safe (ParallelFor
     // caller participation keeps nested loops deadlock-free).
     EngineOptions aliased = overlapped;
     aliased.io_pool = &pool;
-    ExpectMatchesSerial(*sharded, q, aliased);
+    ExpectMatchesSerial(*sharded, index_.get(), q, aliased);
   }
 };
 
@@ -414,7 +413,8 @@ TEST_F(MaskAggExecTest, RepeatedQueryDoesNotRebuildDerivedChis) {
 
 // Every pipeline configuration — pools {none, pool, pool + io_pool, io_pool
 // aliased to pool} x store {cold, warm buffer pool} x verify_batch {1, 5,
-// auto} — matches the serial schedule byte for byte. Only io_pool
+// auto} x CHI source {IndexManager, shared ChiCache} — matches the serial
+// schedule byte for byte. Only io_pool
 // configurations may skip prefetches; on the warm store every verified
 // group is resident, so each one is skipped and nothing is read.
 TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
@@ -426,6 +426,11 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
   std::vector<MaskId> all;
   for (MaskId id = 0; id < warm->num_masks(); ++id) all.push_back(id);
   MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
+
+  const std::unique_ptr<ChiCache> shared =
+      testing_util::CopyToChiCache(*index_);
+  ChiSource* const sources[] = {index_.get(), shared.get()};
+  const size_t batches[] = {1, 5, 0};
 
   MaskAggQuery topk = IntersectQuery(5);
   MaskAggQuery having = IntersectQuery(0);
@@ -444,21 +449,24 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
   for (const MaskAggQuery& q : {topk, having}) {
     for (const MaskStore* store : {store_.get(), warm.get()}) {
       for (const Pools& p : pool_sets) {
-        for (size_t batch : {size_t{1}, size_t{5}, size_t{0}}) {
+        for (size_t run = 0; run < 6; ++run) {
+          const size_t batch = batches[run / 2];
+          ChiSource* const chis = sources[run % 2];
           SCOPED_TRACE(std::string(q.k ? "top-k" : "having") + " warm " +
                        std::to_string(store == warm.get()) + " pools " +
                        std::to_string(p.pool != nullptr) +
                        std::to_string(p.io_pool != nullptr) + " batch " +
-                       std::to_string(batch));
+                       std::to_string(batch) + " shared cache " +
+                       std::to_string(chis == shared.get()));
           EngineOptions opts;
           opts.pool = p.pool;
           opts.io_pool = p.io_pool;
           opts.verify_batch = batch;
-          ExpectMatchesSerial(*store, q, opts);
+          ExpectMatchesSerial(*store, chis, q, opts);
 
           const uint64_t physical_before = store->masks_loaded();
           DerivedIndexCache cache(TestConfig());
-          auto got = ExecuteMaskAgg(*store, index_.get(), &cache, q, opts);
+          auto got = ExecuteMaskAgg(*store, chis, &cache, q, opts);
           ASSERT_TRUE(got.ok()) << got.status();
           if (p.io_pool == nullptr || store != warm.get()) {
             EXPECT_EQ(got->stats.prefetch_skipped, 0);
@@ -597,8 +605,8 @@ TEST_F(MaskAggExecTest, HavingOnlyCancelMidQueryStopsAtBatchBoundary) {
   q.having_op = CompareOp::kGt;
   q.having_threshold = 50.0;
   EngineOptions opts;
-  opts.use_index = false;  // every group is a candidate: several batches
   opts.control = &control;
+  // No index: every group is a candidate, in several batches.
   auto r = ExecuteMaskAgg(store, nullptr, nullptr, q, opts);
   EXPECT_TRUE(r.status().IsCancelled()) << r.status();
 

@@ -164,8 +164,10 @@ TEST(MaskStoreTest, DamagedShapeIsCorruptionOnEveryWindowedRead) {
       dir.path(), parsed.kind, parsed.num_shards, parsed.metas,
       parsed.offsets, parsed.sizes));
 
+  BufferPool::Options pool;
+  pool.budget_bytes = 1 << 20;
   MaskStore::Options cached;
-  cached.cache_budget_bytes = 1 << 20;
+  cached.cache = std::make_shared<BufferPool>(pool);
   for (const bool with_cache : {false, true}) {
     SCOPED_TRACE(with_cache ? "cached" : "uncached");
     auto store = MaskStore::Open(dir.path(), with_cache ? cached

@@ -38,7 +38,7 @@ TEST(SessionTest, VanillaBuildsAllIndexesAtOpen) {
   TempDir dir("sess");
   auto store = MakeStore(dir.path(), 10, 2, 32, 32);
   auto session = Session::Open(store.get(), BaseOptions()).ValueOrDie();
-  EXPECT_EQ(static_cast<int64_t>(session->index().num_built()),
+  EXPECT_EQ(static_cast<int64_t>(session->index()->num_built()),
             store->num_masks());
   EXPECT_GE(session->index_build_seconds(), 0.0);
 }
@@ -49,7 +49,7 @@ TEST(SessionTest, IncrementalStartsEmpty) {
   SessionOptions opts = BaseOptions();
   opts.incremental = true;
   auto session = Session::Open(store.get(), opts).ValueOrDie();
-  EXPECT_EQ(session->index().num_built(), 0u);
+  EXPECT_EQ(session->index()->num_built(), 0u);
   EXPECT_EQ(session->index_build_seconds(), 0.0);
 }
 
@@ -80,9 +80,9 @@ TEST(SessionTest, AllRegimesAgreeOnResults) {
     EXPECT_EQ(a->mask_ids, c->mask_ids) << "query " << i;
   }
   // The index-less session never built anything.
-  EXPECT_EQ(scan->index().num_built(), 0u);
+  EXPECT_EQ(scan->index()->num_built(), 0u);
   // MS-II has indexed everything it loaded.
-  EXPECT_GT(msii->index().num_built(), 0u);
+  EXPECT_GT(msii->index()->num_built(), 0u);
 }
 
 TEST(SessionTest, PersistenceAcrossSessions) {
@@ -96,7 +96,7 @@ TEST(SessionTest, PersistenceAcrossSessions) {
     opts.index_path = index_path;
     auto session = Session::Open(store.get(), opts).ValueOrDie();
     session->Filter(SimpleQuery(100.0)).ValueOrDie();
-    const size_t built = session->index().num_built();
+    const size_t built = session->index()->num_built();
     EXPECT_GT(built, 0u);
     MS_ASSERT_OK(session->Save());
   }
@@ -107,7 +107,7 @@ TEST(SessionTest, PersistenceAcrossSessions) {
     opts.incremental = true;
     opts.index_path = index_path;
     auto session = Session::Open(store.get(), opts).ValueOrDie();
-    EXPECT_GT(session->index().num_built(), 0u);
+    EXPECT_GT(session->index()->num_built(), 0u);
     auto r = session->Filter(SimpleQuery(100.0));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->stats.chis_built, 0);
@@ -130,7 +130,7 @@ TEST(SessionTest, AttachIndexModeAnswersWithoutBulkLoad) {
   opts.index_path = index_path;
   opts.attach_index = true;
   auto lazy = Session::Open(store.get(), opts).ValueOrDie();
-  EXPECT_EQ(lazy->index().num_built(), 0u);
+  EXPECT_EQ(lazy->index()->num_built(), 0u);
   EXPECT_EQ(lazy->index_build_seconds(), 0.0);
 
   auto eager = Session::Open(store.get(), BaseOptions()).ValueOrDie();
@@ -141,8 +141,8 @@ TEST(SessionTest, AttachIndexModeAnswersWithoutBulkLoad) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->mask_ids, b->mask_ids);
   // The lazy session made CHIs resident on demand and read their bytes.
-  EXPECT_GT(lazy->index().num_built(), 0u);
-  EXPECT_GT(lazy->index().attached_bytes_loaded(), 0u);
+  EXPECT_GT(lazy->index()->num_built(), 0u);
+  EXPECT_GT(lazy->index()->attached_bytes_loaded(), 0u);
 }
 
 TEST(SessionTest, AttachIndexRequiresExistingFile) {

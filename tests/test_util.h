@@ -16,9 +16,11 @@
 #include <utility>
 #include <vector>
 
+#include "masksearch/cache/chi_cache.h"
 #include "masksearch/common/random.h"
 #include "masksearch/common/serialize.h"
 #include "masksearch/index/chi.h"
+#include "masksearch/index/index_manager.h"
 #include "masksearch/query/expression.h"
 #include "masksearch/storage/mask.h"
 #include "masksearch/storage/mask_store.h"
@@ -258,6 +260,16 @@ inline std::string ChiBytes(const Chi& chi) {
   BufferWriter w;
   chi.Serialize(&w);
   return w.buffer();
+}
+
+/// A ChiCache (private pool, no byte limit) holding a copy of every CHI of
+/// `index`: the same bounds through the other ChiSource.
+inline std::unique_ptr<ChiCache> CopyToChiCache(const IndexManager& index) {
+  auto cache = std::make_unique<ChiCache>(nullptr, index.config());
+  for (MaskId id = 0; id < index.num_masks(); ++id) {
+    if (const Chi* chi = index.Get(id)) cache->Put(id, *chi);
+  }
+  return cache;
 }
 
 }  // namespace testing_util

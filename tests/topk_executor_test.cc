@@ -196,12 +196,10 @@ TEST_F(TopKExecutorTest, RatioExpressionTopK) {
 
 TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
   IndexManager empty(store_->num_masks(), TestConfig());
-  EngineOptions opts;
-  opts.build_missing = true;
   const TopKQuery q = ConstantRoiQuery(7, true);
-  auto first = ExecuteTopK(*store_, &empty, q, opts);
+  auto first = ExecuteTopK(*store_, &empty, q);
   ASSERT_TRUE(first.ok());
-  auto second = ExecuteTopK(*store_, &empty, q, opts);
+  auto second = ExecuteTopK(*store_, &empty, q);
   ASSERT_TRUE(second.ok());
   ExpectSameItems(*first, *second);
   EXPECT_GT(first->stats.chis_built, 0);
@@ -210,11 +208,13 @@ TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
 
 // Random queries, DESC and ASC, on four stores holding the same masks —
 // raw uncached, raw cached cold and warm, compressed — under every pool set
-// and batch size match the full-scan reference. Per schedule, stats are
-// equal on every store. The raw uncached store reads only the rows of each
-// loaded mask's ROIs; the others read whole masks. Batches are pruned
-// against the heap as of their formation, so they may load more masks than
-// the serial schedule (no io_pool, batch 1), never fewer.
+// and batch size, with the CHIs in an IndexManager or (first query) in a
+// shared ChiCache, match the full-scan reference. Per schedule, stats
+// are equal on every store and from both sources. The raw uncached store
+// reads only the rows of each loaded mask's ROIs; the others read whole
+// masks. Batches are pruned against the heap as of their formation, so
+// they may load more masks than the serial schedule (no io_pool, batch 1),
+// never fewer.
 TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
   TempDir raw_dir("topk_raw");
   TempDir compressed_dir("topk_compressed");
@@ -224,6 +224,7 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
   auto compressed = MaskStore::Open(compressed_dir.path()).ValueOrDie();
   IndexManager index(raw->num_masks(), TestConfig());
   MS_ASSERT_OK(index.BuildAll(*raw));
+  const std::unique_ptr<ChiCache> shared = testing_util::CopyToChiCache(index);
   BufferPool::Options popts;
   popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
   auto open_cached = [&] {
@@ -236,6 +237,7 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
   for (MaskId id = 0; id < warm->num_masks(); ++id) all.push_back(id);
   MS_ASSERT_OK(warm->LoadMaskBatch(all).status());
   enum Kind { kUncached, kCold, kWarm, kCompressed, kNumKinds };
+  ChiSource* const sources[] = {&index, shared.get()};
 
   ThreadPool pool(4);
   ThreadPool io_pool(3);
@@ -257,13 +259,19 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
       for (const Pools& p : pool_sets) {
         for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
           std::optional<ExecStats> first;
-          for (int kind = 0; kind < kNumKinds; ++kind) {
+          // The shared ChiCache runs on the first query only: the suite is
+          // near its time limit under the thread sanitizer.
+          const int num_sources = i == 0 ? 2 : 1;
+          for (int run = 0; run < num_sources * kNumKinds; ++run) {
+            const int kind = run / num_sources;
+            ChiSource* const chis = sources[run % num_sources];
             SCOPED_TRACE("query " + std::to_string(i) + " desc " +
                          std::to_string(descending) + " store " +
                          std::to_string(kind) + " pools " +
                          std::to_string(p.pool != nullptr) +
                          std::to_string(p.io_pool != nullptr) + " batch " +
-                         std::to_string(batch));
+                         std::to_string(batch) + " shared cache " +
+                         std::to_string(chis == shared.get()));
             std::unique_ptr<MaskStore> cold =
                 kind == kCold ? open_cached() : nullptr;
             testing_util::ForwardingStore store(kind == kUncached ? *raw
@@ -274,7 +282,7 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
             opts.pool = p.pool;
             opts.io_pool = p.io_pool;
             opts.verify_batch = batch;
-            auto got = ExecuteTopK(store, &index, q, opts);
+            auto got = ExecuteTopK(store, chis, q, opts);
             ASSERT_TRUE(got.ok()) << got.status();
             ASSERT_EQ(got->items.size(), want->items.size());
             for (size_t j = 0; j < got->items.size(); ++j) {
@@ -317,8 +325,8 @@ TEST_F(TopKExecutorTest, CancelMidQueryStopsAtBatchBoundary) {
     EngineOptions opts;
     opts.pool = &pool;
     opts.io_pool = io_pool;
-    opts.use_index = false;  // every mask is loaded: many batches
     opts.control = &control;
+    // No index: every mask is loaded, in many batches.
     auto r = ExecuteTopK(store, nullptr, ConstantRoiQuery(5, true), opts);
     EXPECT_TRUE(r.status().IsCancelled()) << r.status();
     const size_t calls = store.TakeCalls().size();

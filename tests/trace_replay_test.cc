@@ -54,7 +54,9 @@ class TraceReplayTest : public ::testing::Test {
     DatasetConfig config;
     // A small buffer pool puts the CachedMaskStore decorator in the read
     // path, so the scrape test sees the cache layer's counters too.
-    config.store.cache_budget_bytes = 4u << 20;
+    BufferPool::Options pool;
+    pool.budget_bytes = 4u << 20;
+    config.store.cache = std::make_shared<BufferPool>(pool);
     config.session.chi.cell_width = config.session.chi.cell_height = 8;
     config.session.chi.num_bins = 8;
     config.service.num_workers = 2;

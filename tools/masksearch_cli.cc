@@ -995,9 +995,8 @@ int RunStats(const Args& args) {
                 static_cast<unsigned long long>(cached->cache_hits()),
                 static_cast<unsigned long long>(cached->cache_misses()));
   }
-  if (session->chi_cache() != nullptr) {
-    std::printf("  resident per-mask CHIs: %zu\n",
-                session->chi_cache()->size());
+  if (session->chis() != nullptr) {
+    std::printf("  resident per-mask CHIs: %zu\n", session->chis()->size());
   }
 
   // --metrics dumps the process-wide registry (a scrape of every component
