@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace masksearch {
@@ -143,11 +144,6 @@ BufferPool::BufferPool(const Options& opts) : opts_(opts) {
 }
 
 BufferPool::~BufferPool() = default;
-
-uint64_t BufferPool::NewOwnerId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::shared_ptr<BufferPool> BufferPool::MaybeCreate(
     std::shared_ptr<BufferPool> shared, uint64_t budget_bytes, int32_t shards,
@@ -294,6 +290,14 @@ void BufferPool::EraseOwner(uint64_t owner) {
     }
   }
 }
+
+PoolOwner::PoolOwner(std::shared_ptr<BufferPool> pool)
+    : pool_(std::move(pool)) {
+  static std::atomic<uint64_t> next{1};
+  id_ = next.fetch_add(1, std::memory_order_relaxed);
+}
+
+PoolOwner::~PoolOwner() { pool_->EraseOwner(id_); }
 
 void BufferPool::Clear() {
   for (int32_t i = 0; i < opts_.shards; ++i) {

@@ -55,14 +55,13 @@ enum class CacheAdmission : uint8_t {
   kScanResistant = 1,
 };
 
-/// \brief Key of a cached object. `owner` is the identity of the opened
-/// store / cache instance that put the entry (BufferPool::NewOwnerId), so
-/// one pool can be shared by several stores and sessions without key
-/// collisions — a store produced by ReshardMaskStore opens under a fresh
-/// owner and therefore with a cold, consistent cache. `shard` is the
-/// data-file shard owning the blob (0 for CHI spaces): shard identity is
-/// part of the key, and it also spreads one store's entries across the
-/// pool's lock stripes.
+/// \brief Key of a cached object. `owner` is the id of the PoolOwner lease
+/// the entry was put under, so one pool can be shared by several stores and
+/// sessions without key collisions — a store produced by ReshardMaskStore
+/// opens under a fresh lease and therefore with a cold, consistent cache.
+/// `shard` is the data-file shard owning the blob (0 for CHI spaces): shard
+/// identity is part of the key, and it also spreads one store's entries
+/// across the pool's lock stripes.
 struct CacheKey {
   uint64_t owner = 0;
   int64_t id = 0;
@@ -156,9 +155,6 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// \brief Process-unique owner identity for CacheKey::owner.
-  static uint64_t NewOwnerId();
-
   /// \brief Resolves the "shared pool or private-pool knobs" configuration
   /// pattern of IngestorOptions and the CLI and bench flags: returns
   /// `shared` when set, a fresh pool built from the knobs when
@@ -184,9 +180,6 @@ class BufferPool {
   /// \brief Residency probe: no promotion, no hit/miss accounting.
   bool Contains(const CacheKey& key) const;
 
-  /// \brief Evicts every unpinned entry of `owner` (store/cache teardown).
-  void EraseOwner(uint64_t owner);
-
   /// \brief Evicts every unpinned entry (all owners).
   void Clear();
 
@@ -197,9 +190,13 @@ class BufferPool {
   const Options& options() const { return opts_; }
 
  private:
+  friend class PoolOwner;
   struct Entry;
   struct Lru;
   struct Shard;
+
+  /// Evicts every unpinned entry of `owner`; only a PoolOwner releases one.
+  void EraseOwner(uint64_t owner);
 
   Shard& ShardFor(const CacheKey& key) const;
   void PinLocked(Shard& s, Entry* e);
@@ -213,6 +210,27 @@ class BufferPool {
   uint64_t shard_budget_ = 0;
   uint64_t hot_cap_ = 0;
   std::unique_ptr<Shard[]> shards_;
+};
+
+/// \brief Lease on a process-unique CacheKey::owner id, minted at
+/// construction; destruction evicts every entry still filed under it, and
+/// is the only way an owner is released. Caches sharing one lease through a
+/// shared_ptr hit each other's entries. Pins never outlive the cache call
+/// that takes them, so by then all of the owner's bytes leave the pool.
+class PoolOwner {
+ public:
+  explicit PoolOwner(std::shared_ptr<BufferPool> pool);
+  ~PoolOwner();
+
+  PoolOwner(const PoolOwner&) = delete;
+  PoolOwner& operator=(const PoolOwner&) = delete;
+
+  uint64_t id() const { return id_; }
+  const std::shared_ptr<BufferPool>& pool() const { return pool_; }
+
+ private:
+  std::shared_ptr<BufferPool> pool_;
+  uint64_t id_;
 };
 
 }  // namespace masksearch

@@ -25,13 +25,14 @@ void Count(std::atomic<uint64_t>& counter, const char* trace_count) {
 }  // namespace
 
 CachedMaskStore::CachedMaskStore(std::unique_ptr<MaskStore> inner,
-                                 std::shared_ptr<BufferPool> pool)
+                                 std::shared_ptr<const PoolOwner> lease)
     // Empty catalog tables: every accessor forwards to the wrapped store,
     // so the decorator does not duplicate the per-mask metadata.
     : MaskStore(inner->dir(), inner->options(), inner->kind(), {}, {}),
       inner_(std::move(inner)),
-      pool_(std::move(pool)),
-      owner_(BufferPool::NewOwnerId()) {
+      pool_(lease->pool()),
+      lease_(std::move(lease)),
+      owner_(lease_->id()) {
   // Only the cache traffic: the storage counters are the wrapped store's.
   metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
       [this](obs::MetricSink& sink) {
@@ -42,13 +43,18 @@ CachedMaskStore::CachedMaskStore(std::unique_ptr<MaskStore> inner,
 
 CachedMaskStore::~CachedMaskStore() {
   obs::MetricsRegistry::Default().RemoveCollector(metrics_collector_);
-  pool_->EraseOwner(owner_);
 }
 
 std::unique_ptr<MaskStore> CachedMaskStore::Wrap(
     std::unique_ptr<MaskStore> inner, std::shared_ptr<BufferPool> pool) {
+  return Wrap(std::move(inner),
+              std::make_shared<const PoolOwner>(std::move(pool)));
+}
+
+std::unique_ptr<MaskStore> CachedMaskStore::Wrap(
+    std::unique_ptr<MaskStore> inner, std::shared_ptr<const PoolOwner> owner) {
   return std::unique_ptr<MaskStore>(
-      new CachedMaskStore(std::move(inner), std::move(pool)));
+      new CachedMaskStore(std::move(inner), std::move(owner)));
 }
 
 size_t CachedMaskStore::CountResident(const std::vector<MaskId>& ids) const {

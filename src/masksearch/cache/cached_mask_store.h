@@ -23,7 +23,8 @@
 // Cache traffic is reported by cache_hits()/cache_misses() and the pool's
 // CacheStats. ReadBlob (migration/replication) deliberately bypasses the
 // cache, so ReshardMaskStore sees stored bytes verbatim and its output
-// opens under a fresh pool owner — i.e. with a cold, consistent cache.
+// opens under a fresh PoolOwner lease — i.e. with a cold, consistent cache.
+// Entries leave the pool when the last holder of the store's lease drops it.
 
 #ifndef MASKSEARCH_CACHE_CACHED_MASK_STORE_H_
 #define MASKSEARCH_CACHE_CACHED_MASK_STORE_H_
@@ -38,11 +39,15 @@ namespace masksearch {
 
 class CachedMaskStore final : public MaskStore {
  public:
-  /// \brief Wraps `inner` with cache `pool` (both non-null). The wrapper
-  /// registers a fresh pool owner id: two stores sharing one pool never
-  /// cross-hit, and reopening a store starts cold.
+  /// \brief Wraps `inner` with cache `pool` (both non-null) under a fresh
+  /// lease: two stores sharing one pool never cross-hit, and reopening a
+  /// store starts cold.
   static std::unique_ptr<MaskStore> Wrap(std::unique_ptr<MaskStore> inner,
                                          std::shared_ptr<BufferPool> pool);
+  /// \brief Wraps `inner` under the shared lease `owner`: every store on one
+  /// lease must return the same mask for each id (docs/INGEST.md).
+  static std::unique_ptr<MaskStore> Wrap(std::unique_ptr<MaskStore> inner,
+                                         std::shared_ptr<const PoolOwner> owner);
 
   ~CachedMaskStore() override;
 
@@ -82,11 +87,10 @@ class CachedMaskStore final : public MaskStore {
 
   const MaskStore& inner() const { return *inner_; }
   const std::shared_ptr<BufferPool>& pool() const { return pool_; }
-  uint64_t cache_owner() const { return owner_; }
 
  private:
   CachedMaskStore(std::unique_ptr<MaskStore> inner,
-                  std::shared_ptr<BufferPool> pool);
+                  std::shared_ptr<const PoolOwner> lease);
 
   CacheKey KeyFor(MaskId id) const {
     CacheKey k;
@@ -103,7 +107,8 @@ class CachedMaskStore final : public MaskStore {
 
   std::unique_ptr<MaskStore> inner_;
   std::shared_ptr<BufferPool> pool_;
-  uint64_t owner_;
+  std::shared_ptr<const PoolOwner> lease_;
+  uint64_t owner_;  ///< lease_->id()
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   size_t metrics_collector_ = 0;  ///< emits ms_cache_mask_{hits,misses}_total

@@ -12,12 +12,12 @@
 //     DerivedIndexCache (§3.4's aggregated-mask indexes), one ChiCache per
 //     aggregation template.
 //
-// Each instance registers its own BufferPool owner id, so many caches (and
+// Each instance holds its own PoolOwner lease, so many caches (and
 // CachedMaskStores) share one pool — one memory budget — without key
-// collisions. Without a pool a cache gets a private pool with no byte
-// limit, so nothing is ever evicted. Get/Put return shared_ptr<const Chi>:
-// the returned CHI stays valid even if the entry is evicted while the
-// caller still uses it.
+// collisions, and a destroyed cache's entries leave the pool with the
+// lease. Without a pool a cache gets a private pool with no byte limit, so
+// nothing is ever evicted. Get/Put return shared_ptr<const Chi>: the
+// returned CHI stays valid even if the entry is evicted while in use.
 
 #ifndef MASKSEARCH_CACHE_CHI_CACHE_H_
 #define MASKSEARCH_CACHE_CHI_CACHE_H_
@@ -35,10 +35,9 @@ class ChiCache final : public ChiSource {
  public:
   /// \brief A cache of CHIs built with `config` in `pool`; null = a private
   /// pool with no byte limit. All entries of this instance live under one
-  /// fresh owner id.
+  /// fresh lease.
   ChiCache(std::shared_ptr<BufferPool> pool, ChiConfig config,
            CacheSpace space = CacheSpace::kMaskChi);
-  ~ChiCache() override;
 
   ChiCache(const ChiCache&) = delete;
   ChiCache& operator=(const ChiCache&) = delete;
@@ -69,16 +68,15 @@ class ChiCache final : public ChiSource {
  private:
   CacheKey KeyFor(int64_t key) const {
     CacheKey k;
-    k.owner = owner_;
+    k.owner = owner_.id();
     k.id = key;
     k.space = space_;
     return k;
   }
 
-  std::shared_ptr<BufferPool> pool_;
+  PoolOwner owner_;
   ChiConfig config_;
   CacheSpace space_;
-  uint64_t owner_;
 };
 
 }  // namespace masksearch

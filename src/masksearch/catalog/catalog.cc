@@ -6,6 +6,22 @@
 
 namespace masksearch {
 
+namespace {
+
+/// A dataset's cache gauges, read at scrape time (docs/OBSERVABILITY.md) and
+/// labeled per dataset so a catalog serving several stores stays legible.
+void EmitCacheGauges(obs::MetricSink& sink, const std::string& label,
+                     const BufferPool* pool, const ChiSource* chi) {
+  const CacheStats s = pool != nullptr ? pool->Stats() : CacheStats{};
+  sink.Gauge("ms_cache_buffer_pool_hit_ratio" + label, s.HitRatio());
+  sink.Gauge("ms_cache_buffer_pool_resident_bytes" + label,
+             static_cast<double>(s.resident_bytes));
+  sink.Gauge("ms_cache_chi_resident" + label,
+             chi != nullptr ? static_cast<double>(chi->size()) : 0.0);
+}
+
+}  // namespace
+
 Dataset::~Dataset() {
   // The collector reads the session / pool / ingestor below — detach it
   // before anything it scrapes is torn down.
@@ -112,20 +128,12 @@ Result<std::unique_ptr<Dataset>> Catalog::OpenDataset(
       dataset->service_,
       QueryService::Start(dataset->session_.get(), service_opts));
 
-  // Cache gauges whose truth lives in the pool / session, read at scrape
-  // time (docs/OBSERVABILITY.md). Labeled per dataset so a catalog serving
-  // several stores stays distinguishable.
   const std::string label = obs::Label("dataset", name);
   std::shared_ptr<BufferPool> pool = config.store.cache;
   const ChiSource* chi = dataset->session_->chis();
   dataset->metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
       [label, pool, chi](obs::MetricSink& sink) {
-        const CacheStats s = pool != nullptr ? pool->Stats() : CacheStats{};
-        sink.Gauge("ms_cache_buffer_pool_hit_ratio" + label, s.HitRatio());
-        sink.Gauge("ms_cache_buffer_pool_resident_bytes" + label,
-                   static_cast<double>(s.resident_bytes));
-        sink.Gauge("ms_cache_chi_resident" + label,
-                   chi != nullptr ? static_cast<double>(chi->size()) : 0.0);
+        EmitCacheGauges(sink, label, pool.get(), chi);
       });
   return dataset;
 }
@@ -163,20 +171,16 @@ Result<std::unique_ptr<Dataset>> Catalog::OpenLiveDataset(
   MS_ASSIGN_OR_RETURN(dataset->service_,
                       QueryService::Start(nullptr, service_opts));
 
-  // Live-dataset gauges: the published epoch and the shared ingest CHI
-  // cache's residency, read through the current snapshot at scrape time.
+  // Live-dataset gauges: the published epoch, the ingestor's blob pool,
+  // and the ingest CHI index read through the current snapshot.
   const std::string label = obs::Label("dataset", name);
   Ingestor* ingestor = dataset->ingestor_.get();
   dataset->metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
       [label, ingestor](obs::MetricSink& sink) {
         sink.Gauge("ms_live_epoch" + label,
                    static_cast<double>(ingestor->epoch()));
-        std::shared_ptr<const Snapshot> snap = ingestor->snapshot();
-        const ChiSource* chi = snap != nullptr && snap->session() != nullptr
-                                   ? snap->session()->chis()
-                                   : nullptr;
-        sink.Gauge("ms_cache_chi_resident" + label,
-                   chi != nullptr ? static_cast<double>(chi->size()) : 0.0);
+        EmitCacheGauges(sink, label, ingestor->cache(),
+                        ingestor->snapshot()->session()->chis());
       });
   return dataset;
 }

@@ -98,18 +98,7 @@ GenerationHandle::~GenerationHandle() {
 // ---------------------------------------------------------------------------
 
 Snapshot::~Snapshot() {
-  // Order matters: the session references the store, and the store's
-  // CachedMaskStore wrapper erases its pool owner on destruction — but that
-  // erase skips entries a racing reader still held pinned. The explicit
-  // sweep below runs after both are gone, so the last snapshot reference
-  // always returns its cached bytes to the pool (the generation/owner leak
-  // fix; regression in tests/cache_test.cc).
-  session_.reset();
-  store_.reset();
-  if (pool_ != nullptr && has_blob_owner_) pool_->EraseOwner(blob_owner_);
   if (live_ != nullptr) live_->fetch_sub(1, std::memory_order_acq_rel);
-  // gen_handle_ is released by member destruction: if this snapshot was the
-  // last reference to a retired generation, its files are deleted now.
 }
 
 // ---------------------------------------------------------------------------
@@ -129,8 +118,13 @@ std::string IngestStats::ToString() const {
 }
 
 Ingestor::Ingestor(std::string dir, IngestorOptions opts)
-    : dir_(std::move(dir)), opts_(std::move(opts)), kind_(opts_.kind) {
-  RotateChiCacheLocked();  // the first CHI index; nothing to lock yet
+    : dir_(std::move(dir)),
+      opts_(std::move(opts)),
+      kind_(opts_.kind),
+      pool_(BufferPool::MaybeCreate(opts_.cache, opts_.cache_budget_bytes,
+                                    opts_.cache_shards,
+                                    CacheAdmission::kScanResistant)),
+      live_(std::make_shared<std::atomic<int64_t>>(0)) {
   metrics_collector_ = obs::MetricsRegistry::Default().AddCollector(
       [this](obs::MetricSink& sink) {
         sink.Counter("ms_ingest_masks_appended_total", masks_appended_.load());
@@ -165,7 +159,6 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Create(const std::string& dir,
   MS_RETURN_NOT_OK(RemoveFileIfExists(MaskStoreTombstonePath(dir)));
   MS_RETURN_NOT_OK(CleanStaleGenerations(dir, /*keep_gen=*/0));
   auto ing = std::unique_ptr<Ingestor>(new Ingestor(dir, opts));
-  ing->gen_dir_ = dir;
   ing->shards_.reserve(opts.num_shards);
   for (int32_t s = 0; s < opts.num_shards; ++s) {
     MS_ASSIGN_OR_RETURN(
@@ -173,15 +166,11 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Create(const std::string& dir,
         FileWriter::Create(MaskStoreShardDataPath(dir, s, opts.num_shards)));
     ing->shards_.push_back(std::move(w));
   }
-  ing->pool_ = BufferPool::MaybeCreate(opts.cache, opts.cache_budget_bytes,
-                                       opts.cache_shards, opts.cache_admission);
-  ing->live_ = std::make_shared<std::atomic<int64_t>>(0);
-  ing->gen_handle_ =
-      std::make_shared<GenerationHandle>(dir, 0, opts.num_shards);
   // Publish epoch 0 — the empty store — so a service can resolve a snapshot
   // before the first real Publish().
   {
     std::lock_guard<std::mutex> lock(ing->write_mu_);
+    ing->StartGenerationLocked(dir, 0, opts.num_shards);
     MS_RETURN_NOT_OK(ing->PublishLocked(0));
   }
   return ing;
@@ -201,8 +190,6 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Open(const std::string& dir,
                       internal::ReadMaskStoreManifest(gen_root));
   auto ing = std::unique_ptr<Ingestor>(new Ingestor(dir, opts));
   ing->kind_ = parsed.kind;
-  ing->gen_dir_ = gen_root;
-  ing->generation_.store(gen, std::memory_order_release);
 
   // Sweep generations other than the current one: a crashed compaction's
   // half-built next generation, or a retired one whose GC never ran. Safe —
@@ -273,18 +260,13 @@ Result<std::unique_ptr<Ingestor>> Ingestor::Open(const std::string& dir,
                               std::memory_order_release);
   ing->dead_bytes_.store(dead, std::memory_order_release);
 
-  ing->pool_ = BufferPool::MaybeCreate(opts.cache, opts.cache_budget_bytes,
-                                       opts.cache_shards, opts.cache_admission);
-  ing->live_ = std::make_shared<std::atomic<int64_t>>(0);
-  ing->gen_handle_ =
-      std::make_shared<GenerationHandle>(gen_root, gen, parsed.num_shards);
-
   ing->metas_ = std::move(parsed.metas);
   ing->offsets_ = std::move(parsed.offsets);
   ing->sizes_ = std::move(parsed.sizes);
   ing->appended_.store(static_cast<int64_t>(ing->metas_.size()),
                        std::memory_order_release);
-  ing->RotateChiCacheLocked();  // sized to the recovered masks
+  // No other thread sees the ingestor before Open returns.
+  ing->StartGenerationLocked(gen_root, gen, parsed.num_shards);
 
   // Install the recovered snapshot without republishing: the on-disk state
   // already is the last durable epoch.
@@ -317,39 +299,41 @@ Result<std::unique_ptr<Ingestor>> Ingestor::OpenOrCreate(
 
 Result<MaskId> Ingestor::AppendEncoded(MaskMeta meta,
                                        const std::string& payload,
-                                       MaskId* visible_id,
-                                       std::shared_ptr<IndexManager>* chis) {
+                                       const Mask* mask) {
   if (payload.empty()) {
     return Status::InvalidArgument("cannot append empty blob");
   }
-  std::lock_guard<std::mutex> lock(write_mu_);
-  meta.mask_id = static_cast<MaskId>(metas_.size());
-  FileWriter* data = shards_[meta.mask_id % num_shards()].get();
-  const uint64_t offset = data->bytes_written();
-  MS_RETURN_NOT_OK(data->Append(payload));
-  masks_appended_.fetch_add(1, std::memory_order_relaxed);
-  bytes_appended_.fetch_add(payload.size(), std::memory_order_relaxed);
-  offsets_.push_back(offset);
-  sizes_.push_back(payload.size());
-  metas_.push_back(meta);
-  appended_.store(static_cast<int64_t>(metas_.size()),
-                  std::memory_order_release);
-  // The visible id this mask will carry at the next publish: all current
-  // tombstones sit below it, so the dense renumbering subtracts their
-  // count. Captured with the CHI index under the same lock — a racing
-  // Delete rotates the index, orphaning (not corrupting) this build.
-  const MaskId visible = meta.mask_id - static_cast<MaskId>(tombstones_.size());
-  if (visible >= chis_->num_masks()) RotateChiCacheLocked();
-  if (visible_id != nullptr) *visible_id = visible;
-  if (chis != nullptr && opts_.build_chi_on_ingest) *chis = chis_;
+  MaskId visible = 0;
+  std::shared_ptr<IndexManager> chis;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    meta.mask_id = static_cast<MaskId>(metas_.size());
+    FileWriter* data = shards_[meta.mask_id % num_shards()].get();
+    const uint64_t offset = data->bytes_written();
+    MS_RETURN_NOT_OK(data->Append(payload));
+    masks_appended_.fetch_add(1, std::memory_order_relaxed);
+    bytes_appended_.fetch_add(payload.size(), std::memory_order_relaxed);
+    offsets_.push_back(offset);
+    sizes_.push_back(payload.size());
+    metas_.push_back(meta);
+    appended_.store(static_cast<int64_t>(metas_.size()),
+                    std::memory_order_release);
+    // The visible id this mask will carry at the next publish: all current
+    // tombstones sit below it, so the dense renumbering subtracts their
+    // count. Captured with the CHI index under the same lock — a racing
+    // Delete rotates the index, orphaning (not corrupting) this build.
+    visible = meta.mask_id - static_cast<MaskId>(tombstones_.size());
+    if (visible >= chis_->num_masks()) RotateChiCacheLocked();
+    chis = chis_;
+  }
+  // CHI build on ingest (§3.6 at the write path): the pixels are already in
+  // memory, so the one-pass build happens now, outside the write lock,
+  // instead of on first query.
+  if (mask != nullptr) {
+    chis->Put(visible, BuildChi(*mask, opts_.chi));
+    chis_built_.fetch_add(1, std::memory_order_relaxed);
+  }
   return meta.mask_id;
-}
-
-void Ingestor::BuildIngestChi(const std::shared_ptr<IndexManager>& chi,
-                              MaskId visible_id, const Mask& mask) {
-  if (chi == nullptr) return;
-  chi->Put(visible_id, BuildChi(mask, opts_.chi));
-  chis_built_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Result<MaskId> Ingestor::Append(MaskMeta meta, const Mask& mask) {
@@ -364,14 +348,7 @@ Result<MaskId> Ingestor::Append(MaskMeta meta, const Mask& mask) {
   } else {
     payload = EncodeMask(mask, opts_.codec);
   }
-  MaskId visible_id = 0;
-  std::shared_ptr<IndexManager> chi;
-  MS_ASSIGN_OR_RETURN(MaskId id,
-                      AppendEncoded(meta, payload, &visible_id, &chi));
-  // CHI build on ingest (§3.6 at the write path): the pixels are already in
-  // memory, so the one-pass build happens now instead of on first query.
-  BuildIngestChi(chi, visible_id, mask);
-  return id;
+  return AppendEncoded(meta, payload, &mask);
 }
 
 Result<MaskId> Ingestor::AppendBlob(MaskMeta meta, const std::string& blob) {
@@ -381,24 +358,18 @@ Result<MaskId> Ingestor::AppendBlob(MaskMeta meta, const std::string& blob) {
     return Status::InvalidArgument(
         "raw blob size does not match meta width x height");
   }
-  MaskId visible_id = 0;
-  std::shared_ptr<IndexManager> chi;
-  MS_ASSIGN_OR_RETURN(MaskId id, AppendEncoded(meta, blob, &visible_id, &chi));
-  if (chi != nullptr) {
-    // Decode to index. A blob that does not decode is still appended
-    // verbatim (the writer contract); it just gets no ingest-time CHI.
-    Result<Mask> decoded =
-        kind_ == StorageKind::kRawFloat32
-            ? [&]() -> Result<Mask> {
-                std::vector<float> values(blob.size() / sizeof(float));
-                std::memcpy(values.data(), blob.data(), blob.size());
-                return Mask::FromData(meta.width, meta.height,
-                                      std::move(values));
-              }()
-            : DecodeMask(blob);
-    if (decoded.ok()) BuildIngestChi(chi, visible_id, *decoded);
-  }
-  return id;
+  // Decode to index. A blob that does not decode is still appended verbatim
+  // (the writer contract); it just gets no ingest-time CHI.
+  Result<Mask> decoded =
+      kind_ == StorageKind::kRawFloat32
+          ? [&]() -> Result<Mask> {
+              std::vector<float> values(blob.size() / sizeof(float));
+              std::memcpy(values.data(), blob.data(), blob.size());
+              return Mask::FromData(meta.width, meta.height,
+                                    std::move(values));
+            }()
+          : DecodeMask(blob);
+  return AppendEncoded(meta, blob, decoded.ok() ? &*decoded : nullptr);
 }
 
 Status Ingestor::Delete(MaskId id) {
@@ -435,6 +406,18 @@ Result<MaskMeta> Ingestor::AppendedMeta(MaskId id) const {
   return metas_[id];
 }
 
+void Ingestor::StartGenerationLocked(const std::string& root, int64_t gen,
+                                     int32_t num_shards) {
+  gen_dir_ = root;
+  gen_handle_ = std::make_shared<GenerationHandle>(root, gen, num_shards);
+  generation_.store(gen, std::memory_order_release);
+  // Physical ids name the same bytes for the whole generation, so all of
+  // its snapshots share one blob-cache lease.
+  blob_owner_ =
+      pool_ != nullptr ? std::make_shared<const PoolOwner>(pool_) : nullptr;
+  RotateChiCacheLocked();
+}
+
 void Ingestor::RotateChiCacheLocked() {
   constexpr int64_t kMinChiSlots = 1024;
   chis_ = std::make_shared<IndexManager>(
@@ -455,22 +438,17 @@ Result<std::shared_ptr<const Snapshot>> Ingestor::BuildSnapshot(
       ShardedMaskStore::Create(gen_dir_, store_opts, kind_, num_shards(),
                                std::move(metas), std::move(offsets),
                                std::move(sizes)));
+  if (blob_owner_ != nullptr) {
+    // Below the tombstone filter the blob cache is keyed by physical id,
+    // so a Delete + Publish leaves every cached blob valid; only a
+    // compaction swap starts a cold cache (docs/INGEST.md).
+    store = CachedMaskStore::Wrap(std::move(store), blob_owner_);
+  }
   if (!tombstones.empty()) {
     // Tombstoned masks are holes in the physical id space; the filtering
     // decorator renumbers the survivors densely (docs/COMPACTION.md).
     MS_ASSIGN_OR_RETURN(store,
                         FilteredMaskStore::Wrap(std::move(store), tombstones));
-  }
-  uint64_t blob_owner = 0;
-  bool has_blob_owner = false;
-  if (pool_ != nullptr) {
-    // Fresh owner per epoch: the blob cache starts cold for each snapshot
-    // (the per-generation invalidation rule, docs/INGEST.md) while the CHI
-    // cache — keyed by visible id — stays warm until a delete or
-    // compaction rotates it.
-    store = CachedMaskStore::Wrap(std::move(store), pool_);
-    blob_owner = static_cast<const CachedMaskStore*>(store.get())->cache_owner();
-    has_blob_owner = true;
   }
 
   // The snapshot's one CHI source is the cache it is published with: no
@@ -491,9 +469,6 @@ Result<std::shared_ptr<const Snapshot>> Ingestor::BuildSnapshot(
   snap->store_ = std::move(store);
   snap->session_ = std::move(session);
   snap->chis_ = chis_;
-  snap->pool_ = pool_;
-  snap->blob_owner_ = blob_owner;
-  snap->has_blob_owner_ = has_blob_owner;
   snap->gen_handle_ = gen_handle_;
   snap->live_ = live_;
   live_->fetch_add(1, std::memory_order_acq_rel);
@@ -633,17 +608,13 @@ Status Ingestor::SwapGeneration(MaskStoreWriter* writer, const Snapshot& base,
   dead_bytes_.store(dead, std::memory_order_release);
   tombstone_count_.store(static_cast<int64_t>(new_tombstones.size()),
                          std::memory_order_release);
-  gen_dir_ = dst_dir;
-  gen_handle_->Retire();
-  gen_handle_ = std::make_shared<GenerationHandle>(dst_dir, dst_gen,
-                                                   parsed.num_shards);
-  generation_.store(dst_gen, std::memory_order_release);
   appended_.store(static_cast<int64_t>(metas_.size()),
                   std::memory_order_release);
-  // The compaction renumbered every surviving mask: rotate the CHI cache
-  // (pinned snapshots keep theirs) and publish the new generation as the
-  // next epoch.
-  RotateChiCacheLocked();
+  // The compaction renumbered every surviving mask: a new GenerationHandle,
+  // blob-cache lease and CHI index (pinned snapshots keep the old ones),
+  // then publish the new generation as the next epoch.
+  gen_handle_->Retire();
+  StartGenerationLocked(dst_dir, dst_gen, parsed.num_shards);
   MS_RETURN_NOT_OK(
       PublishLocked(epoch_.load(std::memory_order_acquire) + 1));
 

@@ -18,15 +18,16 @@
 // Index maintenance: the ingestor keeps one IndexManager of per-mask CHIs,
 // keyed by visible mask id: lock-free reads, because every query looks up
 // the CHI of every mask it targets. Each appended mask's CHI is built into
-// it at ingest time (build_chi_on_ingest), and it is the one CHI source of
-// every snapshot session published with it: a query retains the CHI of
-// each whole mask it loads there, so query-built CHIs outlive the epoch
-// too. Every snapshot published with one index numbers masks by the same
-// tombstone set; only Delete and a compaction swap change that set, and
-// both rotate the index (pinned snapshots keep theirs). The index is sized
-// to twice the appended masks and rotated when an append outgrows it. Each
-// epoch's CachedMaskStore opens under a fresh BufferPool owner id (cold
-// blob cache, conservative under compaction).
+// it at ingest time, and it is the one CHI source of every snapshot
+// session published with it: a query retains the CHI of each whole mask it
+// loads there, so query-built CHIs outlive the epoch too. Every snapshot
+// published with one index numbers masks by the same tombstone set; only
+// Delete and a compaction swap change that set, and both rotate the index
+// (pinned snapshots keep theirs). The index is sized to twice the appended
+// masks and rotated when an append outgrows it. Every snapshot of a store
+// generation caches blobs by physical id (below the tombstone filter) under
+// the generation's one PoolOwner lease: deletes keep the blob cache warm,
+// and a compaction swap starts a cold one.
 //
 // Thread safety: Append/AppendBlob/Publish may be called from many writer
 // threads; snapshot()/epoch()/watermark()/Stats() from any thread.
@@ -112,8 +113,8 @@ class Snapshot {
   /// snapshot's GenerationHandle reference keeps the generation's files on
   /// disk even after a compaction retires it.
   int64_t generation() const { return gen_; }
-  /// \brief The byte-stable read surface (a CachedMaskStore when the
-  /// ingestor has a buffer pool).
+  /// \brief The byte-stable read surface: the generation's store, cached
+  /// under its lease (given a pool), then tombstone-filtered (given deletes).
   const MaskStore& store() const { return *store_; }
   /// \brief Execution handle over store(). Its one CHI source is the
   /// ingestor's CHI index the snapshot was published with (no index of its
@@ -134,20 +135,15 @@ class Snapshot {
   /// Physical ids tombstoned at publication, sorted; the visible id space
   /// is the physical one with these removed (empty = identity mapping).
   std::vector<MaskId> tombstones_;
-  std::unique_ptr<MaskStore> store_;
-  std::unique_ptr<Session> session_;
+  // Destroyed bottom-up: the session before the store and CHI index it
+  // reads; the last reference to a retired generation deletes its files.
+  std::shared_ptr<GenerationHandle> gen_handle_;
   /// Keep-alive for the raw shared_chis pointer session_ holds: the
   /// ingestor rotates its CHI index on deletes/compactions, and the old
   /// index must outlive every pinned session still reading through it.
   std::shared_ptr<IndexManager> chis_;
-  /// Pool + blob-cache owner id of store_'s CachedMaskStore wrapper. The
-  /// destructor erases the owner *after* store_ is destroyed — entries a
-  /// racing batch held pinned while the wrapper's own erase ran are swept
-  /// here, so a dropped snapshot's cached bytes always return to the pool.
-  std::shared_ptr<BufferPool> pool_;
-  uint64_t blob_owner_ = 0;
-  bool has_blob_owner_ = false;
-  std::shared_ptr<GenerationHandle> gen_handle_;
+  std::unique_ptr<MaskStore> store_;
+  std::unique_ptr<Session> session_;
   std::shared_ptr<std::atomic<int64_t>> live_;  ///< shared live counter
 };
 
@@ -159,20 +155,16 @@ struct IngestorOptions {
   int32_t num_shards = 1;
 
   /// CHI geometry of the ingest-built indexes and every snapshot session.
+  /// Each appended mask's CHI is built at ingest time (MS-II at the write
+  /// path: the one-pass build is paid while the mask bytes are in memory).
   ChiConfig chi;
-  /// Build each appended mask's CHI into the ingest CHI index at ingest time
-  /// (MS-II at the write path: the one-pass build cost is paid while the
-  /// mask bytes are already in memory). When false, queries build each
-  /// mask's CHI into the same index the first time they load it whole.
-  bool build_chi_on_ingest = true;
 
   /// Buffer pool of the snapshots' mask-blob caches. Null with a budget > 0
-  /// creates a private pool (BufferPool::MaybeCreate); with neither, blobs
-  /// are not cached.
+  /// creates a private scan-resistant pool (BufferPool::MaybeCreate); with
+  /// neither, blobs are not cached.
   std::shared_ptr<BufferPool> cache;
   uint64_t cache_budget_bytes = 256ull << 20;
   int32_t cache_shards = 8;
-  CacheAdmission cache_admission = CacheAdmission::kScanResistant;
 
   /// Template for each snapshot's MaskStore handle (throttle, batch-I/O
   /// knobs). The cache fields are overridden by the shared pool above.
@@ -304,18 +296,13 @@ class Ingestor {
 
   Ingestor(std::string dir, IngestorOptions opts);
 
-  /// Appends `payload` for `meta` under the write lock; returns the
-  /// physical id. `visible_id` (the id the mask will carry at the next
-  /// publish, given the tombstones known now) and `chis` (the CHI index
-  /// current at append time; null unless build_chi_on_ingest) are captured
-  /// under the same lock so the ingest-time CHI build stays consistent with
-  /// a racing Delete's index rotation.
+  /// Appends `payload` for `meta` under the write lock and returns the
+  /// physical id; then builds `mask`'s CHI (if given) into the CHI index
+  /// current at append time, keyed by the visible id the mask will carry
+  /// at the next publish. Both are captured under the lock, so the build
+  /// stays consistent with a racing Delete's index rotation.
   Result<MaskId> AppendEncoded(MaskMeta meta, const std::string& payload,
-                               MaskId* visible_id,
-                               std::shared_ptr<IndexManager>* chis);
-  /// Builds `mask`'s CHI keyed by `visible_id` into `chis` (no-op if null).
-  void BuildIngestChi(const std::shared_ptr<IndexManager>& chis,
-                      MaskId visible_id, const Mask& mask);
+                               const Mask* mask);
   /// Publishes the tables as `next_epoch` and installs the snapshot.
   /// Caller holds write_mu_.
   Status PublishLocked(int64_t next_epoch);
@@ -325,6 +312,10 @@ class Ingestor {
       int64_t epoch, std::vector<MaskMeta> metas,
       std::vector<uint64_t> offsets, std::vector<uint64_t> sizes,
       std::vector<MaskId> tombstones) const;
+  /// Makes `root` the current generation `gen`: new GenerationHandle,
+  /// blob-cache lease and CHI index (caller holds write_mu_).
+  void StartGenerationLocked(const std::string& root, int64_t gen,
+                             int32_t num_shards);
   /// Replaces chis_ with a fresh empty index of twice the appended masks
   /// (caller holds write_mu_).
   /// Old caches stay alive through the snapshots that hold them.
@@ -361,6 +352,8 @@ class Ingestor {
   bool tombstones_dirty_ = false;  ///< sidecar rewrite needed at publish
   std::string gen_dir_;            ///< current generation root
   std::shared_ptr<GenerationHandle> gen_handle_;
+  /// The generation's blob-cache lease; null without a pool.
+  std::shared_ptr<const PoolOwner> blob_owner_;
   std::shared_ptr<IndexManager> chis_;  ///< under write_mu_ (rotated)
 
   /// Published state: the current snapshot, swapped whole at Publish.

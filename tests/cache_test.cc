@@ -14,6 +14,7 @@
 #include "masksearch/cache/chi_cache.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/ingest/ingestor.h"
+#include "masksearch/maintain/compactor.h"
 #include "masksearch/storage/sharded_mask_store.h"
 #include "test_util.h"
 
@@ -47,7 +48,7 @@ TEST(BufferPoolTest, InsertLookupAndStats) {
   opts.budget_bytes = 1024;
   opts.shards = 1;
   BufferPool pool(opts);
-  const uint64_t owner = BufferPool::NewOwnerId();
+  const uint64_t owner = 1;  // the pool is private: any id
 
   EXPECT_FALSE(pool.Lookup(Key(owner, 1)));  // miss
   {
@@ -79,7 +80,7 @@ TEST(BufferPoolTest, FirstInsertWins) {
   opts.budget_bytes = 1024;
   opts.shards = 1;
   BufferPool pool(opts);
-  const uint64_t owner = BufferPool::NewOwnerId();
+  const uint64_t owner = 1;  // the pool is private: any id
 
   pool.Insert(Key(owner, 5), Payload(1), 64);
   BufferPool::Pin second = pool.Insert(Key(owner, 5), Payload(2), 64);
@@ -93,7 +94,7 @@ TEST(BufferPoolTest, BudgetOverflowEvictsInLruOrder) {
   opts.shards = 1;
   opts.admission = CacheAdmission::kAdmitAll;  // plain LRU: deterministic
   BufferPool pool(opts);
-  const uint64_t owner = BufferPool::NewOwnerId();
+  const uint64_t owner = 1;  // the pool is private: any id
 
   pool.Insert(Key(owner, 1), Payload(1), 100);
   pool.Insert(Key(owner, 2), Payload(2), 100);
@@ -123,7 +124,7 @@ TEST(BufferPoolTest, PinnedEntriesAreNeverEvicted) {
   opts.shards = 1;
   opts.admission = CacheAdmission::kAdmitAll;
   BufferPool pool(opts);
-  const uint64_t owner = BufferPool::NewOwnerId();
+  const uint64_t owner = 1;  // the pool is private: any id
 
   BufferPool::Pin pinned = pool.Insert(Key(owner, 1), Payload(1), 100);
   BufferPool::Pin pinned2 = pool.Insert(Key(owner, 2), Payload(2), 100);
@@ -149,7 +150,7 @@ TEST(BufferPoolTest, ScanResistantAdmissionKeepsWorkingSet) {
   opts.shards = 1;
   opts.admission = CacheAdmission::kScanResistant;
   BufferPool pool(opts);
-  const uint64_t owner = BufferPool::NewOwnerId();
+  const uint64_t owner = 1;  // the pool is private: any id
 
   // Working set: two entries, re-referenced once -> protected segment.
   pool.Insert(Key(owner, 1), Payload(1), 100);
@@ -185,7 +186,7 @@ TEST(BufferPoolTest, OversizedPayloadIsRejectedButUsable) {
   opts.budget_bytes = 100;
   opts.shards = 1;
   BufferPool pool(opts);
-  const uint64_t owner = BufferPool::NewOwnerId();
+  const uint64_t owner = 1;  // the pool is private: any id
 
   BufferPool::Pin pin = pool.Insert(Key(owner, 1), Payload(9), 1000);
   ASSERT_TRUE(pin);          // detached: the caller can still use the value
@@ -199,27 +200,59 @@ TEST(BufferPoolTest, EraseOwnerAndClear) {
   BufferPool::Options opts;
   opts.budget_bytes = 4096;
   opts.shards = 2;
-  BufferPool pool(opts);
-  const uint64_t a = BufferPool::NewOwnerId();
-  const uint64_t b = BufferPool::NewOwnerId();
+  auto pool = std::make_shared<BufferPool>(opts);
+  auto a = std::make_unique<PoolOwner>(pool);
+  PoolOwner b(pool);
+  const uint64_t a_id = a->id();
   for (int64_t id = 0; id < 8; ++id) {
-    pool.Insert(Key(a, id), Payload(1), 64);
-    pool.Insert(Key(b, id), Payload(2), 64);
+    pool->Insert(Key(a_id, id), Payload(1), 64);
+    pool->Insert(Key(b.id(), id), Payload(2), 64);
   }
   uint64_t entries = 0;
   uint64_t bytes = 0;
-  pool.OwnerUsage(a, &entries, &bytes);
+  pool->OwnerUsage(a_id, &entries, &bytes);
   EXPECT_EQ(entries, 8u);
   EXPECT_EQ(bytes, 8u * 64u);
 
-  pool.EraseOwner(a);
-  pool.OwnerUsage(a, &entries, &bytes);
+  a.reset();  // releasing the lease erases its owner
+  pool->OwnerUsage(a_id, &entries, &bytes);
   EXPECT_EQ(entries, 0u);
-  pool.OwnerUsage(b, &entries, nullptr);
+  pool->OwnerUsage(b.id(), &entries, nullptr);
   EXPECT_EQ(entries, 8u);
 
-  pool.Clear();
-  EXPECT_EQ(pool.Stats().resident_entries, 0u);
+  pool->Clear();
+  EXPECT_EQ(pool->Stats().resident_entries, 0u);
+}
+
+// A lease shared by several holders erases its owner when the last holder
+// drops it, and not earlier. Every lease mints a fresh id and keeps its
+// pool alive.
+TEST(BufferPoolTest, PoolOwnerErasesAtLastRelease) {
+  BufferPool::Options opts;
+  opts.budget_bytes = 1 << 20;
+  opts.shards = 2;
+  auto pool = std::make_shared<BufferPool>(opts);
+  const std::weak_ptr<BufferPool> weak_pool = pool;
+  auto first = std::make_shared<const PoolOwner>(pool);
+  std::shared_ptr<const PoolOwner> second = first;
+  const uint64_t id = first->id();
+  EXPECT_NE(PoolOwner(pool).id(), id);
+  for (int64_t k = 0; k < 4; ++k) pool->Insert(Key(id, k), Payload(1), 64);
+  pool.reset();
+
+  first.reset();
+  uint64_t entries = 0;
+  second->pool()->OwnerUsage(id, &entries, nullptr);
+  EXPECT_EQ(entries, 4u);  // `second` still holds the lease
+  EXPECT_TRUE(second->pool()->Contains(Key(id, 3)));
+
+  pool = second->pool();
+  second.reset();
+  pool->OwnerUsage(id, &entries, nullptr);
+  EXPECT_EQ(entries, 0u);
+  EXPECT_EQ(pool->Stats().resident_bytes, 0u);
+  pool.reset();
+  EXPECT_TRUE(weak_pool.expired());
 }
 
 TEST(ChiCacheTest, PutGetFirstWinsAndSurvivesEviction) {
@@ -425,12 +458,11 @@ TEST(CachedMaskStoreTest, ReshardedStoreOpensWithColdCache) {
 }
 
 TEST(CachedMaskStoreTest, DroppedSnapshotReturnsPoolBytesToBaseline) {
-  // Regression (docs/COMPACTION.md): every Snapshot's CachedMaskStore runs
-  // under a fresh BufferPool owner id, and dropping the last snapshot pin
-  // must erase that owner — including entries a racing reader still held
-  // pinned while the wrapper's own erase ran (the snapshot destructor
-  // sweeps again after the store is gone). Otherwise each published epoch
-  // leaks its blob-cache bytes into the shared pool forever.
+  // Regression (docs/COMPACTION.md): the snapshots of one live-dataset
+  // generation share one blob-cache lease, and once a compaction swap
+  // supersedes the generation, dropping its last snapshot pin must erase
+  // that owner. Otherwise each generation leaks its blob-cache bytes into
+  // the shared pool forever.
   auto pool = std::make_shared<BufferPool>([] {
     BufferPool::Options opts;
     opts.budget_bytes = 8ull << 20;
@@ -449,21 +481,27 @@ TEST(CachedMaskStoreTest, DroppedSnapshotReturnsPoolBytesToBaseline) {
     MaskMeta meta;
     (void)ingestor->Append(meta, RandomMask(&rng, 16, 16)).ValueOrDie();
   }
+  MS_ASSERT_OK(ingestor->Delete(2));
   MS_ASSERT_OK(ingestor->Publish());
   const uint64_t baseline = pool->Stats().resident_bytes;
 
   std::shared_ptr<const Snapshot> pinned = ingestor->snapshot();
-  // Warm the pinned snapshot's blob cache; keep one batch pinned while the
-  // next epoch supersedes it (the racing-reader half of the regression).
-  for (MaskId id = 0; id < 6; ++id) (void)pinned->store().LoadMask(id);
-  EXPECT_GT(pool->Stats().resident_bytes, baseline);
+  // Warm the pinned generation's blob cache; keep one batch live while a
+  // compaction swap supersedes the generation.
+  for (MaskId id = 0; id < 5; ++id) (void)pinned->store().LoadMask(id);
+  const uint64_t warm = pool->Stats().resident_bytes;
+  EXPECT_GT(warm, baseline);
   {
     auto batch = pinned->store().LoadMaskBatch({0, 3}).ValueOrDie();
-    (void)batch;
-    MS_ASSERT_OK(ingestor->Publish());  // supersede while the batch is live
+    Compactor compactor(ingestor.get());
+    MS_ASSERT_OK(compactor.Compact().status());
+    EXPECT_EQ(ingestor->generation(), 1);
+    // The pinned snapshot still holds the old generation's lease.
+    EXPECT_EQ(pool->Stats().resident_bytes, warm);
+    ExpectMaskEq(batch[1], pinned->store().LoadMask(3).ValueOrDie());
   }
   pinned.reset();
-  // The superseded snapshot's owner is fully swept: back to baseline.
+  // The superseded generation's owner is fully swept: back to baseline.
   EXPECT_EQ(pool->Stats().resident_bytes, baseline);
   EXPECT_EQ(ingestor->Stats().live_snapshots, 0);
 }

@@ -17,6 +17,7 @@
 #include "masksearch/catalog/catalog.h"
 #include "masksearch/common/io.h"
 #include "masksearch/ingest/ingestor.h"
+#include "masksearch/maintain/compactor.h"
 #include "masksearch/service/query_service.h"
 #include "masksearch/workload/query_gen.h"
 #include "test_util.h"
@@ -406,8 +407,8 @@ TEST(IngestTest, ScalarAggregationPrunesWithIngestBuiltChis) {
 // with, so CHIs a query builds outlive its epoch: after a Delete + Publish
 // the first query builds each visible mask's CHI once, and a later epoch
 // reuses every one (no loads with the tight whole-ROI bounds). A snapshot
-// pinned before the delete numbers masks the old way and retains into the
-// pre-delete cache. With and without CHI builds at ingest time.
+// pinned before the delete numbers masks the old way and reads the
+// pre-delete cache, which holds every ingest-built CHI.
 TEST(IngestTest, QueryBuiltChisOutliveEpochs) {
   const FilterQuery q = WholeRoiFilter();
   auto check = [&](const Snapshot& snap) {
@@ -417,38 +418,84 @@ TEST(IngestTest, QueryBuiltChisOutliveEpochs) {
     EXPECT_EQ(got.mask_ids, reference.Filter(q).ValueOrDie().mask_ids);
     return got.stats;
   };
-  for (const bool on_ingest : {true, false}) {
-    SCOPED_TRACE(on_ingest ? "CHIs built on ingest" : "no ingest CHIs");
-    TempDir dir("ingest_chi_epochs");
-    IngestorOptions opts = TestIngestOptions();
-    opts.build_chi_on_ingest = on_ingest;
-    auto ingestor = Ingestor::Create(dir.path(), opts).ValueOrDie();
-    Rng rng(41);
-    AppendMasks(ingestor.get(), &rng, 40, 0);
-    MS_ASSERT_OK(ingestor->Publish());
-    const std::shared_ptr<const Snapshot> before = ingestor->snapshot();
-    MS_ASSERT_OK(ingestor->Delete(3));
-    MS_ASSERT_OK(ingestor->Publish());
-    const std::shared_ptr<const Snapshot> first = ingestor->snapshot();
+  TempDir dir("ingest_chi_epochs");
+  auto ingestor = Ingestor::Create(dir.path(), TestIngestOptions()).ValueOrDie();
+  Rng rng(41);
+  AppendMasks(ingestor.get(), &rng, 40, 0);
+  MS_ASSERT_OK(ingestor->Publish());
+  const std::shared_ptr<const Snapshot> before = ingestor->snapshot();
+  MS_ASSERT_OK(ingestor->Delete(3));
+  MS_ASSERT_OK(ingestor->Publish());
+  const std::shared_ptr<const Snapshot> first = ingestor->snapshot();
 
-    // The pinned pre-delete snapshot first: its CHIs go to its own cache,
-    // never into the one the renumbered epochs read.
-    const ExecStats old = check(*before);
-    EXPECT_EQ(old.masks_targeted, 40);
-    EXPECT_EQ(old.chis_built, on_ingest ? 0 : 40);
-    EXPECT_EQ(check(*before).masks_loaded, 0);
+  // The pinned pre-delete snapshot first: its CHIs live in its own cache,
+  // never in the one the renumbered epochs read.
+  const ExecStats old = check(*before);
+  EXPECT_EQ(old.masks_targeted, 40);
+  EXPECT_EQ(old.chis_built, 0);
+  EXPECT_EQ(check(*before).masks_loaded, 0);
 
-    const ExecStats built = check(*first);
-    EXPECT_EQ(built.masks_loaded, 39);
-    EXPECT_EQ(built.chis_built, 39);
+  const ExecStats built = check(*first);
+  EXPECT_EQ(built.masks_loaded, 39);
+  EXPECT_EQ(built.chis_built, 39);
 
-    MS_ASSERT_OK(ingestor->Publish());
-    const std::shared_ptr<const Snapshot> later = ingestor->snapshot();
-    EXPECT_EQ(later->session()->chis(), first->session()->chis());
-    const ExecStats reused = check(*later);
-    EXPECT_EQ(reused.masks_loaded, 0);
-    EXPECT_EQ(reused.chis_built, 0);
+  MS_ASSERT_OK(ingestor->Publish());
+  const std::shared_ptr<const Snapshot> later = ingestor->snapshot();
+  EXPECT_EQ(later->session()->chis(), first->session()->chis());
+  const ExecStats reused = check(*later);
+  EXPECT_EQ(reused.masks_loaded, 0);
+  EXPECT_EQ(reused.chis_built, 0);
+}
+
+// The blob cache lives for a generation: every snapshot of one generation
+// caches blobs under one lease, keyed by physical id below the tombstone
+// filter, so a Delete + Publish leaves every cached blob warm. A compaction
+// swap starts a cold cache, and the old generation's bytes leave the pool
+// when its last pinned snapshot drops.
+TEST(IngestTest, BlobCacheLivesForAGeneration) {
+  TempDir dir("ingest_blob_generation");
+  auto ingestor = Ingestor::Create(dir.path(), TestIngestOptions()).ValueOrDie();
+  BufferPool* pool = ingestor->cache();
+  ASSERT_NE(pool, nullptr);
+  Rng rng(43);
+  const std::vector<Mask> masks = AppendMasks(ingestor.get(), &rng, 40, 0);
+  MS_ASSERT_OK(ingestor->Publish());
+  std::shared_ptr<const Snapshot> full = ingestor->snapshot();
+  for (MaskId id = 0; id < 40; ++id) {
+    EXPECT_EQ(full->store().LoadMask(id).ValueOrDie().data(),
+              masks[id].data());
   }
+  const CacheStats warm = pool->Stats();
+  EXPECT_EQ(warm.resident_entries, 40u);
+
+  MS_ASSERT_OK(ingestor->Delete(3));
+  MS_ASSERT_OK(ingestor->Publish());
+  std::shared_ptr<const Snapshot> deleted = ingestor->snapshot();
+  ASSERT_EQ(deleted->store().num_masks(), 39);
+  for (MaskId v = 0; v < 39; ++v) {
+    EXPECT_EQ(deleted->store().LoadMask(v).ValueOrDie().data(),
+              masks[v < 3 ? v : v + 1].data());
+  }
+  EXPECT_EQ(pool->Stats().misses, warm.misses);  // every survivor was warm
+  EXPECT_EQ(pool->Stats().resident_entries, 40u);
+
+  Compactor compactor(ingestor.get());
+  MS_ASSERT_OK(compactor.Compact().status());
+  ASSERT_EQ(ingestor->generation(), 1);
+  std::shared_ptr<const Snapshot> compacted = ingestor->snapshot();
+  const uint64_t misses = pool->Stats().misses;
+  EXPECT_EQ(compacted->store().LoadMask(3).ValueOrDie().data(),
+            masks[4].data());
+  EXPECT_EQ(pool->Stats().misses, misses + 1);  // a cold generation
+  EXPECT_EQ(pool->Stats().resident_entries, 41u);
+
+  full.reset();
+  EXPECT_EQ(pool->Stats().resident_entries, 41u);  // `deleted` pins gen 0
+  deleted.reset();
+  const CacheStats after = pool->Stats();
+  EXPECT_EQ(after.resident_entries, 1u);  // gen 0's owner holds no bytes
+  EXPECT_EQ(after.resident_bytes,
+            masks[4].ByteSize() + kCacheEntryOverheadBytes);
 }
 
 TEST(IngestTest, IngestOnFixedDatasetIsTyped) {

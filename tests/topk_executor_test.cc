@@ -214,8 +214,15 @@ TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
 // reads only the rows of each loaded mask's ROIs; the others read whole
 // masks. Batches are pruned against the heap as of their formation, so
 // they may load more masks than the serial schedule (no io_pool, batch 1),
-// never fewer.
-TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
+// never fewer. The 25 queries of one Rng sequence run as five slices of
+// five, each its own ctest entry (tests/CMakeLists.txt), so no entry nears
+// the time limit under the thread sanitizer.
+constexpr int kQueriesPerSlice = 5;
+
+class TopKRandomizedTest : public TopKExecutorTest,
+                           public ::testing::WithParamInterface<int> {};
+
+TEST_P(TopKRandomizedTest, RandomizedQueriesMatchReference) {
   TempDir raw_dir("topk_raw");
   TempDir compressed_dir("topk_compressed");
   testing_util::WriteQuantizedTwins(*store_, raw_dir.path(),
@@ -251,6 +258,7 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
   Rng rng(31337);
   for (int i = 0; i < 25; ++i) {
     TopKQuery q = GenerateTopKQuery(&rng, *raw);
+    if (i / kQueriesPerSlice != GetParam()) continue;
     for (const bool descending : {true, false}) {
       q.descending = descending;
       auto want = reference.TopK(q);
@@ -313,6 +321,8 @@ TEST_F(TopKExecutorTest, RandomizedQueriesMatchReference) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Slices, TopKRandomizedTest, ::testing::Range(0, 5));
 
 // A cancel that arrives while a batch loads ends the query with kCancelled
 // at the next batch boundary: without io_pool after that one load, with it

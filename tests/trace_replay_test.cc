@@ -472,6 +472,8 @@ TEST_F(TraceReplayTest, ScrapeExposesEverySeriesFamily) {
             std::string::npos);
   EXPECT_NE(text.find("ms_cache_buffer_pool_hit_ratio{dataset=\"main\"}"),
             std::string::npos);
+  EXPECT_NE(text.find("ms_cache_buffer_pool_hit_ratio{dataset=\"live\"}"),
+            std::string::npos);
   EXPECT_NE(text.find("ms_service_completed_total{class=\"normal\"}"),
             std::string::npos);
 
