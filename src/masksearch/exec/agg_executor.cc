@@ -56,9 +56,15 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
     return !member_bounds[i].empty() && member_bounds[i][m].Tight();
   };
 
+  // With cell bands, the plans of each group's loaded members (evaluator.h),
+  // made as its unit is formed.
+  const bool cell_bands = internal::PlansCellBands(store, chis);
+  std::vector<std::vector<internal::CellPlan>> plans;
+
   internal::GroupOps ops;
   ops.bounds = [&](const std::vector<internal::AggGroup>& groups) {
     member_bounds.assign(groups.size(), {});
+    if (cell_bands) plans.resize(groups.size());
     std::vector<Interval> out(groups.size(), Interval{-kInf, kInf});
     if (chis == nullptr) return out;
     for (size_t i = 0; i < groups.size(); ++i) {
@@ -77,14 +83,23 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
     return out;
   };
   // Members with tight intervals contribute their bound; the rest load the
-  // rows of the term's ROI.
+  // rows of the term's ROI, or with cell bands their plans' windows.
   ops.unit = [&](size_t i, const internal::AggGroup& g) {
     internal::LoadUnit unit;
     for (size_t m = 0; m < g.members.size(); ++m) {
       if (tight(i, m)) continue;
-      unit.ids.push_back(g.members[m]);
-      unit.windows.push_back(
-          internal::TermRows(store.meta(g.members[m]), terms));
+      const MaskId id = g.members[m];
+      if (cell_bands) {
+        const internal::CellPlan& plan = plans[i].emplace_back(
+            internal::PlanVerifyLoad(store, chis, id, terms));
+        unit.ids.insert(unit.ids.end(), plan.windows.size(), id);
+        unit.windows.insert(unit.windows.end(), plan.windows.begin(),
+                            plan.windows.end());
+        continue;
+      }
+      unit.ids.push_back(id);
+      unit.windows.push_back(internal::VerifyWindow(
+          store, chis, id, internal::TermRows(store.meta(id), terms)));
     }
     return unit;
   };
@@ -92,17 +107,29 @@ Result<AggResult> ExecuteAggregation(const MaskStore& store,
                   const internal::LoadUnit& unit,
                   const std::vector<Mask>& masks) -> Result<double> {
     std::vector<Interval> values(g.members.size());
-    for (size_t m = 0, j = 0; m < g.members.size(); ++m) {
+    std::vector<const Mask*> rows;  // cell bands: the unit's entries
+    if (cell_bands) {
+      for (const Mask& mask : masks) rows.push_back(&mask);
+    }
+    for (size_t m = 0, k = 0, j = 0; m < g.members.size(); ++m) {
       if (tight(i, m)) {
         values[m] = member_bounds[i][m];
         continue;
       }
-      const MaskId id = g.members[m];
-      values[m] = Interval::Point(static_cast<double>(CountPixels(
-          masks[j],
-          internal::WindowRoi(roi(id), store.meta(id), unit.windows[j]),
-          query.term.range)));
-      ++j;
+      double value;
+      if (cell_bands) {
+        const internal::CellPlan& plan = plans[i][k++];
+        value = internal::TermExactFromPlan(plan, rows.data() + j, terms)[0];
+        j += plan.windows.size();
+      } else {
+        const MaskId id = g.members[m];
+        value = static_cast<double>(CountPixels(
+            masks[j],
+            internal::WindowRoi(roi(id), store.meta(id), unit.windows[j]),
+            query.term.range));
+        ++j;
+      }
+      values[m] = Interval::Point(value);
     }
     return Combine(query.op, values).lo;
   };

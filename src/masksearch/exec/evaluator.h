@@ -1,14 +1,25 @@
 // Internal per-mask evaluation helpers shared by the executors.
 // Not part of the public API.
 //
-// Row windows: a verification load reads only the rows its terms' clamped
-// ROIs touch (TermRows), as one RowWindow per mask. It reads the whole mask
+// Row windows: the executors decide the rows each verification load reads,
+// and the verification pipeline reads exactly those (verify_pipeline.h).
+// By default a load reads the rows its terms' clamped ROIs touch
+// (TermRows), as one RowWindow per mask. VerifyWindow reads the whole mask
 // instead on a store whose LoadMaskWindows does not save I/O (compressed,
 // or a whole-mask cache in front: MaskStore::ReadsRowWindows) and whenever
 // the session's ChiSource would retain the mask's CHI (ChiSource::Retains),
-// because a CHI is built from the whole mask, never from a slice.
-// VerifyWindow applies both rules; the verify kernels shift each ROI by the
-// window's first row (WindowRoi).
+// because a CHI is built from the whole mask, never from a slice. The
+// verify kernels shift each ROI by the window's first row (WindowRoi).
+//
+// Cell bands: where windows save I/O and the session has an index
+// (PlansCellBands, decided once per query), the filter, top-k and scalar
+// aggregation plan each verified mask from its CHI instead (PlanVerifyLoad):
+// SplitCpCells pins the certain cells' counts, and the load reads only the
+// row bands of the uncertain cells, one RowWindow per merged band, so a
+// unit repeats the mask's id once per band. A mask with no uncertain cell
+// reads nothing. Each exact value is the certain count plus CountPixels
+// over the uncertain rectangles (TermExactFromPlan). Planned windows are
+// final; a mask without a CHI is planned as its TermRows window.
 
 #ifndef MASKSEARCH_EXEC_EVALUATOR_H_
 #define MASKSEARCH_EXEC_EVALUATOR_H_
@@ -93,6 +104,101 @@ inline RowWindow VerifyWindow(const MaskStore& store, const ChiSource* chis,
     return RowWindow::Whole(store.meta(id));
   }
   return rows;
+}
+
+/// \brief How one verified mask's exact term values are computed: per term
+/// the CHI's certain count and the uncertain rectangles still to count, and
+/// the rows to read — the rectangles' row ranges, sorted, with touching or
+/// overlapping ranges merged. No windows: the CHI alone answers.
+struct CellPlan {
+  std::vector<CpCellSplit> terms;
+  std::vector<RowWindow> windows;
+};
+
+/// \brief True when verification loads on `store` are planned by cell bands:
+/// it reads only a window's bytes and there is an index (null = none).
+inline bool PlansCellBands(const MaskStore& store, const ChiSource* chis) {
+  return chis != nullptr && store.ReadsRowWindows();
+}
+
+/// \brief The cell-band plan of a verification load of mask `id` (see the
+/// header). A CHI that `chis` finds is held by it, so it is never retained
+/// from this load. Without one, every term's clamped ROI is uncertain and
+/// the one window is VerifyWindow's of TermRows.
+inline CellPlan PlanVerifyLoad(const MaskStore& store, const ChiSource* chis,
+                               MaskId id, const std::vector<CpTerm>& terms) {
+  const MaskMeta& meta = store.meta(id);
+  CellPlan plan;
+  plan.terms.reserve(terms.size());
+  const std::shared_ptr<const Chi> chi = chis->Find(id);
+  if (chi == nullptr) {
+    for (const CpTerm& t : terms) {
+      const ROI r = ResolveRoi(t, meta).ClampTo(meta.width, meta.height);
+      CpCellSplit& split = plan.terms.emplace_back();
+      if (!r.Empty()) split.uncertain.push_back(r);
+    }
+    plan.windows.push_back(
+        VerifyWindow(store, chis, id, TermRows(meta, terms)));
+    return plan;
+  }
+  std::vector<RowWindow> bands;
+  for (const CpTerm& t : terms) {
+    plan.terms.push_back(SplitCpCells(*chi, ResolveRoi(t, meta), t.range));
+    for (const ROI& r : plan.terms.back().uncertain) {
+      bands.push_back(RowWindow{r.y0, r.y1});
+    }
+  }
+  std::sort(bands.begin(), bands.end(),
+            [](const RowWindow& a, const RowWindow& b) { return a.y0 < b.y0; });
+  for (const RowWindow& b : bands) {
+    if (!plan.windows.empty() && b.y0 <= plan.windows.back().y1) {
+      plan.windows.back().y1 = std::max(plan.windows.back().y1, b.y1);
+    } else {
+      plan.windows.push_back(b);
+    }
+  }
+  return plan;
+}
+
+/// \brief Exact CP term values of a planned mask; `rows[w]` holds the rows
+/// plan.windows[w]. Each uncertain rectangle lies inside one window.
+inline std::vector<double> TermExactFromPlan(const CellPlan& plan,
+                                             const Mask* const* rows,
+                                             const std::vector<CpTerm>& terms) {
+  std::vector<double> out;
+  out.reserve(terms.size());
+  for (size_t t = 0; t < terms.size(); ++t) {
+    const CpCellSplit& split = plan.terms[t];
+    int64_t count = split.certain;
+    size_t w = 0;
+    for (ROI r : split.uncertain) {
+      while (plan.windows[w].y1 < r.y1) ++w;
+      r.y0 -= plan.windows[w].y0;
+      r.y1 -= plan.windows[w].y0;
+      count += CountPixels(*rows[w], r, terms[t].range);
+    }
+    out.push_back(static_cast<double>(count));
+  }
+  return out;
+}
+
+/// \brief The loaded masks of a batch (one vector per load unit) as one list
+/// in unit order, and per plan the index of its first window in that list:
+/// the plans' windows are the units' entries in order.
+inline std::vector<const Mask*> FlattenPlanned(
+    const std::vector<std::vector<Mask>>& masks,
+    const std::vector<CellPlan>& plans, std::vector<size_t>* first) {
+  std::vector<const Mask*> flat;
+  for (const std::vector<Mask>& unit : masks) {
+    for (const Mask& m : unit) flat.push_back(&m);
+  }
+  first->resize(plans.size());
+  size_t next = 0;
+  for (size_t j = 0; j < plans.size(); ++j) {
+    (*first)[j] = next;
+    next += plans[j].windows.size();
+  }
+  return flat;
 }
 
 /// \brief Bytes a load of `window` of mask `id` reads: the stored blob when

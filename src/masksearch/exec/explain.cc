@@ -130,12 +130,13 @@ std::string SummarizeStats(const ExecStats& stats) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%lld targeted | %lld pruned + %lld accepted from bounds | "
-                "%lld loaded (FML %.2f%%) | %.3fs",
+                "%lld loaded (FML %.2f%%) | %.3fs | %.2f MiB read",
                 static_cast<long long>(stats.masks_targeted),
                 static_cast<long long>(stats.pruned),
                 static_cast<long long>(stats.accepted_by_bounds),
                 static_cast<long long>(stats.masks_loaded), 100 * stats.FML(),
-                stats.seconds);
+                stats.seconds,
+                static_cast<double>(stats.bytes_read) / (1024.0 * 1024.0));
   return buf;
 }
 

@@ -36,12 +36,12 @@ struct GroupOps {
   /// +inf) where nothing is known. Called once, before any load.
   std::function<std::vector<Interval>(const std::vector<AggGroup>& groups)>
       bounds;
-  /// The masks loaded to verify group i, with the rows each one's term
-  /// touches (or none: whole masks): one pipeline load unit.
+  /// The masks loaded to verify group i, with the rows read of each (or
+  /// none: whole masks): one pipeline load unit, read as given.
   std::function<LoadUnit(size_t i, const AggGroup& group)> unit;
   /// Group i's exact aggregate from its unit's masks, in unit order; mask j
-  /// holds the rows unit.windows[j] (as widened by the pipeline). Runs
-  /// concurrently for distinct groups across EngineOptions::pool.
+  /// holds the rows unit.windows[j]. Runs concurrently for distinct groups
+  /// across EngineOptions::pool.
   std::function<Result<double>(size_t i, const AggGroup& group,
                                const LoadUnit& unit,
                                const std::vector<Mask>& masks)>

@@ -162,21 +162,46 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, ChiSource* chis,
     }
     return out;
   };
-  // Whole members: the derived-CHI build needs the whole derived mask.
-  ops.unit = [](size_t, const internal::AggGroup& g) {
-    return internal::LoadUnit{g.members, {}};
+  // A group reads its members' ROI rows (TermRows of the first member,
+  // whose shape every member shares) where the store reads only a window's
+  // bytes and the fused count answers the group: its derived CHI is cached
+  // when the unit is formed, or there is no derived cache. A member CHI the
+  // session's source would retain widens the group to whole members
+  // (VerifyWindow). Otherwise whole members, no windows: the derived-CHI
+  // build needs the whole derived mask.
+  const bool row_windows = store.ReadsRowWindows();
+  const std::vector<CpTerm> terms{query.term};
+  ops.unit = [&](size_t, const internal::AggGroup& g) {
+    internal::LoadUnit unit{g.members, {}};
+    if (!row_windows ||
+        (cache != nullptr && cache->Get(g.members) == nullptr)) {
+      return unit;
+    }
+    const MaskMeta& first = store.meta(g.members.front());
+    RowWindow rows = internal::TermRows(first, terms);
+    for (MaskId id : g.members) {
+      const MaskMeta& m = store.meta(id);
+      if (m.width != first.width || m.height != first.height) return unit;
+      if (internal::VerifyWindow(store, chis, id, rows).IsWhole(m)) {
+        rows = RowWindow::Whole(first);
+      }
+    }
+    unit.windows.assign(g.members.size(), rows);
+    return unit;
   };
 
-  // CP(derived, roi, range) exactly from the loaded members. When the
-  // derived CHI is wanted but missing, the derived mask is materialized (it
-  // is needed for the CHI build anyway) and registered; otherwise the fused
-  // count kernel answers without materializing it.
+  // CP(derived, roi, range) exactly from the loaded members. A unit of whole
+  // members whose derived CHI is wanted but missing materializes the derived
+  // mask (it is needed for the CHI build anyway) and registers its CHI;
+  // every other unit, windowed ones always, is answered by the fused count
+  // kernel without materializing it.
   std::atomic<int64_t> built{0};
   ops.exact = [&](size_t, const internal::AggGroup& g,
-                  const internal::LoadUnit&,
+                  const internal::LoadUnit& unit,
                   const std::vector<Mask>& masks) -> Result<double> {
     MS_RETURN_NOT_OK(CheckSameShape(masks));
-    if (cache != nullptr && cache->Get(g.members) == nullptr) {
+    if (unit.windows.empty() && cache != nullptr &&
+        cache->Get(g.members) == nullptr) {
       // §3.4 treats aggregated masks as "new masks" indexed ahead of time
       // or on first use; skip the build when the group is already cached.
       MS_ASSIGN_OR_RETURN(
@@ -188,11 +213,15 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, ChiSource* chis,
       built.fetch_add(1, std::memory_order_relaxed);
       return value;
     }
+    const MaskMeta& first = store.meta(g.members.front());
+    const RowWindow window =
+        unit.windows.empty() ? RowWindow::Whole(first) : unit.windows.front();
     const std::vector<const float*> ptrs = MaskPointers(masks);
     return static_cast<double>(DerivedCpCount(
         ToKernelOp(query.op), static_cast<float>(query.agg_threshold),
         DerivedMaskOne(), ptrs.data(), ptrs.size(), masks[0].width(),
-        masks[0].height(), roi(g), query.term.range));
+        masks[0].height(), internal::WindowRoi(roi(g), first, window),
+        query.term.range));
   };
 
   MS_ASSIGN_OR_RETURN(AggResult result, internal::RunGroupAggregation(

@@ -85,14 +85,16 @@ Status BuildDerivedIndexes(const MaskStore& store, const Selection& selection,
 ///
 /// Runs on the group driver shared with ExecuteAggregation (group_driver.h):
 /// undecidable groups are verified across opts.pool in batches through the
-/// verification pipeline, each group's members loaded as one unit with one
-/// MaskStore::LoadMaskBatch; with EngineOptions::io_pool the next batch's
-/// loads are in flight while one batch is verified. Results are
-/// byte-identical to the serial schedule; a pipelined top-k may verify a
-/// few extra groups (candidates up, pruned down by the same amount) —
-/// never fewer, and never different values. When only the count is needed
-/// (derived CHI already cached or no cache supplied), the fused derived-CP
-/// kernel answers without materializing the derived mask.
+/// verification pipeline, each group's members loaded as one unit; with
+/// EngineOptions::io_pool the next batch's loads are in flight while one
+/// batch is verified. Results are byte-identical to the serial schedule; a
+/// pipelined top-k may verify a few extra groups (candidates up, pruned
+/// down by the same amount) — never fewer, and never different values.
+/// When only the count is needed (derived CHI cached when the group's unit
+/// is formed, or no cache supplied), the fused derived-CP kernel answers
+/// without materializing the derived mask, and on a store that reads row
+/// windows the unit reads only the members' ROI rows. Such a unit never
+/// builds a derived CHI, even if the cached one is evicted meanwhile.
 Result<AggResult> ExecuteMaskAgg(const MaskStore& store, ChiSource* chis,
                                  DerivedIndexCache* derived_cache,
                                  const MaskAggQuery& query,

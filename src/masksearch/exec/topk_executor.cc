@@ -111,6 +111,7 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
     ++result.stats.candidates;
     return true;
   };
+  const bool cell_bands = internal::PlansCellBands(store, chis);
   size_t cursor = 0;
   auto next_batch = [&] {
     internal::VerifyBatch b;
@@ -119,9 +120,23 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
       if (!Admit(i)) continue;
       b.items.push_back(i);
       // One unit per mask, so each is its own read; its window covers
-      // every term the order expression reads.
+      // every term the order expression reads, or with cell bands its
+      // plan's windows (none: no unit).
+      if (cell_bands) {
+        const internal::CellPlan& plan = b.plans.emplace_back(
+            internal::PlanVerifyLoad(store, chis, ids[i], query.terms));
+        if (!plan.windows.empty()) {
+          b.units.push_back(internal::LoadUnit{
+              std::vector<MaskId>(plan.windows.size(), ids[i]),
+              plan.windows});
+        }
+        continue;
+      }
       b.units.push_back(internal::LoadUnit{
-          {ids[i]}, {internal::TermRows(store.meta(ids[i]), query.terms)}});
+          {ids[i]},
+          {internal::VerifyWindow(
+              store, chis, ids[i],
+              internal::TermRows(store.meta(ids[i]), query.terms))}});
     }
     return b;
   };
@@ -130,13 +145,22 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
   auto verify = [&](const internal::VerifyBatch& b,
                     const std::vector<std::vector<Mask>>& masks) {
     std::vector<double> values(b.items.size());
+    std::vector<size_t> first;
+    const std::vector<const Mask*> rows =
+        b.plans.empty() ? std::vector<const Mask*>{}
+                        : internal::FlattenPlanned(masks, b.plans, &first);
     ParallelFor(values.size() > 1 ? opts.pool : nullptr, values.size(),
                 [&](size_t j) {
                   const MaskId id = ids[b.items[j]];
                   values[j] = query.order_expr.EvalExact(
-                      internal::TermExactFromMask(masks[j][0], store.meta(id),
-                                                  query.terms,
-                                                  b.units[j].windows[0]));
+                      b.plans.empty()
+                          ? internal::TermExactFromMask(masks[j][0],
+                                                        store.meta(id),
+                                                        query.terms,
+                                                        b.units[j].windows[0])
+                          : internal::TermExactFromPlan(
+                                b.plans[j], rows.data() + first[j],
+                                query.terms));
                 });
     for (size_t j = 0; j < values.size(); ++j) {
       Fold(ScoredMask{ids[b.items[j]], values[j]});

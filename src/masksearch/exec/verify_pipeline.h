@@ -9,11 +9,14 @@
 // batch without io_pool), top-k one per mask, the aggregations one per
 // group. With io_pool every unit is its own io_pool task, so several reads
 // are in flight and a device queue stays busy while the host copies and
-// verifies. A unit carries a row window per mask: the rows its terms' ROIs
-// touch. Before loading, the pipeline widens each to the whole mask where
-// evaluator.h's VerifyWindow says so (compressed or cached store, or a CHI
-// the session's ChiSource retains), so on a raw uncached store only the
-// windows' bytes are read, and a CHI is only ever built from a whole mask.
+// verifies. A unit carries the row windows its executor decided
+// (evaluator.h): the rows its terms' ROIs touch, widened to the whole mask
+// by VerifyWindow on a compressed or cached store or for a CHI the
+// session's ChiSource retains, or, planned by cell bands, one window per
+// uncertain band, so one mask may appear as several consecutive entries
+// and a mask the CHI answers as none. The pipeline reads exactly those
+// windows, so on a raw uncached store only their bytes are read, and a CHI
+// is only ever built from a whole mask.
 //
 // With EngineOptions::io_pool set the pipeline is two batches deep: batch
 // k+1's units load on io_pool while batch k is verified on
@@ -37,9 +40,9 @@
 namespace masksearch {
 namespace internal {
 
-/// \brief Mask ids loaded together, with the rows each one's terms touch
-/// (parallel to `ids`; empty = whole masks). RunVerifyPipeline replaces
-/// `windows` with the windows actually read before it loads the unit.
+/// \brief Mask ids loaded together, with the rows read of each entry
+/// (parallel to `ids`; empty = whole masks). The entries of one mask are
+/// consecutive.
 struct LoadUnit {
   std::vector<MaskId> ids;
   std::vector<RowWindow> windows;
@@ -47,31 +50,41 @@ struct LoadUnit {
 
 /// \brief One verification batch. `items` are the executor's own indices
 /// (masks for the filter, groups for the aggregations) and are opaque to the
-/// pipeline; `units` are loaded one LoadMaskWindows each.
+/// pipeline; `units` are loaded one LoadMaskWindows each. `plans` (cell-band
+/// executors only, else empty) holds one CellPlan per item, whose windows
+/// are the units' entries in order (FlattenPlanned).
 struct VerifyBatch {
   std::vector<size_t> items;
   std::vector<LoadUnit> units;
+  std::vector<CellPlan> plans;
 };
 
+/// \brief The masks of `unit`, one per entry.
+inline Result<std::vector<Mask>> LoadUnitMasks(const MaskStore& store,
+                                               const LoadUnit& unit) {
+  return unit.windows.empty() ? store.LoadMaskBatch(unit.ids)
+                              : store.LoadMaskWindows(unit.ids, unit.windows);
+}
+
 /// \brief Runs batches from `next_batch` through load and verification until
-/// it returns a batch without units.
+/// it returns a batch without items.
 ///
 /// `next_batch()` runs on the calling thread whenever the pipeline has room,
 /// so with io_pool it forms batch k+1 before batch k is verified.
 /// `verify(batch, masks)` runs on the calling thread with masks[u] holding
-/// unit u's masks in id order, each mask the rows batch.units[u].windows
-/// names; it may fan out across opts.pool. Batches are verified in the
-/// order they were formed.
+/// unit u's entries in order, each the rows batch.units[u].windows names;
+/// it may fan out across opts.pool. Batches are verified in the order they
+/// were formed.
 ///
 /// QueryControl is polled at every batch boundary, so a request overruns its
 /// deadline by at most one batch. Loads are counted into
-/// stats->masks_loaded / bytes_read (window bytes), `chis` (null = no index)
-/// retains the CHI of every whole mask it Retains (stats->chis_built), and
-/// a unit whose
-/// masks were all resident in the buffer pool is loaded at verify time
-/// instead of on io_pool (stats->prefetch_skipped, docs/CACHING.md). A load
-/// error ends the run with that error; in-flight loads are drained before
-/// any return.
+/// stats->masks_loaded (a mask once per unit, however many windows) and
+/// bytes_read (window bytes), `chis` (null = no index) retains the CHI of
+/// every whole mask it Retains (stats->chis_built), and a unit whose masks
+/// were all resident in the buffer pool is loaded at verify time instead of
+/// on io_pool (stats->prefetch_skipped, docs/CACHING.md). A unit without
+/// ids reads nothing. A load error ends the run with that error; in-flight
+/// loads are drained before any return.
 template <typename NextBatch, typename Verify>
 Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
                          const EngineOptions& opts, const char* verify_span,
@@ -95,16 +108,6 @@ Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
   auto start = [&](VerifyBatch batch) {
     auto s = std::make_shared<Stage>();
     s->batch = std::move(batch);
-    for (LoadUnit& unit : s->batch.units) {
-      const bool requested = !unit.windows.empty();
-      unit.windows.resize(unit.ids.size());
-      for (size_t j = 0; j < unit.ids.size(); ++j) {
-        const MaskId id = unit.ids[j];
-        unit.windows[j] = requested
-                              ? VerifyWindow(store, chis, id, unit.windows[j])
-                              : RowWindow::Whole(store.meta(id));
-      }
-    }
     const size_t n = s->batch.units.size();
     s->masks.assign(n, Status::Internal("not loaded"));
     s->on_io_pool.assign(n, 0);
@@ -116,6 +119,7 @@ Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
     size_t submitted = 0;
     for (size_t u = 0; u < n; ++u) {
       const std::vector<MaskId>& ids = s->batch.units[u].ids;
+      if (ids.empty()) continue;
       if (store.CountResident(ids) == ids.size()) {
         ++stats->prefetch_skipped;
       } else {
@@ -130,8 +134,7 @@ Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
       opts.io_pool->Submit([&store, s, u, trace] {
         obs::TraceScope trace_scope(trace);
         MS_TRACE_SPAN("io_load");
-        const LoadUnit& unit = s->batch.units[u];
-        s->masks[u] = store.LoadMaskWindows(unit.ids, unit.windows);
+        s->masks[u] = LoadUnitMasks(store, s->batch.units[u]);
         s->done->CountDown();
       });
     }
@@ -147,14 +150,16 @@ Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
       if (s.done != nullptr) WaitHelping(s.done.get(), opts.io_pool);
       std::vector<size_t> now;
       for (size_t u = 0; u < units.size(); ++u) {
-        if (!s.on_io_pool[u]) now.push_back(u);
+        if (units[u].ids.empty()) {
+          s.masks[u] = std::vector<Mask>{};
+        } else if (!s.on_io_pool[u]) {
+          now.push_back(u);
+        }
       }
       ParallelFor(now.size() > 1 ? opts.pool : nullptr, now.size(),
                   [&](size_t k) {
                     obs::TraceScope trace_scope(trace);
-                    const LoadUnit& unit = units[now[k]];
-                    s.masks[now[k]] =
-                        store.LoadMaskWindows(unit.ids, unit.windows);
+                    s.masks[now[k]] = LoadUnitMasks(store, units[now[k]]);
                   });
     }
     MS_TRACE_SPAN(verify_span);
@@ -164,13 +169,14 @@ Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
       MS_RETURN_NOT_OK(s.masks[u].status());
       masks[u] = std::move(*s.masks[u]);
       const LoadUnit& unit = units[u];
-      stats->masks_loaded += static_cast<int64_t>(unit.ids.size());
       for (size_t j = 0; j < unit.ids.size(); ++j) {
         const MaskId id = unit.ids[j];
-        stats->bytes_read += WindowBytes(store, id, unit.windows[j]);
-        if (unit.windows[j].IsWhole(store.meta(id))) {
-          loaded.emplace_back(id, &masks[u][j]);
-        }
+        if (j == 0 || id != unit.ids[j - 1]) ++stats->masks_loaded;
+        const RowWindow w = unit.windows.empty()
+                                ? RowWindow::Whole(store.meta(id))
+                                : unit.windows[j];
+        stats->bytes_read += WindowBytes(store, id, w);
+        if (w.IsWhole(store.meta(id))) loaded.emplace_back(id, &masks[u][j]);
       }
     }
     // Incremental indexing (§3.6) into the session's source, across the pool.
@@ -195,7 +201,7 @@ Status RunVerifyPipeline(const MaskStore& store, ChiSource* chis,
     MS_RETURN_NOT_OK(CheckControl(opts.control));
     while (!exhausted && inflight.size() < depth) {
       VerifyBatch batch = next_batch();
-      if (batch.units.empty()) {
+      if (batch.items.empty()) {
         exhausted = true;
       } else {
         inflight.push_back(start(std::move(batch)));

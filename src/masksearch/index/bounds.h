@@ -17,13 +17,22 @@
 // Floating-point note: bin edges are found with plain floor/ceil. Rounding
 // jitter can only select a *looser* aligned range (outer range grows, inner
 // range shrinks), so bounds remain valid — they may just be one bin less
-// tight; correctness never depends on exact fp equality.
+// tight. CountPixels compares float pixels against float(lv) and float(uv);
+// where that rounding falls below a bin edge the double does not, the outer
+// lower edge and the inner upper edge are taken from the float, so a pixel
+// equal to float(lv) is always inside the outer range and one equal to
+// float(uv) never inside the inner range.
+//
+// Cell split (SplitCpCells): the same two aligned ranges, applied per CHI
+// cell the clamped ROI touches, pin many cells' counts exactly. A verified
+// mask then needs only the pixels of the other cells (docs/ARCHITECTURE.md).
 
 #ifndef MASKSEARCH_INDEX_BOUNDS_H_
 #define MASKSEARCH_INDEX_BOUNDS_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "masksearch/index/chi.h"
 #include "masksearch/query/roi.h"
@@ -71,6 +80,26 @@ struct CpBoundsDetail {
 };
 CpBoundsDetail ComputeCpBoundsDetail(const Chi& chi, const ROI& roi,
                                      const ValueRange& range);
+
+/// \brief CP(mask, roi, range) split over the CHI cells the clamped ROI
+/// touches, by whether the CHI pins a cell's count exactly. With the outer
+/// and inner bin ranges of ComputeCpBoundsDetail, a cell is *certain* when
+///   * it lies wholly inside the ROI and its outer-range count equals its
+///     inner-range count (no pixel in a bin straddling lv or uv; with an
+///     empty inner range, only when the outer count is 0): value that count;
+///   * it lies partly inside the ROI and its outer-range count is 0 (value
+///     0), or its inner-range count is its area (value |cell ∩ ROI|).
+/// Every other touched cell is uncertain, and
+///   CP = certain + Σ CountPixels(mask, r, range) over r in `uncertain`.
+struct CpCellSplit {
+  /// Exact count of the certain cells' ROI pixels in the range.
+  int64_t certain = 0;
+  /// The uncertain cells ∩ ROI in mask coordinates, row-major: one
+  /// rectangle per run of horizontally adjacent uncertain cells.
+  std::vector<ROI> uncertain;
+};
+CpCellSplit SplitCpCells(const Chi& chi, const ROI& roi,
+                         const ValueRange& range);
 
 }  // namespace masksearch
 

@@ -254,7 +254,13 @@ Result<QueryResponse> QueryService::Execute(ServiceRequest request) {
 }
 
 void QueryService::Dispatch(const std::shared_ptr<PendingQuery>& pending) {
-  const double queue_seconds = SecondsSince(pending->submit_time_);
+  // One clock read ends the queue wait and starts the execution, and one
+  // ends both the execution and the request, so "queue_wait" + "exec" sum
+  // to the total latency whatever the thread does in between.
+  const auto dispatched = std::chrono::steady_clock::now();
+  const double queue_seconds =
+      std::chrono::duration<double>(dispatched - pending->submit_time_)
+          .count();
   const PriorityClass cls = pending->request_.priority;
   // Install the request's trace on this worker thread for the whole
   // execution: every MS_TRACE_SPAN below (executors, cache, storage) lands
@@ -280,7 +286,6 @@ void QueryService::Dispatch(const std::shared_ptr<PendingQuery>& pending) {
   QueryResponse response;
   response.kind = pending->request_.query.kind;
   response.queue_seconds = queue_seconds;
-  const auto exec_start = std::chrono::steady_clock::now();
   Status status = Status::OK();
   // The lease resolved at admission, not the service's fixed session: for a
   // live dataset this is the pinned epoch snapshot the request must read.
@@ -327,15 +332,15 @@ void QueryService::Dispatch(const std::shared_ptr<PendingQuery>& pending) {
       break;
     }
   }
+  const auto done = std::chrono::steady_clock::now();
   response.exec_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    exec_start)
-          .count();
+      std::chrono::duration<double>(done - dispatched).count();
   if (pending->trace_) {
     pending->trace_->AddSpan("exec", response.exec_seconds);
   }
 
-  const double total_seconds = SecondsSince(pending->submit_time_);
+  const double total_seconds =
+      std::chrono::duration<double>(done - pending->submit_time_).count();
   stats_.RecordOutcome(cls, OutcomeOf(status), queue_seconds, total_seconds);
   OfferSlowLog(*pending, status, queue_seconds, response.exec_seconds,
                total_seconds);

@@ -123,10 +123,15 @@ class MaskStore {
   struct Options {
     /// Shared disk model; null means unthrottled.
     std::shared_ptr<DiskThrottle> throttle;
-    /// Batch-I/O knobs for LoadMaskBatch: two blobs are coalesced into one
-    /// read when the byte gap between them is at most `batch_gap_bytes`,
-    /// and a coalesced read never exceeds `batch_max_bytes` (a single blob
-    /// larger than the cap is still read whole). Applied per shard.
+    /// Batch-I/O knobs for LoadMaskBatch and LoadMaskWindows: two extents
+    /// are coalesced into one read when the byte gap between them is at
+    /// most the merge gap, and a coalesced read never exceeds
+    /// `batch_max_bytes` (a single extent larger than the cap is still read
+    /// whole). Applied per shard. The merge gap is `batch_gap_bytes`; for
+    /// LoadMaskWindows on a shard whose throttle models bandwidth it is at
+    /// most bytes_per_sec × latency_us / 1e6, the bytes the device moves in
+    /// one request's latency, so a gap is read only when that is cheaper
+    /// than a request.
     uint64_t batch_gap_bytes = 64 * 1024;
     uint64_t batch_max_bytes = 8 * 1024 * 1024;
     /// Pool on which LoadMaskBatch issues its per-shard coalesced reads
@@ -196,8 +201,8 @@ class MaskStore {
   /// scatter read (one modeled disk request instead of one per mask). With
   /// Options::io_pool set, the per-shard reads are issued concurrently.
   /// Returns masks in the order of `ids`; duplicates are allowed and
-  /// decoded once. Each id counts as one mask loaded; bytes_read counts the
-  /// bytes actually read, including coalesced-over gaps.
+  /// decoded once. Each distinct id counts as one mask loaded; bytes_read
+  /// counts the bytes actually read, including coalesced-over gaps.
   virtual Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const = 0;
 
@@ -209,10 +214,12 @@ class MaskStore {
 
   /// \brief LoadMaskBatch with a row window per id (`windows` parallel to
   /// `ids`): entry i comes back as LoadMaskRows(ids[i], windows[i]) would
-  /// return it. Where ReadsRowWindows() is true, only each window's bytes
-  /// are read, with LoadMaskBatch's coalescing applied to the windows'
-  /// byte ranges. This default loads whole masks through LoadMaskBatch and
-  /// copies the windows out of them.
+  /// return it. An id may repeat with several windows (the verification
+  /// pipeline reads a mask's uncertain cell bands this way); the mask
+  /// still counts once in masks_loaded(). Where ReadsRowWindows() is true,
+  /// only each window's bytes are read, with LoadMaskBatch's coalescing
+  /// applied to the windows' byte ranges. This default loads whole masks
+  /// through LoadMaskBatch and copies the windows out of them.
   virtual Result<std::vector<Mask>> LoadMaskWindows(
       const std::vector<MaskId>& ids,
       const std::vector<RowWindow>& windows) const;
@@ -248,8 +255,8 @@ class MaskStore {
   /// Computed once at Open.
   virtual uint64_t TotalDataBytes() const { return total_data_bytes_; }
 
-  /// \brief Cumulative number of masks loaded (LoadMask / LoadMaskRows /
-  /// LoadMaskBatch / LoadMaskWindows entries, duplicates included). A
+  /// \brief Cumulative number of masks loaded (LoadMask / LoadMaskRows, and
+  /// the distinct ids of each LoadMaskBatch / LoadMaskWindows call). A
   /// CachedMaskStore forwards to the wrapped store, so the counters keep
   /// meaning physical storage traffic: cache hits move neither counter.
   virtual uint64_t masks_loaded() const { return masks_loaded_.load(); }

@@ -116,10 +116,21 @@ Result<Mask> ShardedMaskStore::LoadMask(MaskId id) const {
   return DecodeMask(blob);
 }
 
+uint64_t ShardedMaskStore::WindowGap(int32_t shard) const {
+  const DiskThrottle* throttle = ThrottleFor(shard);
+  if (throttle == nullptr || throttle->bytes_per_sec() <= 0.0) {
+    return opts_.batch_gap_bytes;
+  }
+  return std::min(opts_.batch_gap_bytes,
+                  static_cast<uint64_t>(throttle->bytes_per_sec() *
+                                        throttle->latency_us() / 1e6));
+}
+
 Status ShardedMaskStore::LoadShardRuns(int32_t shard,
                                        const std::vector<MaskId>& ids,
                                        const std::vector<Extent>& extents,
                                        const size_t* order, size_t count,
+                                       uint64_t merge_gap,
                                        std::vector<Mask>* out) const {
   const RandomAccessFile& file = *shards_[shard];
   // Scratch for coalesced-over gap bytes. Gap slices may alias it: preadv
@@ -152,7 +163,7 @@ Status ShardedMaskStore::LoadShardRuns(int32_t shard,
     size_t end = pos + 1;
     while (end < count) {
       const Extent& next = extents[order[end]];
-      if (next.offset > run_end + opts_.batch_gap_bytes) break;
+      if (next.offset > run_end + merge_gap) break;
       if (next.offset < run_end && !same(order[end], order[end - 1])) break;
       const uint64_t next_end = std::max(run_end, next.offset + next.size);
       if (next_end - run_start > opts_.batch_max_bytes && next_end > run_end) {
@@ -283,7 +294,13 @@ Result<std::vector<Mask>> ShardedMaskStore::LoadWindows(
     return ids[a] < ids[b];
   });
 
-  masks_loaded_.fetch_add(ids.size(), std::memory_order_relaxed);
+  // A mask counts once however many entries read it; its entries are
+  // adjacent in `order`, because its extents lie inside its own blob.
+  uint64_t distinct = 0;
+  for (size_t p = 0; p < order.size(); ++p) {
+    distinct += p == 0 || ids[order[p]] != ids[order[p - 1]];
+  }
+  masks_loaded_.fetch_add(distinct, std::memory_order_relaxed);
 
   // Contiguous per-shard slices of `order`.
   struct ShardSlice {
@@ -309,9 +326,12 @@ Result<std::vector<Mask>> ShardedMaskStore::LoadWindows(
                 obs::TraceScope trace_scope(trace);
                 MS_TRACE_SPAN("shard_read");
                 const ShardSlice& sl = slices[s];
-                statuses[s] =
-                    LoadShardRuns(sl.shard, ids, extents, &order[sl.begin],
-                                  sl.end - sl.begin, &out);
+                statuses[s] = LoadShardRuns(
+                    sl.shard, ids, extents, &order[sl.begin],
+                    sl.end - sl.begin,
+                    windows != nullptr ? WindowGap(sl.shard)
+                                       : opts_.batch_gap_bytes,
+                    &out);
               });
   for (const Status& st : statuses) MS_RETURN_NOT_OK(st);
   return out;

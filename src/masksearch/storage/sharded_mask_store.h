@@ -89,12 +89,21 @@ class ShardedMaskStore final : public MaskStore {
   Result<std::vector<Mask>> LoadWindows(const std::vector<MaskId>& ids,
                                         const RowWindow* windows) const;
 
+  /// The merge gap of row-window reads on shard `shard`: the bytes its
+  /// modeled device moves in one request's latency, bytes_per_sec ×
+  /// latency_us / 1e6, capped by Options::batch_gap_bytes (reading a
+  /// narrower gap is cheaper than a request); batch_gap_bytes when the
+  /// shard models no bandwidth. Whole-blob batches always use
+  /// batch_gap_bytes (docs/STORAGE_FORMAT.md).
+  uint64_t WindowGap(int32_t shard) const;
+
   /// Coalesced scatter-read loop over one shard's slice
   /// [order, order + count) of the batch order (entries sorted by extent
-  /// within this shard), decoding into out[order[p]].
+  /// within this shard), decoding into out[order[p]]. Extents at most
+  /// `merge_gap` bytes apart share one read.
   Status LoadShardRuns(int32_t shard, const std::vector<MaskId>& ids,
                        const std::vector<Extent>& extents,
-                       const size_t* order, size_t count,
+                       const size_t* order, size_t count, uint64_t merge_gap,
                        std::vector<Mask>* out) const;
 
   std::vector<uint64_t> offsets_;  ///< within the owning shard

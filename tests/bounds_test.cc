@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "masksearch/index/bounds.h"
@@ -296,6 +297,162 @@ TEST(BoundsTest, FinerIndexGivesTighterOrEqualBounds) {
     const CpBounds bf = ComputeCpBounds(c2, roi, range);
     ASSERT_LE(bf.upper, bc.upper);
     ASSERT_GE(bf.lower, bc.lower);
+  }
+}
+
+// ---- Cell split (SplitCpCells) ----
+
+/// CP from a split: the certain count plus every uncertain rectangle.
+int64_t SplitCount(const CpCellSplit& split, const Mask& m,
+                   const ValueRange& range) {
+  int64_t count = split.certain;
+  for (const ROI& r : split.uncertain) count += CountPixels(m, r, range);
+  return count;
+}
+
+/// Checks the split's shape: uncertain rectangles lie inside the clamped
+/// ROI, are disjoint, row-major, and each spans whole cell rows of it.
+void ExpectWellFormed(const CpCellSplit& split, const Chi& chi,
+                      const ROI& roi_in) {
+  const ROI roi = roi_in.ClampTo(chi.width(), chi.height());
+  for (size_t i = 0; i < split.uncertain.size(); ++i) {
+    const ROI& r = split.uncertain[i];
+    EXPECT_FALSE(r.Empty());
+    EXPECT_EQ(r.Intersect(roi).Area(), r.Area()) << r.ToString();
+    if (i > 0) {
+      const ROI& p = split.uncertain[i - 1];
+      EXPECT_TRUE(p.y0 < r.y0 || (p.y0 == r.y0 && p.x1 < r.x0))
+          << p.ToString() << " then " << r.ToString();
+    }
+  }
+}
+
+// Exactness over ragged masks whose pixels sit on, and one float beside,
+// the edges of 8-bin, 20-bin and equi-depth CHIs, for ranges on and off
+// those edges, ROIs inside, partly outside and off the mask, and empty
+// ROIs: certain + CountPixels(uncertain) equals CP in every case.
+TEST(CellSplitTest, CertainPlusUncertainIsExact) {
+  testing_util::TempDir dir("cell_split");
+  auto store = testing_util::MakeEdgeStore(dir.path(), 4, 45, 37, 5);
+  Rng rng(4242);
+  int64_t certain_cells = 0;
+  int64_t uncertain_rects = 0;
+  for (const ChiConfig& cfg : testing_util::EdgeChiConfigs()) {
+    for (MaskId id = 0; id < store->num_masks(); ++id) {
+      const Mask m = store->LoadMask(id).ValueOrDie();
+      const Chi chi = BuildChi(m, cfg);
+      std::vector<ROI> rois = {ROI::Full(45, 37), store->meta(id).object_box,
+                               ROI(30, 20, 80, 60), ROI(50, 0, 60, 37),
+                               ROI(9, 2, 9, 30), ROI(16, 18, 32, 27)};
+      for (int k = 0; k < 6; ++k) {
+        const int32_t x0 = static_cast<int32_t>(rng.UniformInt(0, 44));
+        const int32_t y0 = static_cast<int32_t>(rng.UniformInt(0, 36));
+        rois.emplace_back(x0, y0,
+                          static_cast<int32_t>(rng.UniformInt(x0 + 1, 45)),
+                          static_cast<int32_t>(rng.UniformInt(y0 + 1, 37)));
+      }
+      for (const ValueRange& range : testing_util::EdgeValueRanges()) {
+        for (const ROI& roi : rois) {
+          SCOPED_TRACE("bins " + std::to_string(cfg.num_bins) + " mask " +
+                       std::to_string(id) + " roi " + roi.ToString() +
+                       " range " + range.ToString());
+          const CpCellSplit split = SplitCpCells(chi, roi, range);
+          ASSERT_EQ(SplitCount(split, m, range), CountPixels(m, roi, range));
+          ExpectWellFormed(split, chi, roi);
+          certain_cells += split.certain > 0;
+          uncertain_rects += static_cast<int64_t>(split.uncertain.size());
+        }
+      }
+    }
+  }
+  // Both parts carry weight.
+  EXPECT_GT(certain_cells, 100);
+  EXPECT_GT(uncertain_rects, 100);
+}
+
+// Cells wholly inside a grid-aligned ROI whose pixels avoid the bins that
+// straddle lv and uv are all certain; so is a cell partly inside the ROI
+// with no pixel in the outer range (value 0), and one whose every pixel is
+// in the inner range (value |cell ∩ ROI|). A partial cell with only some
+// pixels in range is uncertain, and so is a whole cell with a pixel in a
+// straddling bin.
+TEST(CellSplitTest, CertaintyRulePerCell) {
+  ChiConfig cfg;
+  cfg.cell_width = 4;
+  cfg.cell_height = 4;
+  cfg.num_bins = 4;  // edges 0.25, 0.5, 0.75
+  Mask m(12, 8);
+  for (int32_t y = 0; y < 8; ++y) {
+    for (int32_t x = 0; x < 12; ++x) {
+      // Columns 0..3: 0.1 (out of range); 4..7: 0.6 (in range);
+      // 8..11: 0.6 with one 0.1 pixel per cell.
+      m.set(x, y, x < 4 ? 0.1f : 0.6f);
+    }
+  }
+  m.set(9, 1, 0.1f);
+  m.set(10, 6, 0.1f);
+  const Chi chi = BuildChi(m, cfg);
+  const ValueRange on_edges(0.5, 0.75);
+
+  // Aligned ROI over all cells: nothing straddles, everything certain.
+  CpCellSplit split = SplitCpCells(chi, ROI::Full(12, 8), on_edges);
+  EXPECT_TRUE(split.uncertain.empty());
+  EXPECT_EQ(split.certain, CountPixels(m, on_edges));
+
+  // ROI cutting every cell: columns 0..3 certain (no pixel in the outer
+  // range), 4..7 certain (every pixel in the inner range), 8..11 not.
+  const ROI cut(1, 1, 11, 7);
+  split = SplitCpCells(chi, cut, on_edges);
+  EXPECT_EQ(split.certain, int64_t{4} * 6);  // |cells 4..7 ∩ cut| in range
+  ASSERT_EQ(split.uncertain.size(), 2u);     // rows 1..4 and 4..7, x 8..11
+  EXPECT_EQ(split.uncertain[0].ToString(), ROI(8, 1, 11, 4).ToString());
+  EXPECT_EQ(split.uncertain[1].ToString(), ROI(8, 4, 11, 7).ToString());
+  EXPECT_EQ(SplitCount(split, m, on_edges), CountPixels(m, cut, on_edges));
+
+  // Off-edge range: whole cells of 0.6 straddle the bin of 0.55, so they
+  // are uncertain; the 0.1 cells are still certain (outer count 0).
+  const ValueRange off_edges(0.55, 0.75);
+  split = SplitCpCells(chi, ROI::Full(12, 8), off_edges);
+  EXPECT_EQ(split.certain, 0);
+  ASSERT_EQ(split.uncertain.size(), 2u);  // one run of 2 cells per cell row
+  EXPECT_EQ(split.uncertain[0].ToString(), ROI(4, 0, 12, 4).ToString());
+  EXPECT_EQ(SplitCount(split, m, off_edges), CountPixels(m, off_edges));
+
+  // Empty ROI and empty range: nothing to count.
+  split = SplitCpCells(chi, ROI(3, 0, 3, 8), on_edges);
+  EXPECT_EQ(split.certain, 0);
+  EXPECT_TRUE(split.uncertain.empty());
+  split = SplitCpCells(chi, ROI::Full(12, 8), ValueRange(0.6, 0.6));
+  EXPECT_EQ(split.certain, 0);
+  EXPECT_TRUE(split.uncertain.empty());
+}
+
+// CountPixels compares a pixel against float(lv): a pixel equal to
+// float(lv) below the 20-bin edge 0.35 < lv = nextafter(0.35, 1) counts,
+// so the outer range must reach its bin; and a pixel equal to float(uv)
+// below the edge 0.7 < uv never counts, so the inner range must stop
+// before its bin. Bounds and the split both hold.
+TEST(CellSplitTest, FloatThresholdsBelowAnEdge) {
+  ChiConfig cfg;
+  cfg.cell_width = 2;
+  cfg.cell_height = 2;
+  cfg.num_bins = 20;
+  Mask m(4, 2);
+  for (float& v : m.mutable_data()) v = 0.5f;
+  m.set(0, 0, static_cast<float>(0.35));
+  m.set(2, 0, static_cast<float>(0.7));
+  const Chi chi = BuildChi(m, cfg);
+  for (const ValueRange& range :
+       {ValueRange(std::nextafter(0.35, 1.0), 0.6),
+        ValueRange(0.4, std::nextafter(0.7, 1.0)),
+        ValueRange(std::nextafter(0.35, 1.0), std::nextafter(0.7, 1.0))}) {
+    SCOPED_TRACE(range.ToString());
+    const int64_t exact = CountPixels(m, range);
+    const CpBounds b = ComputeCpBounds(chi, ROI::Full(4, 2), range);
+    EXPECT_LE(b.lower, exact);
+    EXPECT_GE(b.upper, exact);
+    EXPECT_EQ(SplitCount(SplitCpCells(chi, ROI::Full(4, 2), range), m, range),
+              exact);
   }
 }
 

@@ -74,11 +74,13 @@ TEST(ExplainTest, StatsSummary) {
   stats.accepted_by_bounds = 10;
   stats.candidates = 10;
   stats.masks_loaded = 10;
+  stats.bytes_read = 3 * 1024 * 1024 + 512 * 1024;
   stats.seconds = 0.25;
   const std::string s = SummarizeStats(stats);
   EXPECT_NE(s.find("100 targeted"), std::string::npos);
   EXPECT_NE(s.find("10 loaded"), std::string::npos);
   EXPECT_NE(s.find("10.00%"), std::string::npos);
+  EXPECT_NE(s.find("| 3.50 MiB read"), std::string::npos) << s;
 }
 
 }  // namespace

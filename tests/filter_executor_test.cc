@@ -75,7 +75,8 @@ TEST_F(FilterExecutorTest, StatsPartitionTargetedMasks) {
   const ExecStats& s = r->stats;
   EXPECT_EQ(s.masks_targeted, store_->num_masks());
   EXPECT_EQ(s.pruned + s.accepted_by_bounds + s.candidates, s.masks_targeted);
-  EXPECT_EQ(s.masks_loaded, s.candidates);
+  // Cell bands: a verified mask whose cells the CHI all pins reads nothing.
+  EXPECT_LE(s.masks_loaded, s.candidates);
   EXPECT_GE(s.FML(), 0.0);
   EXPECT_LE(s.FML(), 1.0);
 }
@@ -113,20 +114,22 @@ TEST_F(FilterExecutorTest, IncrementalIndexingBuildsOnlyLoadedMasks) {
   }
 
   // Second identical query now benefits from the incrementally built index,
-  // and with every CHI built it reads only the object boxes' rows.
+  // and with every CHI built it reads only the object boxes' uncertain
+  // cell bands.
   testing_util::ForwardingStore store(*store_);
   auto second = ExecuteFilter(store, &empty, q);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->mask_ids, first->mask_ids);
   EXPECT_LT(second->stats.masks_loaded, first->stats.masks_loaded);
   EXPECT_EQ(second->stats.chis_built, 0);
-  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
-                                 second->stats.bytes_read);
+  EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
+                                           second->stats.bytes_read, &empty),
+            second->stats.masks_loaded);
 }
 
 // Bounded incremental indexing: with a ChiCache as the source, a mask
 // missing from it is read whole and its CHI retained; once cached, its
-// loads read only ROI rows.
+// loads read only its uncertain cell bands.
 TEST_F(FilterExecutorTest, ChiCacheRetentionBuildsFromWholeMasks) {
   BufferPool::Options popts;
   popts.budget_bytes = 64ull << 20;
@@ -150,8 +153,9 @@ TEST_F(FilterExecutorTest, ChiCacheRetentionBuildsFromWholeMasks) {
   EXPECT_EQ(second->mask_ids, first->mask_ids);
   EXPECT_EQ(second->stats.chis_built, 0);
   EXPECT_LT(second->stats.masks_loaded, first->stats.masks_loaded);
-  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
-                                 second->stats.bytes_read);
+  EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
+                                           second->stats.bytes_read, &cache),
+            second->stats.masks_loaded);
 }
 
 TEST_F(FilterExecutorTest, SelectionByModel) {
@@ -265,10 +269,14 @@ TEST_F(FilterExecutorTest, RandomizedQueriesMatchReference) {
 // returns the reference answer with identical per-mask stats. The queries
 // cover one object-box term, two disjoint ROIs (object box + a rectangle),
 // an ROI partly outside the mask, and an empty ROI. The raw uncached store
-// reads each loaded mask's ROI rows only; the others read whole masks, so
-// bytes_read is equal per store, not across stores. Only io_pool
+// reads each verified mask's uncertain cell bands with an index and its ROI
+// rows without; the others read every verified mask whole, so bytes_read
+// and masks_loaded are equal per store, not across stores (a mask whose
+// cells the CHI all pins is verified without a read). Only io_pool
 // configurations may skip prefetches, and on the warm store every batch is
-// resident, so every one of them is skipped and nothing is read.
+// resident, so every one of them is skipped and nothing is read. A second
+// part runs a ragged store with pixels on and beside the bin edges under
+// 8-bin, 20-bin and equi-depth CHIs (testing_util::EdgeChiConfigs).
 TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
   TempDir raw_dir("filter_raw");
   TempDir compressed_dir("filter_compressed");
@@ -342,6 +350,7 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
     for (ChiSource* chis : sources) {
       std::optional<ExecStats> first;
       std::optional<int64_t> bytes[kNumKinds];
+      std::optional<int64_t> loaded[kNumKinds];
       for (int kind = 0; kind < kNumKinds; ++kind) {
         for (const Pools& p : pool_sets) {
           for (size_t batch : {size_t{1}, size_t{5}, size_t{0}}) {
@@ -371,14 +380,22 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
             EXPECT_EQ(got->mask_ids, want->mask_ids);
             const ExecStats& s = got->stats;
             if (!first) first = s;
-            EXPECT_EQ(s.masks_loaded, first->masks_loaded);
             EXPECT_EQ(s.pruned, first->pruned);
             EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
             EXPECT_EQ(s.candidates, first->candidates);
             if (!bytes[kind]) bytes[kind] = s.bytes_read;
             EXPECT_EQ(s.bytes_read, *bytes[kind]);
-            testing_util::ExpectLoadedRows(&store, q.terms,
-                                           kind == kUncached, s.bytes_read);
+            if (!loaded[kind]) loaded[kind] = s.masks_loaded;
+            EXPECT_EQ(s.masks_loaded, *loaded[kind]);
+            if (kind == kUncached && chis != nullptr) {
+              EXPECT_LE(s.masks_loaded, s.candidates);
+            } else {
+              EXPECT_EQ(s.masks_loaded, s.candidates);
+            }
+            EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms,
+                                                     kind == kUncached,
+                                                     s.bytes_read, chis),
+                      s.masks_loaded);
             if (p.io_pool == nullptr || kind != kWarm) {
               EXPECT_EQ(s.prefetch_skipped, 0);
             } else {
@@ -399,12 +416,100 @@ TEST_F(FilterExecutorTest, PipelineMatrixMatchesReference) {
         }
       }
       // Windows read fewer bytes wherever an ROI spans part of the rows.
-      if (qi != queries.size() - 1 && first->masks_loaded > 0) {
+      if (qi != queries.size() - 1 && first->candidates > 0) {
         EXPECT_LT(*bytes[kUncached], *bytes[kCold]);
       }
       EXPECT_EQ(*bytes[kCold], *bytes[kWarm]);
     }
   }
+
+  // Cell bands on awkward values: the ragged edge store under each CHI
+  // geometry, raw uncached (cell bands) and cached (whole masks), serial
+  // and overlapped, for object-box, partly-outside, ragged and two-term
+  // queries with each edge range, thresholded at the median exact value.
+  TempDir edge_dir("filter_edge");
+  auto edge = testing_util::MakeEdgeStore(edge_dir.path(), 12, 45, 37, 17);
+  FullScanBaseline edge_reference(edge.get());
+  const Pools edge_pools[] = {{nullptr, nullptr}, {&pool, &io_pool}};
+  int64_t verified = 0;
+  int64_t read = 0;
+  for (const ChiConfig& cfg : testing_util::EdgeChiConfigs()) {
+    IndexManager edge_index(edge->num_masks(), cfg);
+    MS_ASSERT_OK(edge_index.BuildAll(*edge));
+    for (const ValueRange& range : testing_util::EdgeValueRanges()) {
+      auto edge_term = [&](RoiSource source, ROI roi) {
+        CpTerm t = term(source, roi, 0.0);
+        t.range = range;
+        return t;
+      };
+      std::vector<std::vector<CpTerm>> term_sets = {
+          {edge_term(RoiSource::kObjectBox, {})},
+          {edge_term(RoiSource::kConstant, ROI(30, 20, 80, 60))},
+          {edge_term(RoiSource::kConstant, ROI(5, 3, 41, 35))},
+          {edge_term(RoiSource::kObjectBox, {}),
+           term(RoiSource::kConstant, ROI(2, 28, 44, 37), 0.5)}};
+      for (const std::vector<CpTerm>& terms : term_sets) {
+        FilterQuery q;
+        q.terms = terms;
+        const CpExpr expr = terms.size() == 1
+                                 ? CpExpr::Term(0)
+                                 : CpExpr::Term(0) + CpExpr::Term(1);
+        std::vector<double> values;
+        for (MaskId id = 0; id < edge->num_masks(); ++id) {
+          const Mask m = edge->LoadMask(id).ValueOrDie();
+          std::vector<double> exact;
+          for (const CpTerm& t : terms) {
+            exact.push_back(static_cast<double>(
+                CountPixels(m, ResolveRoi(t, edge->meta(id)), t.range)));
+          }
+          values.push_back(expr.EvalExact(exact));
+        }
+        std::sort(values.begin(), values.end());
+        q.predicate = Predicate::Compare(expr, CompareOp::kGt,
+                                         values[values.size() / 2]);
+        auto want = edge_reference.Filter(q);
+        ASSERT_TRUE(want.ok());
+        std::optional<ExecStats> first;
+        for (const bool cached : {false, true}) {
+          for (const Pools& p : edge_pools) {
+            SCOPED_TRACE("edge bins " + std::to_string(cfg.num_bins) +
+                         " range " + range.ToString() + " terms " +
+                         std::to_string(terms.size()) + " roi " +
+                         ResolveRoi(terms[0], edge->meta(0)).ToString() +
+                         " cached " + std::to_string(cached) + " io_pool " +
+                         std::to_string(p.io_pool != nullptr));
+            MaskStore::Options copts;
+            if (cached) copts.cache = std::make_shared<BufferPool>(popts);
+            auto inner = MaskStore::Open(edge_dir.path(), copts).ValueOrDie();
+            testing_util::ForwardingStore store(*inner);
+            EngineOptions opts;
+            opts.pool = p.pool;
+            opts.io_pool = p.io_pool;
+            auto got = ExecuteFilter(store, &edge_index, q, opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            EXPECT_EQ(got->mask_ids, want->mask_ids);
+            const ExecStats& s = got->stats;
+            if (!first) first = s;
+            EXPECT_EQ(s.pruned, first->pruned);
+            EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
+            EXPECT_EQ(s.candidates, first->candidates);
+            EXPECT_EQ(s.masks_loaded, cached ? s.candidates
+                                             : first->masks_loaded);
+            EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms, !cached,
+                                                     s.bytes_read, &edge_index),
+                      s.masks_loaded);
+            if (!cached && p.io_pool == nullptr) {
+              verified += s.candidates;
+              read += s.masks_loaded;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Some verified masks are read in bands, and some not at all.
+  EXPECT_GT(read, 0);
+  EXPECT_LT(read, verified);
 }
 
 TEST_F(FilterExecutorTest, StagedPathOnShardedStoreMatchesReference) {

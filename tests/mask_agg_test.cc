@@ -12,6 +12,7 @@
 #include "masksearch/baselines/full_scan.h"
 #include "masksearch/cache/buffer_pool.h"
 #include "masksearch/exec/agg_executor.h"
+#include "masksearch/exec/group_driver.h"
 #include "masksearch/exec/mask_agg.h"
 #include "masksearch/index/chi_builder.h"
 #include "masksearch/storage/sharded_mask_store.h"
@@ -249,6 +250,56 @@ TEST_F(MaskAggExecTest, InvalidQueriesRejected) {
                   .IsInvalidArgument());
 }
 
+// A group whose derived CHI was cached when its unit was formed reads only
+// its members' ROI rows and is answered by the fused count, even when the
+// CHI is evicted before the group is verified: here every load floods the
+// shared pool. No derived CHI is ever built from row windows.
+TEST_F(MaskAggExecTest, WindowedGroupsNeverBuildDerivedChisFromSlices) {
+  BufferPool::Options popts;
+  popts.budget_bytes = 256 << 10;  // less than one load's flood
+  popts.shards = 1;
+  popts.admission = CacheAdmission::kAdmitAll;  // plain LRU
+  const auto pool = std::make_shared<BufferPool>(popts);
+  DerivedIndexCache cache(TestConfig(), pool);
+  const MaskAggQuery q = IntersectQuery(5);
+  FullScanBaseline reference(store_.get());
+  const AggResult want = reference.MaskAggregate(q).ValueOrDie();
+  ASSERT_TRUE(ExecuteMaskAgg(*store_, index_.get(), &cache, q).ok());
+  ASSERT_GT(cache.size(), 0u);
+
+  ChiCache flood(pool, TestConfig(), CacheSpace::kMaskChi);
+  const Chi big = BuildChi(Mask(256, 256), TestConfig());
+  int64_t next_key = 0;
+  testing_util::ForwardingStore store(*store_, [&] {
+    for (int i = 0; i < 8; ++i) flood.Put(next_key++, big);
+  });
+  auto got = ExecuteMaskAgg(store, index_.get(), &cache, q);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->groups.size(), want.groups.size());
+  for (size_t i = 0; i < want.groups.size(); ++i) {
+    EXPECT_EQ(got->groups[i].group, want.groups[i].group) << "rank " << i;
+    EXPECT_EQ(got->groups[i].value, want.groups[i].value) << "rank " << i;
+  }
+  bool windowed = false;
+  for (const auto& [id, w] : store.TakeLoads()) {
+    windowed = windowed || !w.IsWhole(store_->meta(id));
+  }
+  EXPECT_TRUE(windowed);
+  // Every derived CHI the cache holds is the whole derived mask's.
+  for (const internal::AggGroup& g :
+       internal::ResolveGroups(*store_, q.selection, q.group_key)) {
+    const std::shared_ptr<const Chi> chi = cache.Get(g.members);
+    if (chi == nullptr) continue;
+    const std::vector<Mask> members =
+        store_->LoadMaskBatch(g.members).ValueOrDie();
+    const Mask derived =
+        ComputeDerivedMask(q.op, q.agg_threshold, members).ValueOrDie();
+    EXPECT_EQ(testing_util::ChiBytes(*chi),
+              testing_util::ChiBytes(BuildChi(derived, TestConfig())))
+        << "group " << g.key;
+  }
+}
+
 // Parallel batched verification must return byte-identical results to the
 // serial schedule, and its filter-stage stats must stay consistent: the
 // same groups are partitioned across pruned / accepted / candidates, with
@@ -416,7 +467,9 @@ TEST_F(MaskAggExecTest, RepeatedQueryDoesNotRebuildDerivedChis) {
 // auto} x CHI source {IndexManager, shared ChiCache} — matches the serial
 // schedule byte for byte. Only io_pool
 // configurations may skip prefetches; on the warm store every verified
-// group is resident, so each one is skipped and nothing is read.
+// group is resident, so each one is skipped and nothing is read. A repeat
+// on the same derived cache, and a run without one, answer with the fused
+// count: on the raw uncached store they read only the members' ROI rows.
 TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
   BufferPool::Options popts;
   popts.budget_bytes = 64ull << 20;  // ample: everything stays resident
@@ -446,7 +499,10 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
   };
   const Pools pool_sets[] = {
       {nullptr, nullptr}, {&pool, nullptr}, {&pool, &io_pool}, {&pool, &pool}};
+  FullScanBaseline mask_agg_reference(store_.get());
   for (const MaskAggQuery& q : {topk, having}) {
+    const Result<AggResult> want = mask_agg_reference.MaskAggregate(q);
+    ASSERT_TRUE(want.ok());
     for (const MaskStore* store : {store_.get(), warm.get()}) {
       for (const Pools& p : pool_sets) {
         for (size_t run = 0; run < 6; ++run) {
@@ -473,6 +529,28 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
           } else {
             EXPECT_EQ(got->stats.prefetch_skipped, got->stats.candidates);
             EXPECT_EQ(store->masks_loaded(), physical_before);
+          }
+
+          const bool windowed = store == store_.get();
+          for (DerivedIndexCache* again :
+               {&cache, static_cast<DerivedIndexCache*>(nullptr)}) {
+            testing_util::ForwardingStore fwd(*store);
+            auto repeat = ExecuteMaskAgg(fwd, chis, again, q, opts);
+            ASSERT_TRUE(repeat.ok()) << repeat.status();
+            ASSERT_EQ(repeat->groups.size(), want->groups.size());
+            for (size_t i = 0; i < want->groups.size(); ++i) {
+              EXPECT_EQ(repeat->groups[i].group, want->groups[i].group);
+              // NaN: a HAVING group accepted by non-tight bounds.
+              if (!std::isnan(repeat->groups[i].value)) {
+                EXPECT_EQ(repeat->groups[i].value, want->groups[i].value);
+              }
+            }
+            EXPECT_EQ(repeat->stats.chis_built, 0);
+            if (again == nullptr) {
+              EXPECT_EQ(testing_util::ExpectLoadedRows(
+                            &fwd, {q.term}, windowed, repeat->stats.bytes_read),
+                        repeat->stats.masks_loaded);
+            }
           }
         }
       }
@@ -531,6 +609,7 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
       for (const Pools& p : pool_sets) {
         for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
           std::optional<ExecStats> first;
+          int64_t loaded[kNumKinds] = {};
           for (int kind = 0; kind < kNumKinds; ++kind) {
             SCOPED_TRACE(std::string(ScalarAggOpToString(op)) +
                          (q.k ? (q.descending ? " top-k desc" : " top-k asc")
@@ -575,16 +654,136 @@ TEST_F(MaskAggParallelTest, PipelineMatrixMatchesSerial) {
             EXPECT_EQ(st.pruned + st.accepted_by_bounds + st.candidates,
                       num_groups);
             if (!q.k) {
-              EXPECT_EQ(st.masks_loaded, serial.stats.masks_loaded);
               EXPECT_EQ(st.candidates, serial.stats.candidates);
+              if (kind == kUncached) {
+                EXPECT_EQ(st.masks_loaded, serial.stats.masks_loaded);
+              }
             }
             if (!first) first = st;
-            EXPECT_EQ(st.masks_loaded, first->masks_loaded);
             EXPECT_EQ(st.pruned, first->pruned);
             EXPECT_EQ(st.accepted_by_bounds, first->accepted_by_bounds);
             EXPECT_EQ(st.candidates, first->candidates);
-            testing_util::ExpectLoadedRows(&store, {q.term},
-                                           kind == kUncached, st.bytes_read);
+            loaded[kind] = st.masks_loaded;
+            EXPECT_EQ(testing_util::ExpectLoadedRows(&store, {q.term},
+                                                     kind == kUncached,
+                                                     st.bytes_read, &index),
+                      st.masks_loaded);
+          }
+          // Whole members everywhere but on the raw uncached store, which
+          // skips members whose cells the CHI all pins.
+          EXPECT_EQ(loaded[kWarm], loaded[kCold]);
+          EXPECT_EQ(loaded[kCompressed], loaded[kCold]);
+          EXPECT_LE(loaded[kUncached], loaded[kCold]);
+        }
+      }
+    }
+  }
+
+  // The ragged edge store (pixels on and beside bin edges) under the 8-bin,
+  // 20-bin and equi-depth CHIs of testing_util::EdgeChiConfigs: SUM and
+  // MIN aggregations (top-k both ways, HAVING at the median) over each edge
+  // range, and AVG / INTERSECT mask aggregations run cold, repeated on
+  // their derived cache and without one, on the raw uncached store (cell
+  // bands, ROI rows) and a cached one, serial and overlapped, match the
+  // full-scan reference.
+  TempDir edge_dir("maskagg_edge");
+  auto edge = testing_util::MakeEdgeStore(edge_dir.path(), 12, 45, 37, 29);
+  auto edge_cached = [&] {
+    MaskStore::Options cached;
+    cached.cache = std::make_shared<BufferPool>(popts);
+    return MaskStore::Open(edge_dir.path(), cached).ValueOrDie();
+  }();
+  FullScanBaseline edge_reference(edge.get());
+  const Pools edge_pools[] = {{nullptr, nullptr}, {&pool, &io_pool}};
+  const std::vector<ValueRange> ranges = testing_util::EdgeValueRanges();
+  for (const ChiConfig& cfg : testing_util::EdgeChiConfigs()) {
+    IndexManager edge_index(edge->num_masks(), cfg);
+    MS_ASSERT_OK(edge_index.BuildAll(*edge));
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      CpTerm term;
+      term.roi_source =
+          r % 2 == 0 ? RoiSource::kObjectBox : RoiSource::kConstant;
+      term.constant_roi = r % 4 == 1 ? ROI(5, 3, 41, 35) : ROI(30, 20, 80, 60);
+      term.range = ranges[r];
+      std::vector<AggregationQuery> scalar;
+      for (ScalarAggOp op : {ScalarAggOp::kSum, ScalarAggOp::kMin}) {
+        AggregationQuery base;
+        base.term = term;
+        base.op = op;
+        base.group_key = GroupKey::kImageId;
+        AggregationQuery every = base;
+        every.k = 12;
+        const AggResult ranked =
+            edge_reference.Aggregate(every).ValueOrDie();
+        AggregationQuery over = base;
+        over.having_op = CompareOp::kGt;
+        over.having_threshold = ranked.groups[6].value;
+        AggregationQuery desc = base;
+        desc.k = 3;
+        AggregationQuery asc = desc;
+        asc.descending = false;
+        scalar.insert(scalar.end(), {over, desc, asc});
+      }
+      std::vector<MaskAggQuery> derived(2);
+      derived[0].op = MaskAggOp::kAverage;
+      derived[1].op = MaskAggOp::kIntersectThreshold;
+      derived[1].agg_threshold = 0.35;
+      derived[1].having_op = CompareOp::kGt;
+      derived[1].having_threshold = 0.0;
+      for (MaskAggQuery& q : derived) {
+        q.term = term;
+        if (q.op == MaskAggOp::kIntersectThreshold) {
+          q.term.range = ValueRange(0.5, 1.0);  // the "1" pixels
+        } else {
+          q.k = 3;
+        }
+        q.group_key = GroupKey::kImageId;
+      }
+      for (const MaskStore* inner : {edge.get(), edge_cached.get()}) {
+        const bool windowed = inner == edge.get();
+        for (const Pools& p : edge_pools) {
+          SCOPED_TRACE("edge bins " + std::to_string(cfg.num_bins) +
+                       " range " + ranges[r].ToString() + " roi " +
+                       std::to_string(r % 4) + " cached " +
+                       std::to_string(!windowed) + " io_pool " +
+                       std::to_string(p.io_pool != nullptr));
+          EngineOptions opts;
+          opts.pool = p.pool;
+          opts.io_pool = p.io_pool;
+          for (const AggregationQuery& q : scalar) {
+            const AggResult want = edge_reference.Aggregate(q).ValueOrDie();
+            testing_util::ForwardingStore store(*inner);
+            auto got = ExecuteAggregation(store, &edge_index, q, opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ASSERT_EQ(got->groups.size(), want.groups.size());
+            for (size_t i = 0; i < got->groups.size(); ++i) {
+              EXPECT_EQ(got->groups[i].group, want.groups[i].group);
+              if (!std::isnan(got->groups[i].value)) {
+                EXPECT_EQ(got->groups[i].value, want.groups[i].value);
+              }
+            }
+            EXPECT_EQ(testing_util::ExpectLoadedRows(&store, {q.term},
+                                                     windowed,
+                                                     got->stats.bytes_read,
+                                                     &edge_index),
+                      got->stats.masks_loaded);
+          }
+          for (const MaskAggQuery& q : derived) {
+            const AggResult want =
+                edge_reference.MaskAggregate(q).ValueOrDie();
+            DerivedIndexCache cache(cfg);
+            for (DerivedIndexCache* c :
+                 {&cache, &cache, static_cast<DerivedIndexCache*>(nullptr)}) {
+              auto got = ExecuteMaskAgg(*inner, &edge_index, c, q, opts);
+              ASSERT_TRUE(got.ok()) << got.status();
+              ASSERT_EQ(got->groups.size(), want.groups.size());
+              for (size_t i = 0; i < got->groups.size(); ++i) {
+                EXPECT_EQ(got->groups[i].group, want.groups[i].group);
+                if (!std::isnan(got->groups[i].value)) {
+                  EXPECT_EQ(got->groups[i].value, want.groups[i].value);
+                }
+              }
+            }
           }
         }
       }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "masksearch/common/thread_pool.h"
@@ -107,8 +108,8 @@ void ExpectParity(StorageKind kind, int32_t num_shards, ThreadPool* io_pool) {
       EXPECT_EQ((*a)[i].data(), (*b)[i].data()) << "trial " << trial
                                                 << " slot " << i;
     }
-    // Identical accounting: every id counts as one load on both layouts,
-    // and sharding never reads more payload bytes than the single file
+    // Identical accounting: every distinct id counts as one load on both
+    // layouts, and sharding never reads more payload bytes than the single file
     // (shard runs contain no cross-shard gaps).
     EXPECT_EQ(single->masks_loaded(), sharded->masks_loaded());
     EXPECT_LE(sharded->bytes_read(),
@@ -142,7 +143,9 @@ void ExpectParity(StorageKind kind, int32_t num_shards, ThreadPool* io_pool) {
     auto b = sharded->LoadMaskWindows(ids, windows);
     ASSERT_TRUE(b.ok()) << b.status();
     ASSERT_EQ(b->size(), ids.size());
-    EXPECT_EQ(sharded->masks_loaded(), ids.size());
+    // A mask counts once however many entries read it.
+    EXPECT_EQ(sharded->masks_loaded(),
+              std::set<MaskId>(ids.begin(), ids.end()).size());
     for (size_t i = 0; i < ids.size(); ++i) {
       auto a = raw ? single->LoadMaskRows(ids[i], windows[i].y0, windows[i].y1)
                    : single->LoadMask(ids[i]);
@@ -224,6 +227,95 @@ TEST(ShardedStoreTest, WindowedBatchReadsOnlyWindowBytes) {
     }
     EXPECT_EQ(opts.throttle->total_bytes(), store->bytes_read());
   }
+}
+
+/// A one-mask raw store of a w × h mask at `dir`.
+std::unique_ptr<MaskStore> OpenTallStore(const std::string& dir, int32_t w,
+                                         int32_t h,
+                                         const MaskStore::Options& opts) {
+  Rng rng(3);
+  auto writer = MaskStoreWriter::Create(dir).ValueOrDie();
+  writer->Append(MaskMeta{}, RandomMask(&rng, w, h)).ValueOrDie();
+  writer->Finish().CheckOK();
+  return MaskStore::Open(dir, opts).ValueOrDie();
+}
+
+TEST(ShardedStoreTest, ThrottledWindowGapIsBandwidthTimesLatency) {
+  // Rows [0, 10) and [110, 120) of a 10-wide mask leave a 4,000-byte gap. A
+  // disk of 1e9 B/s and 4 us per request reads 4,000 bytes in the time of
+  // one request, so it merges the two windows into one; at 999.75e6 B/s
+  // the break-even gap is 3,999 bytes, one byte short, and it does not.
+  const uint64_t row = 10 * sizeof(float);
+  const std::vector<RowWindow> windows = {{0, 10}, {110, 120}};
+  for (const double bytes_per_sec : {1e9, 999.75e6}) {
+    TempDir dir("gap");
+    MaskStore::Options opts;
+    opts.throttle = std::make_shared<DiskThrottle>(bytes_per_sec, 4.0);
+    auto store = OpenTallStore(dir.path(), 10, 200, opts);
+    auto masks = store->LoadMaskWindows({0, 0}, windows);
+    ASSERT_TRUE(masks.ok()) << masks.status();
+    const bool merged = bytes_per_sec == 1e9;
+    EXPECT_EQ(opts.throttle->total_requests(), merged ? 1u : 2u);
+    EXPECT_EQ(store->bytes_read(), merged ? 120 * row : 20 * row);
+    EXPECT_EQ(store->masks_loaded(), 1u);
+  }
+}
+
+TEST(ShardedStoreTest, WholeBlobBatchesKeepTheConfiguredGap) {
+  // Masks 0 and 2 of three 10 x 200 blobs lie 8,000 bytes apart: more than
+  // the windows' 4,000-byte gap on this disk, less than batch_gap_bytes. A
+  // whole-blob batch merges them; the same blobs as windows do not.
+  TempDir dir("blobgap");
+  Rng rng(5);
+  auto writer = MaskStoreWriter::Create(dir.path()).ValueOrDie();
+  for (int i = 0; i < 3; ++i) {
+    writer->Append(MaskMeta{}, RandomMask(&rng, 10, 200)).ValueOrDie();
+  }
+  writer->Finish().CheckOK();
+  MaskStore::Options opts;
+  opts.throttle = std::make_shared<DiskThrottle>(1e9, 4.0);
+  auto store = MaskStore::Open(dir.path(), opts).ValueOrDie();
+  ASSERT_TRUE(store->LoadMaskBatch({0, 2}).ok());
+  EXPECT_EQ(opts.throttle->total_requests(), 1u);
+  ASSERT_TRUE(store
+                  ->LoadMaskWindows({0, 2}, {RowWindow{0, 200},
+                                             RowWindow{0, 200}})
+                  .ok());
+  EXPECT_EQ(opts.throttle->total_requests(), 3u);
+}
+
+TEST(ShardedStoreTest, UnthrottledStoreMergesAt64KiB) {
+  // A 1-wide mask: rows 16,384 apart leave a 65,536-byte gap, which an
+  // unthrottled store (here an accounting-only throttle) still merges; one
+  // row more is not merged.
+  for (const int32_t skip : {16384, 16385}) {
+    TempDir dir("gap64");
+    MaskStore::Options opts;
+    opts.throttle = std::make_shared<DiskThrottle>(0.0);  // accounting only
+    auto store = OpenTallStore(dir.path(), 1, 16500, opts);
+    auto masks = store->LoadMaskWindows(
+        {0, 0}, {RowWindow{0, 1}, RowWindow{1 + skip, 2 + skip}});
+    ASSERT_TRUE(masks.ok()) << masks.status();
+    EXPECT_EQ(opts.throttle->total_requests(), skip == 16384 ? 1u : 2u);
+  }
+}
+
+TEST(ShardedStoreTest, MaskReadAsThreeWindowsCountsOnce) {
+  TempDir dir("three");
+  MaskStore::Options opts;
+  opts.batch_gap_bytes = 0;
+  auto store = OpenTallStore(dir.path(), 12, 40, opts);
+  const std::vector<RowWindow> windows = {{2, 5}, {10, 11}, {30, 38}};
+  auto masks = store->LoadMaskWindows({0, 0, 0}, windows);
+  ASSERT_TRUE(masks.ok()) << masks.status();
+  ASSERT_EQ(masks->size(), 3u);
+  const Mask whole = store->LoadMask(0).ValueOrDie();
+  for (size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ((*masks)[i].height(), windows[i].rows());
+    EXPECT_EQ((*masks)[i].at(7, 0), whole.at(7, windows[i].y0));
+  }
+  EXPECT_EQ(store->masks_loaded(), 2u);  // the windows once, LoadMask once
+  EXPECT_EQ(store->bytes_read(), (3 + 1 + 8 + 40) * 12 * sizeof(float));
 }
 
 TEST(ShardedStoreTest, LoadMaskRowsMatchesSingleFile) {

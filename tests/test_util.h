@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "masksearch/cache/chi_cache.h"
 #include "masksearch/common/random.h"
 #include "masksearch/common/serialize.h"
+#include "masksearch/exec/evaluator.h"
 #include "masksearch/index/chi.h"
 #include "masksearch/index/index_manager.h"
 #include "masksearch/query/expression.h"
@@ -104,6 +106,118 @@ inline std::unique_ptr<MaskStore> MakeStore(const std::string& dir,
       meta.model_id = model;
       meta.mask_type = MaskType::kSaliencyMap;
       meta.object_box = box;
+      writer->Append(meta, mask).ValueOrDie();
+    }
+  }
+  writer->Finish().CheckOK();
+  return MaskStore::Open(dir).ValueOrDie();
+}
+
+/// CHI geometries whose bin edges are awkward for a cell split, none of
+/// whose cells divide the edge stores' sides: 8 equi-width bins (every edge
+/// a float), 20 equi-width bins (edges such as 0.35 that no float equals),
+/// and 6 equi-depth bins at custom edges (doubles, some not floats).
+inline std::vector<ChiConfig> EdgeChiConfigs() {
+  ChiConfig eight;
+  eight.cell_width = 8;
+  eight.cell_height = 8;
+  eight.num_bins = 8;
+  ChiConfig twenty;
+  twenty.cell_width = 7;
+  twenty.cell_height = 9;
+  twenty.num_bins = 20;
+  ChiConfig depth;
+  depth.cell_width = 6;
+  depth.cell_height = 10;
+  depth.num_bins = 6;
+  depth.custom_edges = {0.1, 0.35, 0.5, 0.7, static_cast<float>(0.93)};
+  return {eight, twenty, depth};
+}
+
+/// The bin edges of EdgeChiConfigs() inside (0, 1), as doubles.
+inline std::vector<double> EdgeValues() {
+  std::vector<double> edges;
+  for (int32_t k = 1; k < 8; ++k) edges.push_back(k / 8.0);
+  for (int32_t k = 1; k < 20; ++k) edges.push_back(k * 0.05);
+  const ChiConfig depth = EdgeChiConfigs()[2];
+  edges.insert(edges.end(), depth.custom_edges.begin(),
+               depth.custom_edges.end());
+  return edges;
+}
+
+/// Pixel values on the bin edges of EdgeChiConfigs() and one float to
+/// either side, plus 0 and the largest float below 1.
+inline std::vector<float> EdgePixelValues() {
+  std::vector<float> values = {0.0f, std::nextafter(1.0f, 0.0f)};
+  for (double e : EdgeValues()) {
+    const float f = static_cast<float>(e);
+    values.insert(values.end(), {f, std::nextafter(f, 0.0f),
+                                 std::nextafter(f, 1.0f)});
+  }
+  return values;
+}
+
+/// Value ranges on, beside and between those edges: double edges, their
+/// float roundings and next doubles, ranges narrower than one bin, the
+/// whole domain, and an empty range.
+inline std::vector<ValueRange> EdgeValueRanges() {
+  return {ValueRange(0.35, 0.7),
+          ValueRange(std::nextafter(0.35, 1.0), 0.7),
+          ValueRange(static_cast<float>(0.35), static_cast<float>(0.7)),
+          ValueRange(0.25, 0.5),
+          ValueRange(0.5, std::nextafter(0.7, 1.0)),
+          ValueRange(0.3, 0.31),
+          ValueRange(0.36, 0.37),
+          ValueRange(0.1, 0.93),
+          ValueRange(0.0, 1.0),
+          ValueRange(0.0, 0.05),
+          ValueRange(std::nextafter(1.0f, 0.0f), 1.0),
+          ValueRange(0.6, 0.6)};
+}
+
+/// A raw store of `num_images` images × 2 models of w × h masks (choose
+/// sides that no cell of EdgeChiConfigs() divides) at `dir`: saliency
+/// content, a rectangle of one edge value, and 3% of the pixels at edge
+/// values (EdgePixelValues). Model 1 of every third image is flat instead:
+/// 0.6 in the columns left of x = 24 or 28 (cell boundaries of the 8- and
+/// 6-wide, or the 7-wide cells), 0 elsewhere, so an ROI cutting those
+/// cells can be pinned by its CHI without tight bounds.
+inline std::unique_ptr<MaskStore> MakeEdgeStore(const std::string& dir,
+                                                int64_t num_images, int32_t w,
+                                                int32_t h, uint64_t seed) {
+  const std::vector<float> edges = EdgePixelValues();
+  auto writer = MaskStoreWriter::Create(dir).ValueOrDie();
+  Rng rng(seed);
+  auto pick = [&] { return edges[rng.UniformInt(0, edges.size() - 1)]; };
+  for (int64_t img = 0; img < num_images; ++img) {
+    const ROI box = GenerateObjectBox(&rng, w, h);
+    for (int32_t model = 0; model < 2; ++model) {
+      MaskMeta meta;
+      meta.image_id = img;
+      meta.model_id = model;
+      meta.mask_type = MaskType::kSaliencyMap;
+      meta.object_box = box;
+      if (model == 1 && img % 3 == 0) {
+        Mask flat(w, h);
+        const int32_t split = img % 2 == 0 ? 24 : 28;
+        for (int32_t y = 0; y < h; ++y) {
+          for (int32_t x = 0; x < std::min(w, split); ++x) flat.set(x, y, 0.6f);
+        }
+        writer->Append(meta, flat).ValueOrDie();
+        continue;
+      }
+      Mask mask = BlobMask(&rng, w, h);
+      const int32_t x0 = static_cast<int32_t>(rng.UniformInt(0, w - 1));
+      const int32_t y0 = static_cast<int32_t>(rng.UniformInt(0, h - 1));
+      const int32_t x1 = static_cast<int32_t>(rng.UniformInt(x0 + 1, w));
+      const int32_t y1 = static_cast<int32_t>(rng.UniformInt(y0 + 1, h));
+      const float fill = pick();
+      for (int32_t y = y0; y < y1; ++y) {
+        for (int32_t x = x0; x < x1; ++x) mask.set(x, y, fill);
+      }
+      for (float& v : mask.mutable_data()) {
+        if (rng.NextBool(0.03)) v = pick();
+      }
       writer->Append(meta, mask).ValueOrDie();
     }
   }
@@ -237,22 +351,43 @@ inline RowWindow RoiRows(const MaskMeta& meta,
   return y0 < y1 ? RowWindow{y0, y1} : RowWindow::Whole(meta);
 }
 
-/// Checks the loads `store` recorded since the last call: each read the
-/// whole mask, or, when `windowed`, exactly RoiRows(terms); and `bytes`
-/// (an ExecStats::bytes_read) is their byte total.
-inline void ExpectLoadedRows(ForwardingStore* store,
-                             const std::vector<CpTerm>& terms, bool windowed,
-                             int64_t bytes) {
+/// Checks the loads `store` recorded since the last call and that `bytes`
+/// (an ExecStats::bytes_read) is their byte total. Each mask is read whole;
+/// or, when `windowed` (a raw uncached store), with `chis` as its
+/// verification plan's windows, the consecutive entries of one call
+/// (internal::PlanVerifyLoad), and without as exactly RoiRows(terms).
+/// Returns the number of masks read, a mask read in several windows once.
+inline int64_t ExpectLoadedRows(ForwardingStore* store,
+                                const std::vector<CpTerm>& terms,
+                                bool windowed, int64_t bytes,
+                                const ChiSource* chis = nullptr) {
   int64_t want = 0;
-  for (const auto& [id, w] : store->TakeLoads()) {
-    const MaskMeta& m = store->meta(id);
-    const RowWindow rows = windowed ? RoiRows(m, terms) : RowWindow::Whole(m);
-    EXPECT_EQ(w.y0, rows.y0) << "mask " << id;
-    EXPECT_EQ(w.y1, rows.y1) << "mask " << id;
-    want += w.IsWhole(m) ? static_cast<int64_t>(store->BlobSize(id))
-                         : int64_t{w.rows()} * m.width * 4;
+  int64_t masks = 0;
+  for (const std::vector<ForwardingStore::Load>& call : store->TakeCalls()) {
+    for (size_t j = 0; j < call.size();) {
+      const MaskId id = call[j].first;
+      const MaskMeta& m = store->meta(id);
+      std::vector<RowWindow> rows = {windowed ? RoiRows(m, terms)
+                                              : RowWindow::Whole(m)};
+      if (windowed && chis != nullptr) {
+        rows = internal::PlanVerifyLoad(*store, chis, id, terms).windows;
+      }
+      ++masks;
+      size_t n = 0;
+      for (; j < call.size() && call[j].first == id; ++j, ++n) {
+        const RowWindow& w = call[j].second;
+        if (n < rows.size()) {
+          EXPECT_EQ(w.y0, rows[n].y0) << "mask " << id << " window " << n;
+          EXPECT_EQ(w.y1, rows[n].y1) << "mask " << id << " window " << n;
+        }
+        want += w.IsWhole(m) ? static_cast<int64_t>(store->BlobSize(id))
+                             : int64_t{w.rows()} * m.width * 4;
+      }
+      EXPECT_EQ(n, rows.size()) << "mask " << id;
+    }
   }
   EXPECT_EQ(bytes, want);
+  return masks;
 }
 
 /// A CHI's serialized bytes, for exact comparison.

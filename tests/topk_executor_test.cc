@@ -209,14 +209,18 @@ TEST_F(TopKExecutorTest, IncrementalIndexingStillExact) {
 // Random queries, DESC and ASC, on four stores holding the same masks —
 // raw uncached, raw cached cold and warm, compressed — under every pool set
 // and batch size, with the CHIs in an IndexManager or (first query) in a
-// shared ChiCache, match the full-scan reference. Per schedule, stats
-// are equal on every store and from both sources. The raw uncached store
-// reads only the rows of each loaded mask's ROIs; the others read whole
-// masks. Batches are pruned against the heap as of their formation, so
-// they may load more masks than the serial schedule (no io_pool, batch 1),
-// never fewer. The 25 queries of one Rng sequence run as five slices of
-// five, each its own ctest entry (tests/CMakeLists.txt), so no entry nears
-// the time limit under the thread sanitizer.
+// shared ChiCache, match the full-scan reference. Per schedule, pruned,
+// accepted and candidate counts are equal on every store and from both
+// sources. The raw uncached store reads only the uncertain cell bands of
+// each verified mask's ROIs, and nothing of a mask whose cells the CHI all
+// pins; the others read every verified mask whole. Batches are pruned
+// against the heap as of their formation, so they may verify more masks
+// than the serial schedule (no io_pool, batch 1), never fewer. Each slice
+// also runs the ragged edge store (pixels on and beside bin edges) under
+// the 8-bin, 20-bin and equi-depth CHIs of testing_util::EdgeChiConfigs.
+// The 25 queries of one Rng sequence run as five slices of five, each its
+// own ctest entry (tests/CMakeLists.txt), so no entry nears the time limit
+// under the thread sanitizer.
 constexpr int kQueriesPerSlice = 5;
 
 class TopKRandomizedTest : public TopKExecutorTest,
@@ -263,10 +267,11 @@ TEST_P(TopKRandomizedTest, RandomizedQueriesMatchReference) {
       q.descending = descending;
       auto want = reference.TopK(q);
       ASSERT_TRUE(want.ok());
-      std::optional<ExecStats> serial;
+      std::optional<ExecStats> serial[kNumKinds];
       for (const Pools& p : pool_sets) {
         for (size_t batch : {size_t{1}, size_t{3}, size_t{0}}) {
           std::optional<ExecStats> first;
+          std::optional<int64_t> loaded[kNumKinds];
           // The shared ChiCache runs on the first query only: the suite is
           // near its time limit under the thread sanitizer.
           const int num_sources = i == 0 ? 2 : 1;
@@ -302,19 +307,110 @@ TEST_P(TopKRandomizedTest, RandomizedQueriesMatchReference) {
             const ExecStats& s = got->stats;
             EXPECT_EQ(s.pruned + s.accepted_by_bounds + s.candidates,
                       s.masks_targeted);
-            EXPECT_EQ(s.masks_loaded, s.candidates);
-            if (!serial) serial = s;  // the first schedule is the serial one
-            EXPECT_GE(s.masks_loaded, serial->masks_loaded);
+            if (kind == kUncached) {
+              EXPECT_LE(s.masks_loaded, s.candidates);
+            } else {
+              EXPECT_EQ(s.masks_loaded, s.candidates);
+            }
+            // The first schedule is the serial one.
+            if (!serial[kind]) serial[kind] = s;
+            EXPECT_GE(s.candidates, serial[kind]->candidates);
+            EXPECT_GE(s.masks_loaded, serial[kind]->masks_loaded);
             if (p.io_pool == nullptr && batch != 3) {  // 0 means 1 here
-              EXPECT_EQ(s.masks_loaded, serial->masks_loaded);
+              EXPECT_EQ(s.candidates, serial[kind]->candidates);
+              EXPECT_EQ(s.masks_loaded, serial[kind]->masks_loaded);
             }
             if (!first) first = s;
-            EXPECT_EQ(s.masks_loaded, first->masks_loaded);
+            if (!loaded[kind]) loaded[kind] = s.masks_loaded;
+            EXPECT_EQ(s.masks_loaded, *loaded[kind]);
             EXPECT_EQ(s.pruned, first->pruned);
             EXPECT_EQ(s.accepted_by_bounds, first->accepted_by_bounds);
             EXPECT_EQ(s.candidates, first->candidates);
-            testing_util::ExpectLoadedRows(&store, q.terms, kind == kUncached,
-                                           s.bytes_read);
+            EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms,
+                                                     kind == kUncached,
+                                                     s.bytes_read, chis),
+                      s.masks_loaded);
+          }
+        }
+      }
+    }
+  }
+
+  // The edge store: this slice's share of the edge ranges, each over an
+  // object-box, a ragged and a partly-outside ROI and a two-term
+  // difference, both directions, on the raw uncached store serial and
+  // overlapped and on a cached store.
+  TempDir edge_dir("topk_edge");
+  auto edge = testing_util::MakeEdgeStore(edge_dir.path(), 12, 45, 37, 23);
+  MaskStore::Options copts;
+  copts.cache = std::make_shared<BufferPool>(popts);
+  auto edge_cached = MaskStore::Open(edge_dir.path(), copts).ValueOrDie();
+  FullScanBaseline edge_reference(edge.get());
+  const std::vector<ValueRange> ranges = testing_util::EdgeValueRanges();
+  for (const ChiConfig& cfg : testing_util::EdgeChiConfigs()) {
+    IndexManager edge_index(edge->num_masks(), cfg);
+    MS_ASSERT_OK(edge_index.BuildAll(*edge));
+    for (size_t r = GetParam(); r < ranges.size(); r += kQueriesPerSlice) {
+      auto term = [&](ROI roi, RoiSource source) {
+        CpTerm t;
+        t.roi_source = source;
+        t.constant_roi = roi;
+        t.range = ranges[r];
+        return t;
+      };
+      std::vector<TopKQuery> queries(4);
+      queries[0].terms = {term({}, RoiSource::kObjectBox)};
+      queries[1].terms = {term(ROI(5, 3, 41, 35), RoiSource::kConstant)};
+      queries[2].terms = {term(ROI(30, 20, 80, 60), RoiSource::kConstant)};
+      queries[3].terms = {term({}, RoiSource::kObjectBox),
+                          term(ROI(0, 0, 45, 37), RoiSource::kConstant)};
+      queries[3].terms[1].range = ValueRange(0.5, 1.0);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        TopKQuery& q = queries[qi];
+        q.order_expr = qi == 3 ? CpExpr::Term(0) - CpExpr::Term(1)
+                               : CpExpr::Term(0);
+        q.k = 5;
+        for (const bool descending : {true, false}) {
+          q.descending = descending;
+          auto want = edge_reference.TopK(q);
+          ASSERT_TRUE(want.ok());
+          std::optional<ExecStats> first;
+          for (int run = 0; run < 3; ++run) {
+            SCOPED_TRACE("edge bins " + std::to_string(cfg.num_bins) +
+                         " range " + ranges[r].ToString() + " query " +
+                         std::to_string(qi) + " desc " +
+                         std::to_string(descending) + " run " +
+                         std::to_string(run));
+            const bool cached = run == 2;
+            testing_util::ForwardingStore store(cached ? *edge_cached : *edge);
+            EngineOptions opts;
+            if (run == 1) {
+              opts.pool = &pool;
+              opts.io_pool = &io_pool;
+            }
+            auto got = ExecuteTopK(store, &edge_index, q, opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ASSERT_EQ(got->items.size(), want->items.size());
+            for (size_t j = 0; j < got->items.size(); ++j) {
+              ASSERT_EQ(got->items[j].mask_id, want->items[j].mask_id)
+                  << "rank " << j;
+              ASSERT_EQ(got->items[j].value, want->items[j].value)
+                  << "rank " << j;
+            }
+            const ExecStats& s = got->stats;
+            if (!first) first = s;
+            if (run != 1) {
+              EXPECT_EQ(s.candidates, first->candidates);
+              EXPECT_EQ(s.pruned, first->pruned);
+            }
+            if (cached) {
+              EXPECT_EQ(s.masks_loaded, s.candidates);
+            }
+            EXPECT_LE(s.masks_loaded, s.candidates);
+            EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms, !cached,
+                                                     s.bytes_read,
+                                                     &edge_index),
+                      s.masks_loaded);
           }
         }
       }
@@ -381,10 +477,12 @@ TEST_F(TopKExecutorTest, TracedQueryRecordsPipelineSpans) {
 }
 
 // A traced top-k on a raw uncached store attributes its windowed loads: the
-// storage read span is recorded and its byte count is the window bytes.
+// storage read span is recorded and its byte count is the bytes the store
+// read: the cell bands' bytes plus the gaps coalesced between them.
 TEST_F(TopKExecutorTest, TracedWindowedLoadsAreAttributed) {
   const TopKQuery q = ConstantRoiQuery(5, /*descending=*/true);
   testing_util::ForwardingStore store(*store_);
+  const uint64_t physical_before = store.bytes_read();
   obs::Trace trace(1);
   Result<TopKResult> got = Status::Internal("not run");
   {
@@ -393,11 +491,13 @@ TEST_F(TopKExecutorTest, TracedWindowedLoadsAreAttributed) {
   }
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_GT(got->stats.masks_loaded, 0);
-  // ROI rows 10..40 of 48: a window, not the whole mask.
-  EXPECT_EQ(got->stats.bytes_read,
+  // Bands inside ROI rows 10..40 of 48: never the whole mask.
+  EXPECT_LE(got->stats.bytes_read,
             got->stats.masks_loaded * 30 * 48 * int64_t{sizeof(float)});
-  testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
-                                 got->stats.bytes_read);
+  EXPECT_EQ(testing_util::ExpectLoadedRows(&store, q.terms, /*windowed=*/true,
+                                           got->stats.bytes_read,
+                                           index_.get()),
+            got->stats.masks_loaded);
   uint64_t span_count = 0;
   for (const obs::Trace::Span& s : trace.spans()) {
     if (s.name == "shard_read") span_count = s.count;
@@ -407,7 +507,8 @@ TEST_F(TopKExecutorTest, TracedWindowedLoadsAreAttributed) {
   for (const auto& [name, n] : trace.counts()) {
     if (name == "storage_bytes_read") traced_bytes = n;
   }
-  EXPECT_EQ(traced_bytes, static_cast<uint64_t>(got->stats.bytes_read));
+  EXPECT_EQ(traced_bytes, store.bytes_read() - physical_before);
+  EXPECT_GE(traced_bytes, static_cast<uint64_t>(got->stats.bytes_read));
 }
 
 // A factor bounded by [0, 0] times a quotient whose divisor bound touches 0
