@@ -1,6 +1,5 @@
 #include "masksearch/cache/cached_mask_store.h"
 
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -145,31 +144,6 @@ Result<std::vector<Mask>> CachedMaskStore::LoadMaskBatch(
     for (size_t i : positions[u]) out[i] = mask;
   }
   return out;  // pins released here, after every copy is made
-}
-
-Result<Mask> CachedMaskStore::LoadMaskRows(MaskId id, int32_t y0,
-                                           int32_t y1) const {
-  MS_RETURN_NOT_OK(CheckId(id));
-  // Replicate the inner checks so error behavior matches the uncached path
-  // exactly, then serve the row range from a resident full mask if there is
-  // one. Partial reads are never inserted (a row slice is not the blob).
-  if (kind_ != StorageKind::kRawFloat32) {
-    return inner_->LoadMaskRows(id, y0, y1);
-  }
-  const MaskMeta& m = inner_->meta(id);
-  if (y0 < 0 || y1 > m.height || y0 >= y1) {
-    return inner_->LoadMaskRows(id, y0, y1);
-  }
-  BufferPool::Pin pin = pool_->Lookup(KeyFor(id));
-  if (!pin) {
-    Count(misses_, "cache_misses");
-    return inner_->LoadMaskRows(id, y0, y1);
-  }
-  Count(hits_, "cache_hits");
-  const Mask& full = *static_cast<const Mask*>(pin.get());
-  std::vector<float> values(static_cast<size_t>(m.width) * (y1 - y0));
-  std::memcpy(values.data(), full.row(y0), values.size() * sizeof(float));
-  return Mask::FromData(m.width, y1 - y0, std::move(values));
 }
 
 Status CachedMaskStore::ReadBlob(MaskId id, std::string* out) const {

@@ -13,10 +13,11 @@
 // other's in-flight entries. Duplicate ids in a batch resolve to one pool
 // access and one decode.
 //
-// Row windows: ReadsRowWindows() stays false and LoadMaskWindows is the
-// base default (whole masks through the cache, windows copied out), so the
-// executors' verification loads read whole masks and keep filling the
-// cache — a slice is never a cache entry.
+// Row windows: ReadsRowWindows() stays false, and LoadMaskWindows and
+// LoadMaskRows are the base defaults: whole masks through the cache, the
+// windows copied out. So every row read, the executors' verification loads
+// included, pins or fills the cache with the whole mask; a slice is never a
+// cache entry.
 //
 // Accounting: masks_loaded()/bytes_read() forward to the wrapped store, so
 // they keep meaning *physical* storage traffic — a warm hit moves neither.
@@ -70,7 +71,6 @@ class CachedMaskStore final : public MaskStore {
   Result<Mask> LoadMask(MaskId id) const override;
   Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const override;
-  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override;
   Status ReadBlob(MaskId id, std::string* out) const override;
 
   uint64_t masks_loaded() const override { return inner_->masks_loaded(); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <utility>
 
 #include "masksearch/common/stopwatch.h"
 #include "masksearch/exec/evaluator.h"
@@ -73,9 +72,8 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, ChiSource* chis,
   // Verification stage: the undecided masks in fixed slices, each slice
   // evaluated across the pool. With io_pool a slice loads as one contiguous
   // unit per io_pool thread (at most one per mask), each its own io_pool
-  // task, so that many reads are in flight; without io_pool as one unit. A
-  // mask's window is the rows of all the predicate's terms, or with cell
-  // bands its plan's windows (evaluator.h).
+  // task, so that many reads are in flight; without io_pool as one unit.
+  // Each mask loads and is decided by its plan (evaluator.h).
   const size_t batch =
       opts.verify_batch > 0
           ? opts.verify_batch
@@ -84,7 +82,6 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, ChiSource* chis,
   const size_t max_units =
       opts.io_pool != nullptr ? std::max<size_t>(1, opts.io_pool->num_threads())
                               : 1;
-  const bool cell_bands = internal::PlansCellBands(store, chis);
   FilterResult result;
   size_t next = 0;
   auto next_batch = [&] {
@@ -97,53 +94,24 @@ Result<FilterResult> ExecuteFilter(const MaskStore& store, ChiSource* chis,
     for (size_t u = 0; u < units; ++u) {
       internal::LoadUnit& unit = b.units.emplace_back();
       for (size_t j = take * u / units; j < take * (u + 1) / units; ++j) {
-        const MaskId id = ids[b.items[j]];
-        if (cell_bands) {
-          const internal::CellPlan& plan = b.plans.emplace_back(
-              internal::PlanVerifyLoad(store, chis, id, query.terms));
-          unit.ids.insert(unit.ids.end(), plan.windows.size(), id);
-          unit.windows.insert(unit.windows.end(), plan.windows.begin(),
-                              plan.windows.end());
-          continue;
-        }
-        unit.ids.push_back(id);
-        unit.windows.push_back(internal::VerifyWindow(
-            store, chis, id, internal::TermRows(store.meta(id), query.terms)));
+        internal::PlanVerifyLoad(store, chis, ids[b.items[j]], query.terms,
+                                 &b.plans, &unit);
+        b.plans.EndPlan();
       }
     }
     return b;
   };
   auto verify = [&](const internal::VerifyBatch& b,
                     const std::vector<std::vector<Mask>>& masks) {
-    auto decide = [&](size_t i, const std::vector<double>& exact) {
-      outcomes[i] = query.predicate.EvalExact(exact) ? Outcome::kVerifiedPass
-                                                     : Outcome::kVerifiedFail;
-    };
-    if (!b.plans.empty()) {
-      std::vector<size_t> first;
-      const std::vector<const Mask*> rows =
-          internal::FlattenPlanned(masks, b.plans, &first);
-      ParallelFor(
-          b.items.size() > 1 ? opts.pool : nullptr, b.items.size(),
-          [&](size_t j) {
-            decide(b.items[j],
-                   internal::TermExactFromPlan(
-                       b.plans[j], rows.data() + first[j], query.terms));
-          });
-      return Status::OK();
-    }
-    // (unit, position in unit) of each of the batch's masks, in item order.
-    std::vector<std::pair<size_t, size_t>> at;
-    for (size_t u = 0; u < masks.size(); ++u) {
-      for (size_t p = 0; p < masks[u].size(); ++p) at.emplace_back(u, p);
-    }
-    ParallelFor(at.size() > 1 ? opts.pool : nullptr, at.size(), [&](size_t j) {
-      const auto [u, p] = at[j];
-      const size_t i = b.items[j];
-      decide(i, internal::TermExactFromMask(masks[u][p], store.meta(ids[i]),
-                                            query.terms,
-                                            b.units[u].windows[p]));
-    });
+    const std::vector<const Mask*> rows = internal::PlanRows(masks, b.plans);
+    ParallelFor(b.items.size() > 1 ? opts.pool : nullptr, b.items.size(),
+                [&](size_t j) {
+                  outcomes[b.items[j]] =
+                      query.predicate.EvalExact(internal::TermExactFromPlan(
+                          b.plans, j, rows[j], query.terms))
+                          ? Outcome::kVerifiedPass
+                          : Outcome::kVerifiedFail;
+                });
     return Status::OK();
   };
   MS_RETURN_NOT_OK(internal::RunVerifyPipeline(

@@ -140,7 +140,8 @@ Result<AggResult> RunGroupAggregation(const MaskStore& store,
       const size_t i = queue[cursor++];
       if (top_k && !Admit(i)) continue;
       out.items.push_back(i);
-      out.units.push_back(ops.unit(i, groups[i]));
+      ops.unit(i, groups[i], &out.units.emplace_back(), &out.plans);
+      out.plans.EndPlan();
     }
     return out;
   };
@@ -154,7 +155,7 @@ Result<AggResult> RunGroupAggregation(const MaskStore& store,
     std::vector<Status> statuses(n, Status::OK());
     ParallelFor(n > 1 ? opts.pool : nullptr, n, [&](size_t j) {
       const size_t i = b.items[j];
-      Result<double> v = ops.exact(i, groups[i], b.units[j], masks[j]);
+      Result<double> v = ops.exact(i, groups[i], b, j, masks[j]);
       if (v.ok()) {
         exact[i] = *v;
       } else {

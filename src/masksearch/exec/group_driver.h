@@ -36,14 +36,17 @@ struct GroupOps {
   /// +inf) where nothing is known. Called once, before any load.
   std::function<std::vector<Interval>(const std::vector<AggGroup>& groups)>
       bounds;
-  /// The masks loaded to verify group i, with the rows read of each (or
-  /// none: whole masks): one pipeline load unit, read as given.
-  std::function<LoadUnit(size_t i, const AggGroup& group)> unit;
-  /// Group i's exact aggregate from its unit's masks, in unit order; mask j
-  /// holds the rows unit.windows[j]. Runs concurrently for distinct groups
-  /// across EngineOptions::pool.
+  /// Plans group i's verification (evaluator.h): appends to `unit` the
+  /// entries its pipeline load unit reads and to the open plan of `plans`
+  /// its slots. The driver closes the plan.
+  std::function<void(size_t i, const AggGroup& group, LoadUnit* unit,
+                     LoadPlans* plans)>
+      unit;
+  /// Group i's exact aggregate from batch item j: its plan batch.plans[j]
+  /// and its unit's masks `masks`, the plan's entries in order. Runs
+  /// concurrently for distinct groups across EngineOptions::pool.
   std::function<Result<double>(size_t i, const AggGroup& group,
-                               const LoadUnit& unit,
+                               const VerifyBatch& batch, size_t j,
                                const std::vector<Mask>& masks)>
       exact;
 };

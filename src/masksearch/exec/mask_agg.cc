@@ -162,66 +162,53 @@ Result<AggResult> ExecuteMaskAgg(const MaskStore& store, ChiSource* chis,
     }
     return out;
   };
-  // A group reads its members' ROI rows (TermRows of the first member,
-  // whose shape every member shares) where the store reads only a window's
-  // bytes and the fused count answers the group: its derived CHI is cached
-  // when the unit is formed, or there is no derived cache. A member CHI the
-  // session's source would retain widens the group to whole members
-  // (VerifyWindow). Otherwise whole members, no windows: the derived-CHI
-  // build needs the whole derived mask.
-  const bool row_windows = store.ReadsRowWindows();
+  // A group is planned as one unit of its members (PlanGroupLoad): their
+  // ROI rows where the fused count answers it, or whole blobs when its
+  // derived CHI is wanted but not cached when the unit is formed, because
+  // the derived-CHI build needs the whole derived mask.
   const std::vector<CpTerm> terms{query.term};
-  ops.unit = [&](size_t, const internal::AggGroup& g) {
-    internal::LoadUnit unit{g.members, {}};
-    if (!row_windows ||
-        (cache != nullptr && cache->Get(g.members) == nullptr)) {
-      return unit;
-    }
-    const MaskMeta& first = store.meta(g.members.front());
-    RowWindow rows = internal::TermRows(first, terms);
-    for (MaskId id : g.members) {
-      const MaskMeta& m = store.meta(id);
-      if (m.width != first.width || m.height != first.height) return unit;
-      if (internal::VerifyWindow(store, chis, id, rows).IsWhole(m)) {
-        rows = RowWindow::Whole(first);
-      }
-    }
-    unit.windows.assign(g.members.size(), rows);
-    return unit;
+  ops.unit = [&](size_t, const internal::AggGroup& g, internal::LoadUnit* unit,
+                 internal::LoadPlans* plans) {
+    internal::PlanGroupLoad(
+        store, chis, g.members, terms,
+        [&] { return cache != nullptr && cache->Get(g.members) == nullptr; },
+        plans, unit);
   };
 
-  // CP(derived, roi, range) exactly from the loaded members. A unit of whole
-  // members whose derived CHI is wanted but missing materializes the derived
-  // mask (it is needed for the CHI build anyway) and registers its CHI;
-  // every other unit, windowed ones always, is answered by the fused count
-  // kernel without materializing it.
+  // CP(derived, roi, range) exactly from the loaded members over the plan's
+  // rectangles. A unit of whole blobs whose derived CHI is wanted but
+  // missing materializes the derived mask (it is needed for the CHI build
+  // anyway) and registers its CHI; every other unit, windowed ones always,
+  // is answered by the fused count kernel without materializing it.
   std::atomic<int64_t> built{0};
   ops.exact = [&](size_t, const internal::AggGroup& g,
-                  const internal::LoadUnit& unit,
+                  const internal::VerifyBatch& b, size_t j,
                   const std::vector<Mask>& masks) -> Result<double> {
     MS_RETURN_NOT_OK(CheckSameShape(masks));
-    if (unit.windows.empty() && cache != nullptr &&
+    const internal::LoadPlans& plans = b.plans;
+    const size_t slot = plans.FirstSlot(j);
+    if (b.units[j].windows.empty() && cache != nullptr &&
         cache->Get(g.members) == nullptr) {
       // §3.4 treats aggregated masks as "new masks" indexed ahead of time
       // or on first use; skip the build when the group is already cached.
       MS_ASSIGN_OR_RETURN(
           Mask derived,
           ComputeDerivedMask(query.op, query.agg_threshold, masks));
-      const double value = static_cast<double>(
-          CountPixels(derived, roi(g), query.term.range));
+      const int64_t value =
+          internal::SlotCount(plans, slot, &derived, query.term.range);
       cache->Put(g.members, BuildChi(derived, cache->config()));
       built.fetch_add(1, std::memory_order_relaxed);
-      return value;
+      return static_cast<double>(value);
     }
-    const MaskMeta& first = store.meta(g.members.front());
-    const RowWindow window =
-        unit.windows.empty() ? RowWindow::Whole(first) : unit.windows.front();
     const std::vector<const float*> ptrs = MaskPointers(masks);
-    return static_cast<double>(DerivedCpCount(
-        ToKernelOp(query.op), static_cast<float>(query.agg_threshold),
-        DerivedMaskOne(), ptrs.data(), ptrs.size(), masks[0].width(),
-        masks[0].height(), internal::WindowRoi(roi(g), first, window),
-        query.term.range));
+    int64_t count = plans.certain[slot];
+    for (size_t r = plans.FirstRect(slot); r < plans.rects_end[slot]; ++r) {
+      count += DerivedCpCount(
+          ToKernelOp(query.op), static_cast<float>(query.agg_threshold),
+          DerivedMaskOne(), ptrs.data(), ptrs.size(), masks[0].width(),
+          masks[0].height(), plans.rects[r], query.term.range);
+    }
+    return static_cast<double>(count);
   };
 
   MS_ASSIGN_OR_RETURN(AggResult result, internal::RunGroupAggregation(

@@ -111,7 +111,6 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
     ++result.stats.candidates;
     return true;
   };
-  const bool cell_bands = internal::PlansCellBands(store, chis);
   size_t cursor = 0;
   auto next_batch = [&] {
     internal::VerifyBatch b;
@@ -119,24 +118,11 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
       const size_t i = order[cursor++];
       if (!Admit(i)) continue;
       b.items.push_back(i);
-      // One unit per mask, so each is its own read; its window covers
-      // every term the order expression reads, or with cell bands its
-      // plan's windows (none: no unit).
-      if (cell_bands) {
-        const internal::CellPlan& plan = b.plans.emplace_back(
-            internal::PlanVerifyLoad(store, chis, ids[i], query.terms));
-        if (!plan.windows.empty()) {
-          b.units.push_back(internal::LoadUnit{
-              std::vector<MaskId>(plan.windows.size(), ids[i]),
-              plan.windows});
-        }
-        continue;
-      }
-      b.units.push_back(internal::LoadUnit{
-          {ids[i]},
-          {internal::VerifyWindow(
-              store, chis, ids[i],
-              internal::TermRows(store.meta(ids[i]), query.terms))}});
+      // One unit per mask, so each is its own read: its plan's windows
+      // (evaluator.h), none when its CHI answers it.
+      internal::PlanVerifyLoad(store, chis, ids[i], query.terms, &b.plans,
+                               &b.units.emplace_back());
+      b.plans.EndPlan();
     }
     return b;
   };
@@ -145,22 +131,11 @@ Result<TopKResult> ExecuteTopK(const MaskStore& store, ChiSource* chis,
   auto verify = [&](const internal::VerifyBatch& b,
                     const std::vector<std::vector<Mask>>& masks) {
     std::vector<double> values(b.items.size());
-    std::vector<size_t> first;
-    const std::vector<const Mask*> rows =
-        b.plans.empty() ? std::vector<const Mask*>{}
-                        : internal::FlattenPlanned(masks, b.plans, &first);
     ParallelFor(values.size() > 1 ? opts.pool : nullptr, values.size(),
                 [&](size_t j) {
-                  const MaskId id = ids[b.items[j]];
                   values[j] = query.order_expr.EvalExact(
-                      b.plans.empty()
-                          ? internal::TermExactFromMask(masks[j][0],
-                                                        store.meta(id),
-                                                        query.terms,
-                                                        b.units[j].windows[0])
-                          : internal::TermExactFromPlan(
-                                b.plans[j], rows.data() + first[j],
-                                query.terms));
+                      internal::TermExactFromPlan(b.plans, j, masks[j].data(),
+                                                  query.terms));
                 });
     for (size_t j = 0; j < values.size(); ++j) {
       Fold(ScoredMask{ids[b.items[j]], values[j]});

@@ -5,18 +5,15 @@
 //
 // A batch is a list of load units, each read with one
 // MaskStore::LoadMaskWindows (offset-sorted, coalesced, shard-parallel
-// reads). The filter gives one contiguous unit per io_pool thread (one per
-// batch without io_pool), top-k one per mask, the aggregations one per
-// group. With io_pool every unit is its own io_pool task, so several reads
-// are in flight and a device queue stays busy while the host copies and
-// verifies. A unit carries the row windows its executor decided
-// (evaluator.h): the rows its terms' ROIs touch, widened to the whole mask
-// by VerifyWindow on a compressed or cached store or for a CHI the
-// session's ChiSource retains, or, planned by cell bands, one window per
-// uncertain band, so one mask may appear as several consecutive entries
-// and a mask the CHI answers as none. The pipeline reads exactly those
-// windows, so on a raw uncached store only their bytes are read, and a CHI
-// is only ever built from a whole mask.
+// reads), and one load plan per item (evaluator.h). The filter gives one
+// contiguous unit per io_pool thread (one per batch without io_pool), top-k
+// one per mask, the aggregations one per group. With io_pool every unit is
+// its own io_pool task, so several reads are in flight and a device queue
+// stays busy while the host copies and verifies. A unit carries the row
+// windows its items' plans decided: one mask may appear as several
+// consecutive entries, and a mask its CHI answers as none. The pipeline
+// reads exactly those windows, so on a raw uncached store only their bytes
+// are read, and a CHI is only ever built from a whole mask.
 //
 // With EngineOptions::io_pool set the pipeline is two batches deep: batch
 // k+1's units load on io_pool while batch k is verified on
@@ -40,23 +37,14 @@
 namespace masksearch {
 namespace internal {
 
-/// \brief Mask ids loaded together, with the rows read of each entry
-/// (parallel to `ids`; empty = whole masks). The entries of one mask are
-/// consecutive.
-struct LoadUnit {
-  std::vector<MaskId> ids;
-  std::vector<RowWindow> windows;
-};
-
 /// \brief One verification batch. `items` are the executor's own indices
 /// (masks for the filter, groups for the aggregations) and are opaque to the
-/// pipeline; `units` are loaded one LoadMaskWindows each. `plans` (cell-band
-/// executors only, else empty) holds one CellPlan per item, whose windows
-/// are the units' entries in order (FlattenPlanned).
+/// pipeline; `units` are loaded one LoadMaskWindows each, and `plans` holds
+/// item j's load plan as plan j, its entries the units' entries in order.
 struct VerifyBatch {
   std::vector<size_t> items;
   std::vector<LoadUnit> units;
-  std::vector<CellPlan> plans;
+  LoadPlans plans;
 };
 
 /// \brief The masks of `unit`, one per entry.

@@ -92,11 +92,11 @@ CpBounds ComputeCpBounds(const Chi& chi, const ROI& roi,
   return ComputeCpBoundsDetail(chi, roi, range).combined;
 }
 
-CpCellSplit SplitCpCells(const Chi& chi, const ROI& roi_in,
-                         const ValueRange& range) {
-  CpCellSplit split;
+int64_t SplitCpCells(const Chi& chi, const ROI& roi_in, const ValueRange& range,
+                     std::vector<ROI>* uncertain) {
+  int64_t certain = 0;
   const ROI roi = roi_in.ClampTo(chi.width(), chi.height());
-  if (roi.Empty() || !(range.lv < range.uv)) return split;
+  if (roi.Empty() || !(range.lv < range.uv)) return certain;
   const AlignedRanges a = Align(chi, range);
   const int32_t cx0 = chi.FloorBoundaryX(roi.x0);
   const int32_t cx1 = chi.CeilBoundaryX(roi.x1);
@@ -120,7 +120,7 @@ CpCellSplit SplitCpCells(const Chi& chi, const ROI& roi_in,
       if (rows_inside && x0 == chi.boundary_x(cx) &&
           x1 == chi.boundary_x(cx + 1)) {
         if (outer == inner) {  // wholly inside
-          split.certain += inner;
+          certain += inner;
           open = false;
           continue;
         }
@@ -129,19 +129,19 @@ CpCellSplit SplitCpCells(const Chi& chi, const ROI& roi_in,
         continue;
       } else if (inner == chi.RegionArea(cx, cy, cx + 1, cy + 1)) {
         // Partly inside, every pixel in range.
-        split.certain += static_cast<int64_t>(x1 - x0) * (y1 - y0);
+        certain += static_cast<int64_t>(x1 - x0) * (y1 - y0);
         open = false;
         continue;
       }
       if (open) {
-        split.uncertain.back().x1 = x1;
+        uncertain->back().x1 = x1;
       } else {
-        split.uncertain.emplace_back(x0, y0, x1, y1);
+        uncertain->emplace_back(x0, y0, x1, y1);
         open = true;
       }
     }
   }
-  return split;
+  return certain;
 }
 
 }  // namespace masksearch

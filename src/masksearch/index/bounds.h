@@ -89,17 +89,13 @@ CpBoundsDetail ComputeCpBoundsDetail(const Chi& chi, const ROI& roi,
 ///     empty inner range, only when the outer count is 0): value that count;
 ///   * it lies partly inside the ROI and its outer-range count is 0 (value
 ///     0), or its inner-range count is its area (value |cell ∩ ROI|).
-/// Every other touched cell is uncertain, and
-///   CP = certain + Σ CountPixels(mask, r, range) over r in `uncertain`.
-struct CpCellSplit {
-  /// Exact count of the certain cells' ROI pixels in the range.
-  int64_t certain = 0;
-  /// The uncertain cells ∩ ROI in mask coordinates, row-major: one
-  /// rectangle per run of horizontally adjacent uncertain cells.
-  std::vector<ROI> uncertain;
-};
-CpCellSplit SplitCpCells(const Chi& chi, const ROI& roi,
-                         const ValueRange& range);
+/// Every other touched cell is uncertain. Returns the certain cells' exact
+/// count of ROI pixels in the range, and appends to `uncertain` the
+/// uncertain cells ∩ ROI in mask coordinates, row-major: one rectangle per
+/// run of horizontally adjacent uncertain cells. Then
+///   CP = certain + Σ CountPixels(mask, r, range) over the appended r.
+int64_t SplitCpCells(const Chi& chi, const ROI& roi, const ValueRange& range,
+                     std::vector<ROI>* uncertain);
 
 }  // namespace masksearch
 

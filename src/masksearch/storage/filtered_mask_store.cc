@@ -79,12 +79,6 @@ Result<std::vector<Mask>> FilteredMaskStore::LoadMaskBatch(
   return inner_->LoadMaskBatch(phys);
 }
 
-Result<Mask> FilteredMaskStore::LoadMaskRows(MaskId id, int32_t y0,
-                                             int32_t y1) const {
-  MS_RETURN_NOT_OK(CheckId(id));
-  return inner_->LoadMaskRows(phys_[id], y0, y1);
-}
-
 Result<std::vector<Mask>> FilteredMaskStore::LoadMaskWindows(
     const std::vector<MaskId>& ids,
     const std::vector<RowWindow>& windows) const {

@@ -38,7 +38,6 @@ class FilteredMaskStore final : public MaskStore {
   Result<Mask> LoadMask(MaskId id) const override;
   Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const override;
-  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override;
   Result<std::vector<Mask>> LoadMaskWindows(
       const std::vector<MaskId>& ids,
       const std::vector<RowWindow>& windows) const override;

@@ -257,6 +257,12 @@ Status MaskStore::CheckWindow(MaskId id, const RowWindow& w) const {
   return Status::OK();
 }
 
+Result<Mask> MaskStore::LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const {
+  MS_ASSIGN_OR_RETURN(std::vector<Mask> rows,
+                      LoadMaskWindows({id}, {RowWindow{y0, y1}}));
+  return std::move(rows[0]);
+}
+
 Result<std::vector<Mask>> MaskStore::LoadMaskWindows(
     const std::vector<MaskId>& ids,
     const std::vector<RowWindow>& windows) const {

@@ -206,20 +206,22 @@ class MaskStore {
   virtual Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const = 0;
 
-  /// \brief Loads only the rows [y0, y1) of a raw-format mask — a contiguous
-  /// byte range. Returns a Mask of height y1-y0 whose row 0 is mask row y0.
-  /// Counts as a (partial) load. Compressed stores do not support partial
-  /// reads (the whole blob must be decoded), mirroring real codecs.
-  virtual Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const = 0;
+  /// \brief The rows [y0, y1) of mask `id`: a one-entry LoadMaskWindows,
+  /// a Mask of height y1-y0 whose row 0 is mask row y0. Still virtual only
+  /// because msbench's metadata-only OracleStore overrides it; no store of
+  /// the library does.
+  virtual Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const;
 
   /// \brief LoadMaskBatch with a row window per id (`windows` parallel to
-  /// `ids`): entry i comes back as LoadMaskRows(ids[i], windows[i]) would
-  /// return it. An id may repeat with several windows (the verification
-  /// pipeline reads a mask's uncertain cell bands this way); the mask
-  /// still counts once in masks_loaded(). Where ReadsRowWindows() is true,
-  /// only each window's bytes are read, with LoadMaskBatch's coalescing
-  /// applied to the windows' byte ranges. This default loads whole masks
-  /// through LoadMaskBatch and copies the windows out of them.
+  /// `ids`): entry i is the rows windows[i] of mask ids[i], a Mask whose
+  /// row 0 is mask row windows[i].y0. An id may repeat with several
+  /// windows (the verification pipeline reads a mask's uncertain cell
+  /// bands this way); the mask still counts once in masks_loaded(). Where
+  /// ReadsRowWindows() is true, only each window's bytes are read, with
+  /// LoadMaskBatch's coalescing applied to the windows' byte ranges; a
+  /// compressed store refuses a partial window (a blob decodes whole,
+  /// mirroring real codecs). This default loads whole masks through
+  /// LoadMaskBatch and copies the windows out of them.
   virtual Result<std::vector<Mask>> LoadMaskWindows(
       const std::vector<MaskId>& ids,
       const std::vector<RowWindow>& windows) const;
@@ -255,8 +257,8 @@ class MaskStore {
   /// Computed once at Open.
   virtual uint64_t TotalDataBytes() const { return total_data_bytes_; }
 
-  /// \brief Cumulative number of masks loaded (LoadMask / LoadMaskRows, and
-  /// the distinct ids of each LoadMaskBatch / LoadMaskWindows call). A
+  /// \brief Cumulative number of masks loaded (LoadMask, and the distinct
+  /// ids of each LoadMaskBatch / LoadMaskWindows call). A
   /// CachedMaskStore forwards to the wrapped store, so the counters keep
   /// meaning physical storage traffic: cache hits move neither counter.
   virtual uint64_t masks_loaded() const { return masks_loaded_.load(); }

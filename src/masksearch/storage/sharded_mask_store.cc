@@ -351,13 +351,6 @@ Result<std::vector<Mask>> ShardedMaskStore::LoadMaskWindows(
   return LoadWindows(ids, windows.data());
 }
 
-Result<Mask> ShardedMaskStore::LoadMaskRows(MaskId id, int32_t y0,
-                                            int32_t y1) const {
-  const RowWindow window{y0, y1};
-  MS_ASSIGN_OR_RETURN(std::vector<Mask> rows, LoadWindows({id}, &window));
-  return std::move(rows[0]);
-}
-
 Status ShardedMaskStore::ReadBlob(MaskId id, std::string* out) const {
   MS_RETURN_NOT_OK(CheckId(id));
   const uint64_t nbytes = sizes_[id];

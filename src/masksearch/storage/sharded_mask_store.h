@@ -10,9 +10,10 @@
 // single-file loader did, and — when Options::io_pool is set — issues the
 // per-shard read loops concurrently. On a device with queue depth (real
 // NVMe, or DiskThrottle queue_depth > 1) the concurrent shard reads overlap
-// their per-request latencies; see docs/PERFORMANCE.md. LoadMaskWindows and
-// LoadMaskRows run the same loader over row windows: a raw window is the
-// byte range [offset + y0·row_bytes, offset + y1·row_bytes) of its blob.
+// their per-request latencies; see docs/PERFORMANCE.md. LoadMaskWindows
+// runs the same loader over row windows (and with it the base LoadMaskRows,
+// a one-entry LoadMaskWindows): a raw window is the byte range
+// [offset + y0·row_bytes, offset + y1·row_bytes) of its blob.
 
 #ifndef MASKSEARCH_STORAGE_SHARDED_MASK_STORE_H_
 #define MASKSEARCH_STORAGE_SHARDED_MASK_STORE_H_
@@ -43,7 +44,6 @@ class ShardedMaskStore final : public MaskStore {
   Result<Mask> LoadMask(MaskId id) const override;
   Result<std::vector<Mask>> LoadMaskBatch(
       const std::vector<MaskId>& ids) const override;
-  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override;
   Result<std::vector<Mask>> LoadMaskWindows(
       const std::vector<MaskId>& ids,
       const std::vector<RowWindow>& windows) const override;
@@ -83,8 +83,7 @@ class ShardedMaskStore final : public MaskStore {
   };
 
   /// The one batch loader behind LoadMaskBatch (`windows` null: whole
-  /// masks), LoadMaskWindows and LoadMaskRows (`windows` parallel to
-  /// `ids`). Validates every entry, then reads each shard's extents with
+  /// masks) and LoadMaskWindows (`windows` parallel to `ids`). Validates every entry, then reads each shard's extents with
   /// LoadShardRuns, shard-parallel on Options::io_pool.
   Result<std::vector<Mask>> LoadWindows(const std::vector<MaskId>& ids,
                                         const RowWindow* windows) const;

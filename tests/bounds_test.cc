@@ -302,8 +302,26 @@ TEST(BoundsTest, FinerIndexGivesTighterOrEqualBounds) {
 
 // ---- Cell split (SplitCpCells) ----
 
+/// SplitCpCells' certain count and the rectangles it appends.
+struct CellSplit {
+  int64_t certain = 0;
+  std::vector<ROI> uncertain;
+};
+
+/// SplitCpCells into a vector that already holds a rectangle, which the
+/// split must leave in place.
+CellSplit Split(const Chi& chi, const ROI& roi, const ValueRange& range) {
+  const ROI held(1, 2, 3, 4);
+  CellSplit split;
+  split.uncertain.push_back(held);
+  split.certain = SplitCpCells(chi, roi, range, &split.uncertain);
+  EXPECT_EQ(split.uncertain.front().ToString(), held.ToString());
+  split.uncertain.erase(split.uncertain.begin());
+  return split;
+}
+
 /// CP from a split: the certain count plus every uncertain rectangle.
-int64_t SplitCount(const CpCellSplit& split, const Mask& m,
+int64_t SplitCount(const CellSplit& split, const Mask& m,
                    const ValueRange& range) {
   int64_t count = split.certain;
   for (const ROI& r : split.uncertain) count += CountPixels(m, r, range);
@@ -312,7 +330,7 @@ int64_t SplitCount(const CpCellSplit& split, const Mask& m,
 
 /// Checks the split's shape: uncertain rectangles lie inside the clamped
 /// ROI, are disjoint, row-major, and each spans whole cell rows of it.
-void ExpectWellFormed(const CpCellSplit& split, const Chi& chi,
+void ExpectWellFormed(const CellSplit& split, const Chi& chi,
                       const ROI& roi_in) {
   const ROI roi = roi_in.ClampTo(chi.width(), chi.height());
   for (size_t i = 0; i < split.uncertain.size(); ++i) {
@@ -356,7 +374,7 @@ TEST(CellSplitTest, CertainPlusUncertainIsExact) {
           SCOPED_TRACE("bins " + std::to_string(cfg.num_bins) + " mask " +
                        std::to_string(id) + " roi " + roi.ToString() +
                        " range " + range.ToString());
-          const CpCellSplit split = SplitCpCells(chi, roi, range);
+          const CellSplit split = Split(chi, roi, range);
           ASSERT_EQ(SplitCount(split, m, range), CountPixels(m, roi, range));
           ExpectWellFormed(split, chi, roi);
           certain_cells += split.certain > 0;
@@ -395,14 +413,14 @@ TEST(CellSplitTest, CertaintyRulePerCell) {
   const ValueRange on_edges(0.5, 0.75);
 
   // Aligned ROI over all cells: nothing straddles, everything certain.
-  CpCellSplit split = SplitCpCells(chi, ROI::Full(12, 8), on_edges);
+  CellSplit split = Split(chi, ROI::Full(12, 8), on_edges);
   EXPECT_TRUE(split.uncertain.empty());
   EXPECT_EQ(split.certain, CountPixels(m, on_edges));
 
   // ROI cutting every cell: columns 0..3 certain (no pixel in the outer
   // range), 4..7 certain (every pixel in the inner range), 8..11 not.
   const ROI cut(1, 1, 11, 7);
-  split = SplitCpCells(chi, cut, on_edges);
+  split = Split(chi, cut, on_edges);
   EXPECT_EQ(split.certain, int64_t{4} * 6);  // |cells 4..7 ∩ cut| in range
   ASSERT_EQ(split.uncertain.size(), 2u);     // rows 1..4 and 4..7, x 8..11
   EXPECT_EQ(split.uncertain[0].ToString(), ROI(8, 1, 11, 4).ToString());
@@ -412,17 +430,17 @@ TEST(CellSplitTest, CertaintyRulePerCell) {
   // Off-edge range: whole cells of 0.6 straddle the bin of 0.55, so they
   // are uncertain; the 0.1 cells are still certain (outer count 0).
   const ValueRange off_edges(0.55, 0.75);
-  split = SplitCpCells(chi, ROI::Full(12, 8), off_edges);
+  split = Split(chi, ROI::Full(12, 8), off_edges);
   EXPECT_EQ(split.certain, 0);
   ASSERT_EQ(split.uncertain.size(), 2u);  // one run of 2 cells per cell row
   EXPECT_EQ(split.uncertain[0].ToString(), ROI(4, 0, 12, 4).ToString());
   EXPECT_EQ(SplitCount(split, m, off_edges), CountPixels(m, off_edges));
 
   // Empty ROI and empty range: nothing to count.
-  split = SplitCpCells(chi, ROI(3, 0, 3, 8), on_edges);
+  split = Split(chi, ROI(3, 0, 3, 8), on_edges);
   EXPECT_EQ(split.certain, 0);
   EXPECT_TRUE(split.uncertain.empty());
-  split = SplitCpCells(chi, ROI::Full(12, 8), ValueRange(0.6, 0.6));
+  split = Split(chi, ROI::Full(12, 8), ValueRange(0.6, 0.6));
   EXPECT_EQ(split.certain, 0);
   EXPECT_TRUE(split.uncertain.empty());
 }
@@ -451,7 +469,7 @@ TEST(CellSplitTest, FloatThresholdsBelowAnEdge) {
     const CpBounds b = ComputeCpBounds(chi, ROI::Full(4, 2), range);
     EXPECT_LE(b.lower, exact);
     EXPECT_GE(b.upper, exact);
-    EXPECT_EQ(SplitCount(SplitCpCells(chi, ROI::Full(4, 2), range), m, range),
+    EXPECT_EQ(SplitCount(Split(chi, ROI::Full(4, 2), range), m, range),
               exact);
   }
 }

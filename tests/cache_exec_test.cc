@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "masksearch/cache/buffer_pool.h"
 #include "masksearch/cache/cached_mask_store.h"
+#include "masksearch/exec/agg_executor.h"
 #include "masksearch/exec/filter_executor.h"
 #include "masksearch/exec/mask_agg.h"
 #include "masksearch/exec/session.h"
@@ -46,6 +48,15 @@ TopKQuery MakeTopK() {
   q.terms.push_back(CpTerm{RoiSource::kObjectBox, ROI(), ValueRange(0.7, 1.0)});
   q.order_expr = CpExpr::Term(0);
   q.k = 6;
+  q.descending = true;
+  return q;
+}
+
+AggregationQuery MakeAgg() {
+  AggregationQuery q;
+  q.term = CpTerm{RoiSource::kObjectBox, ROI(), ValueRange(0.6, 1.0)};
+  q.op = ScalarAggOp::kSum;
+  q.k = 4;
   q.descending = true;
   return q;
 }
@@ -148,6 +159,75 @@ TEST_F(CachedExecTest, MaskAggByteParityColdWarmAndThrashing) {
       }
     }
   }
+}
+
+// A verified mask on a store that does not read row windows (cached or
+// compressed) gets the degenerate load plan, which reads no CHI: with a
+// full index, filter, top-k, scalar aggregation and mask-agg call Find once
+// per targeted mask, all in their bounds pass. On the raw uncached store
+// the cell-band plans find each verified mask's CHI once more.
+TEST_F(CachedExecTest, DegeneratePlansReadNoChi) {
+  TempDir zdir("cacheexec_z");
+  MaskStoreWriter::Options zopts;
+  zopts.kind = StorageKind::kCompressed;
+  auto writer = MaskStoreWriter::Create(zdir.path(), zopts).ValueOrDie();
+  for (MaskId id = 0; id < plain_->num_masks(); ++id) {
+    writer->Append(plain_->meta(id), plain_->LoadMask(id).ValueOrDie())
+        .ValueOrDie();
+  }
+  MS_ASSERT_OK(writer->Finish());
+  auto compressed = MaskStore::Open(zdir.path()).ValueOrDie();
+  IndexManager zindex(compressed->num_masks(), TestConfig());
+  MS_ASSERT_OK(zindex.BuildAll(*compressed));
+
+  auto finds = [&](const MaskStore& store, ChiSource* index,
+                   int64_t* targeted) {
+    testing_util::CountingChiSource chis(index);
+    std::vector<int64_t> out;
+    // Off the 8-bin edges, at the median CP, so the bounds leave masks to
+    // verify.
+    FilterQuery filter = MakeFilter();
+    filter.terms[0].range = ValueRange(0.55, 1.0);
+    std::vector<int64_t> cps;
+    for (MaskId id = 0; id < plain_->num_masks(); ++id) {
+      cps.push_back(CountPixels(plain_->LoadMask(id).ValueOrDie(),
+                                plain_->meta(id).object_box,
+                                filter.terms[0].range));
+    }
+    std::nth_element(cps.begin(), cps.begin() + cps.size() / 2, cps.end());
+    filter.predicate = Predicate::Compare(
+        CpExpr::Term(0), CompareOp::kGt,
+        static_cast<double>(cps[cps.size() / 2]));
+    std::vector<ExecStats> stats = {
+        ExecuteFilter(store, &chis, filter, {}).ValueOrDie().stats};
+    out.push_back(chis.TakeFinds());
+    stats.push_back(
+        ExecuteTopK(store, &chis, MakeTopK(), {}).ValueOrDie().stats);
+    out.push_back(chis.TakeFinds());
+    stats.push_back(
+        ExecuteAggregation(store, &chis, MakeAgg(), {}).ValueOrDie().stats);
+    out.push_back(chis.TakeFinds());
+    stats.push_back(ExecuteMaskAgg(store, &chis, nullptr, MakeMaskAgg(), {})
+                        .ValueOrDie()
+                        .stats);
+    out.push_back(chis.TakeFinds());
+    for (size_t q = 0; q < stats.size(); ++q) {
+      EXPECT_GT(stats[q].candidates, 0) << "query " << q << " verifies";
+      targeted[q] = stats[q].masks_targeted;
+    }
+    return out;
+  };
+  int64_t targeted[4];
+  for (const MaskStore* store : {cached_.get(), compressed.get()}) {
+    SCOPED_TRACE(store == cached_.get() ? "cached" : "compressed");
+    const std::vector<int64_t> got = finds(
+        *store, store == cached_.get() ? index_.get() : &zindex, targeted);
+    for (size_t q = 0; q < got.size(); ++q) {
+      EXPECT_EQ(got[q], targeted[q]) << "query " << q;
+    }
+  }
+  const std::vector<int64_t> raw = finds(*plain_, index_.get(), targeted);
+  for (size_t q = 0; q < 3; ++q) EXPECT_GT(raw[q], targeted[q]) << "query " << q;
 }
 
 TEST_F(CachedExecTest, WarmPassAvoidsPhysicalIo) {

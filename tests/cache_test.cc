@@ -391,12 +391,13 @@ TEST(CachedMaskStoreTest, TinyBudgetStillByteIdentical) {
   EXPECT_LE(p.pool->Stats().resident_bytes, p.pool->options().budget_bytes);
 }
 
-TEST(CachedMaskStoreTest, LoadMaskRowsServedFromCacheWithParity) {
+TEST(CachedMaskStoreTest, LoadMaskRowsReadsWholeMasksThroughCacheWithParity) {
   StorePair p = MakePair(4, 1, StorageKind::kRawFloat32);
   const Mask wantRows = p.plain->LoadMaskRows(2, 3, 7).ValueOrDie();
-  // Cold: forwarded to the inner store.
+  // Cold: the whole mask is read into the pool and the rows copied out.
   ExpectMaskEq(p.cached->LoadMaskRows(2, 3, 7).ValueOrDie(), wantRows);
-  // Warm the full mask, then the row slice comes from the pool.
+  EXPECT_EQ(p.cached->CountResident({2}), 1u);
+  // Warm: a full-mask load and the row slice both come from the pool.
   (void)p.cached->LoadMask(2).ValueOrDie();
   const uint64_t physical = p.cached->masks_loaded();
   ExpectMaskEq(p.cached->LoadMaskRows(2, 3, 7).ValueOrDie(), wantRows);

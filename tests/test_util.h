@@ -269,11 +269,6 @@ class ForwardingStore final : public MaskStore {
     Record(ids, nullptr);
     return inner_.LoadMaskBatch(ids);
   }
-  Result<Mask> LoadMaskRows(MaskId id, int32_t y0, int32_t y1) const override {
-    const RowWindow w{y0, y1};
-    Record({id}, &w);
-    return inner_.LoadMaskRows(id, y0, y1);
-  }
   Result<std::vector<Mask>> LoadMaskWindows(
       const std::vector<MaskId>& ids,
       const std::vector<RowWindow>& windows) const override {
@@ -336,6 +331,30 @@ class ForwardingStore final : public MaskStore {
   mutable std::vector<std::vector<Load>> calls_;
 };
 
+/// Forwards to `inner` and counts the Find calls made through it.
+class CountingChiSource final : public ChiSource {
+ public:
+  explicit CountingChiSource(ChiSource* inner) : inner_(inner) {}
+
+  std::shared_ptr<const Chi> Find(MaskId id) const override {
+    finds_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->Find(id);
+  }
+  bool Retains(MaskId id) const override { return inner_->Retains(id); }
+  void Retain(MaskId id, const Mask& mask) override {
+    inner_->Retain(id, mask);
+  }
+  size_t size() const override { return inner_->size(); }
+  const ChiConfig& config() const override { return inner_->config(); }
+
+  /// The Find calls since the last TakeFinds.
+  int64_t TakeFinds() { return finds_.exchange(0); }
+
+ private:
+  ChiSource* inner_;
+  mutable std::atomic<int64_t> finds_{0};
+};
+
 /// The rows the clamped ROIs of `terms` cover in `meta`'s mask (their
 /// hull), or the whole mask when all are empty: the window a raw uncached
 /// store's verification load must read.
@@ -370,7 +389,10 @@ inline int64_t ExpectLoadedRows(ForwardingStore* store,
       std::vector<RowWindow> rows = {windowed ? RoiRows(m, terms)
                                               : RowWindow::Whole(m)};
       if (windowed && chis != nullptr) {
-        rows = internal::PlanVerifyLoad(*store, chis, id, terms).windows;
+        internal::LoadPlans plans;
+        internal::LoadUnit unit;
+        internal::PlanVerifyLoad(*store, chis, id, terms, &plans, &unit);
+        rows = unit.windows;
       }
       ++masks;
       size_t n = 0;
